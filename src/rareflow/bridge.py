@@ -1,13 +1,23 @@
 """Brownian-bridge barrier crossings between Euler grid points.
 
 Between two grid values the Euler scheme is a Brownian bridge, so the chance
-of touching a single constant barrier is exact:
-``exp(-2 (U - x_i)(U - x_{i+1}) / (sigma^2 eps))``.  For a double
-(possibly sloped) corridor the exact law is unavailable; the dominant-action
-approximation ``exp(-I/eps - w)`` keeps the cheaper of the two barrier
-excursions plus a first-order slope correction.  The knock-out pricer uses
-these per-step kill probabilities to remove the sqrt(eps) bias of testing the
-barrier at grid times only.
+of touching a single constant barrier U is exact: ``exp(e)`` with the kill
+exponent ``e = -2 (U - x_i)^+ (U - x_{i+1})^+ / (sigma^2 eps)``
+(``kill_exponent_single``).  For a double or moving corridor the exact law is
+unavailable; the dominant-action approximation ``exp(-I/eps - w)`` keeps the
+cheaper of the two barrier excursions plus a first-order slope correction
+(Baldi, 1995).  The knock-out pricer uses these per-step kill probabilities to
+remove the sqrt(eps) bias of testing the barrier at grid times only: a spec
+with one constant upper level and no lower one runs the exact single-barrier
+kernel, every other spec the dominant-action code.
+
+A path is killed when a uniform u falls below ``exp(max(e, KILL_FLOOR))``.
+The floor is exact for the decision: exp(-40) < 2**-53, the smallest positive
+draw of ``Generator.random``, so no u > 0 lies below either side, and only a
+draw of exactly 0.0 (probability 2**-53) can tell them apart.  It keeps
+``np.exp`` out of its slow subnormal range, which deep exponents otherwise
+hit on a large share of steps.  The public ``crossing_prob_*`` functions
+return the unfloored probabilities.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ from .mc import EstimatorResult
 NO_UPPER = 1e18
 NO_LOWER = -1e18
 
+# floor on kill exponents in kill decisions; exp(-40) < 2**-53 (see above)
+KILL_FLOOR = -40.0
+
 
 def _const(level: float) -> Callable[[float], float]:
     return lambda t: level
@@ -36,7 +49,8 @@ class BarrierSpec:
     """Single-up or double barrier, as time functions with derivatives.
 
     One-sided specs encode the missing barrier with a huge sentinel level so
-    the double-barrier code path serves both cases.
+    the double-barrier functions serve both cases; ``price_knockout`` spots a
+    constant upper level with no lower one and runs the exact kernel instead.
     """
 
     upper: Callable[[float], float]
@@ -84,17 +98,35 @@ class EulerModel:
         return self.maturity / self.steps
 
 
+def kill_exponent_single(gap_i, gap_next, sigma_i, eps):
+    """Log of the exact probability that a bridge step touches one barrier.
+
+    ``gap = (U - x)^+`` is an endpoint's distance below the level U, 0 at or
+    above it.  The exponent ``-2 gap_i gap_next / (sigma^2 eps)`` is 0 (a
+    certain crossing) when either gap is 0, and symmetric in the endpoints.
+    Gaps are taken as inputs so a pricer can carry the right-hand gap of one
+    step over as the left-hand gap of the next.
+    """
+    return -2.0 * gap_i * gap_next / (sigma_i * sigma_i * eps)
+
+
+def kill_prob(expo):
+    """Kill threshold ``exp(max(expo, KILL_FLOOR))`` for decisions ``u < p``.
+
+    Gives the same decision as ``exp(expo)`` for every uniform u > 0.
+    """
+    return np.exp(np.maximum(expo, KILL_FLOOR))
+
+
 def crossing_prob_single(x_i, x_next, upper, sigma_i, eps):
     """Exact bridge probability of touching the level ``upper`` within a step.
 
     Returns 1 when either endpoint is already at or above the barrier.
     The formula is symmetric in the endpoints.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    hit = (x_i >= upper) | (x_next >= upper)
-    expo = -2.0 * (upper - x_i) * (upper - x_next) / (sigma_i**2 * eps)
-    prob = np.where(hit, 1.0, np.exp(np.where(hit, 0.0, expo)))
+    gap_i = np.maximum(upper - np.asarray(x_i, dtype=float), 0.0)
+    gap_next = np.maximum(upper - np.asarray(x_next, dtype=float), 0.0)
+    prob = np.exp(kill_exponent_single(gap_i, gap_next, sigma_i, eps))
     if prob.ndim == 0:
         return float(prob)
     return prob
@@ -182,7 +214,9 @@ def price_knockout(
     ``naive`` kills a path only when a grid value leaves the corridor;
     ``corrected`` kills between grid points with the bridge probability,
     consuming one uniform per step from a stream separate from the path
-    noise (so naive/corrected/vanilla comparisons can share paths).
+    noise (so naive/corrected/vanilla comparisons can share paths).  A spec
+    with one constant upper level kills with the exact single-barrier law;
+    any other spec with the dominant action plus its slope correction.
     """
     if method not in ("naive", "corrected"):
         raise ValueError(f"unknown method {method!r}")
@@ -194,6 +228,10 @@ def price_knockout(
     uppers = np.array([spec.upper(t) for t in times])
     lower_slopes = np.array([spec.lower_slope(t) for t in times])
     upper_slopes = np.array([spec.upper_slope(t) for t in times])
+    # one constant upper level: the exact law, with no branch or slope term
+    single_up = bool(np.all(lowers <= NO_LOWER) and np.all(uppers == uppers[0])
+                     and not (np.any(lower_slopes) or np.any(upper_slopes)))
+    level = uppers[0]
     discount = math.exp(-model.rate * model.maturity)
 
     def sampler(ss, size):
@@ -202,20 +240,26 @@ def price_knockout(
         kill_rng = np.random.default_rng(kill_ss)
         x = np.full(size, model.x0)
         alive = np.full(size, lowers[0] < model.x0 < uppers[0])
+        gap = np.maximum(level - x, 0.0)
         for i in range(n_steps):
-            gauss = rng.normal(size=size)
+            gauss = rng.standard_normal(size)
             sigma_i = model.vol(x)
             x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
             if method == "naive":
                 alive &= (x_next > lowers[i + 1]) & (x_next < uppers[i + 1])
             else:
                 uniforms = kill_rng.random(size)
-                rate = crossing_rate_double(x, x_next, lowers[i], uppers[i], sigma_i)
-                w = sharp_correction_double(
-                    x, x_next, lowers[i], uppers[i], lower_slopes[i], upper_slopes[i], sigma_i
-                )
-                p_kill = np.exp(np.minimum(-rate / eps - w, 0.0))
-                alive &= uniforms >= p_kill
+                if single_up:
+                    gap_next = np.maximum(level - x_next, 0.0)
+                    expo = kill_exponent_single(gap, gap_next, sigma_i, eps)
+                    gap = gap_next
+                else:
+                    rate = crossing_rate_double(x, x_next, lowers[i], uppers[i], sigma_i)
+                    w = sharp_correction_double(
+                        x, x_next, lowers[i], uppers[i], lower_slopes[i], upper_slopes[i], sigma_i
+                    )
+                    expo = np.minimum(-rate / eps - w, 0.0)
+                alive &= uniforms >= kill_prob(expo)
             x = x_next
         return discount * payoff(x) * alive
 

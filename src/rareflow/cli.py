@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, bridge, cramer, credit, isdrift, longterm, mc, oracles, ruin, tilt
 from .errors import (
+    BoundViolated,
     DomainError,
     InvalidBarrier,
     NetProfitViolated,
@@ -56,6 +57,7 @@ EXIT_CODES = {
     OutOfDomain: 8,
     OutOfDualDomain: 8,
     InvalidBarrier: 9,
+    BoundViolated: 12,
 }
 
 
@@ -76,10 +78,18 @@ def _probability(name):
     return lambda v, _p: None if 0.0 < v < 1.0 else f"{name} must lie in (0,1), got {v}"
 
 
+def _check_replications(value, _params=None) -> str | None:
+    return None if value >= 2 else f"replications must be at least 2, got {value}"
+
+
+def _check_seed(value, _params=None) -> str | None:
+    return None if value >= 0 else f"seed must be nonnegative, got {value}"
+
+
 _COMMON = {
     "subcommand": FieldSpec(str, choices=SUBCOMMANDS),
-    "replications": FieldSpec(int, default=10000, check=_positive("replications")),
-    "seed": FieldSpec(int, default=0),
+    "replications": FieldSpec(int, default=10000, check=_check_replications),
+    "seed": FieldSpec(int, default=0, check=_check_seed),
     "ladder": FieldSpec(list, default=None),
     "output": FieldSpec(str, default="csv", choices=("csv", "json")),
     "oracle": FieldSpec(bool, default=False),
@@ -202,7 +212,11 @@ def serialize_config(config: ExperimentConfig) -> str:
 def _coerce(value, spec: FieldSpec, name: str, errors: list) -> object:
     types = spec.type if isinstance(spec.type, tuple) else (spec.type,)
     if float in types and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            errors.append(f"{name}: integer out of float range")
+            return None
     if int in types and isinstance(value, bool):
         errors.append(f"{name}: expected int, got bool")
         return None
@@ -212,6 +226,16 @@ def _coerce(value, spec: FieldSpec, name: str, errors: list) -> object:
     if spec.choices is not None and value not in spec.choices:
         errors.append(f"{name}: {value!r} not one of {spec.choices}")
         return None
+    return value
+
+
+def _field_value(raw: dict, name: str, spec: FieldSpec, errors: list) -> object:
+    """The coerced and checked value of one field, or its default when absent."""
+    value = _coerce(raw[name], spec, name, errors) if name in raw else spec.default
+    if value is not None and spec.check is not None:
+        problem = spec.check(value, raw)
+        if problem:
+            errors.append(problem)
     return value
 
 
@@ -225,6 +249,8 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # over-long integers, over-deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("config document must be a JSON object")
 
@@ -243,30 +269,13 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
         if key not in known:
             errors.append(f"unknown key {key!r} for subcommand {sub!r}")
 
-    common_values = {}
-    for name, spec in _COMMON.items():
-        if name == "subcommand":
-            continue
-        if name in raw:
-            value = _coerce(raw[name], spec, name, errors)
-        else:
-            value = spec.default
-        common_values[name] = value
-
+    common_values = {name: _field_value(raw, name, spec, errors)
+                     for name, spec in _COMMON.items() if name != "subcommand"}
     params = {}
     for name, spec in schema.items():
-        if name in raw:
-            value = _coerce(raw[name], spec, name, errors)
-        elif spec.required:
+        if spec.required and name not in raw:
             errors.append(f"missing required key {name!r} for subcommand {sub!r}")
-            value = None
-        else:
-            value = spec.default
-        if value is not None and spec.check is not None:
-            problem = spec.check(value, raw)
-            if problem:
-                errors.append(problem)
-        params[name] = value
+        params[name] = _field_value(raw, name, spec, errors)
 
     _validate_cross_fields(sub, params, errors)
     ladder = common_values.get("ladder")
@@ -293,7 +302,7 @@ def _validate_cross_fields(sub: str, params: dict, errors: list) -> None:
             errors.append("p: bernoulli family needs p in (0,1)")
         if fam in ("poisson", "exponential") and (params.get("lam") is None or params["lam"] <= 0.0):
             errors.append(f"lam: {fam} family needs lam > 0")
-        if fam == "normal" and params.get("var", 0.0) <= 0.0:
+        if fam == "normal" and params["var"] is not None and params["var"] <= 0.0:
             errors.append("var: normal family needs var > 0")
     elif sub == "credit":
         q, sa = params.get("q"), params.get("schedule_a")
@@ -305,7 +314,7 @@ def _validate_cross_fields(sub: str, params: dict, errors: list) -> None:
         if sa is not None and not (0.0 < sa <= 1.0):
             errors.append("schedule_a: must lie in (0, 1]")
     elif sub == "barrier":
-        if params.get("payoff") == "call" and params.get("strike", 0.0) <= 0.0:
+        if params.get("payoff") == "call" and params["strike"] is not None and params["strike"] <= 0.0:
             errors.append("strike: call payoff needs strike > 0")
     elif sub == "longterm":
         theta = params.get("theta")
@@ -622,10 +631,14 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text, args.subcommand)
         if args.seed is not None:
+            problem = _check_seed(args.seed)
+            if problem:
+                raise ParseError(f"--seed: {problem}")
             config.seed = args.seed
         if args.n is not None:
-            if args.n <= 0:
-                raise ParseError("--n must be positive")
+            problem = _check_replications(args.n)
+            if problem:
+                raise ParseError(f"--n: {problem}")
             config.replications = args.n
         if args.oracle:
             config.oracle = True

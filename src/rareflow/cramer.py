@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
-from . import mc, tilt
-from .errors import DomainError
+from . import mc, oracles, tilt
+from .errors import BoundViolated, DomainError
 from .mc import DecayFit, EstimatorResult
 from .tilt import TiltableFamily
 
@@ -86,7 +87,8 @@ def is_tail(
     ``exp(-theta*S_n + n*cgf(theta)) * 1{S_n >= n*x}``; unbiased for every
     admissible theta.  The default tilt is the saddle point, the
     variance-optimal choice.  Each sample is bounded by
-    exp(-n*(theta*x - cgf(theta))) (the Chebyshev bound), asserted per draw.
+    exp(-(theta*k - n*cgf(theta))) at the event's sum threshold k >= n*x - 1e-9
+    (the Chebyshev bound), checked per draw.
     """
     if theta is None:
         theta = default_theta(problem)
@@ -96,17 +98,22 @@ def is_tail(
     threshold = _sum_threshold(problem)
     log_norm = n * family.cgf(theta)
     tilted = family.tilted(theta)
-    bound = math.exp(-(theta * problem.n * problem.x - log_norm))
+    bound = math.exp(-(theta * threshold - log_norm))
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
         sums = tilted.sample_sum(rng, n, size)
         hits = sums >= threshold
         values = np.where(hits, np.exp(-theta * sums + log_norm), 0.0)
-        assert np.all(values <= bound * (1.0 + 1e-12)), "per-draw Chebyshev bound violated"
+        _check_chebyshev(values, bound)
         return values
 
     return mc.run_replications(sampler, N, seed, threads=threads)
+
+
+def _check_chebyshev(values: np.ndarray, bound: float) -> None:
+    if not np.all(values <= bound * (1.0 + 1e-12)):
+        raise BoundViolated("per-draw Chebyshev bound violated")
 
 
 def default_theta(problem: EmpiricalMeanProblem) -> float:
@@ -146,31 +153,20 @@ def verify_rate(
 # an estimator-independent cross-check.
 
 
-def binomial_tail(n: int, p: float, threshold: float) -> float:
-    """P[Bin(n, p) >= threshold] by direct summation."""
-    k_min = int(math.ceil(threshold - 1e-9))
-    if k_min <= 0:
-        return 1.0
-    if k_min > n:
-        return 0.0
-    return float(sum(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(k_min, n + 1)))
-
-
 def bernoulli_is_second_moment(n: int, p: float, x: float, theta: float) -> float:
     """Exact second moment of the tilted Bernoulli tail estimator.
 
-    Enumerates E_theta[exp(-2*theta*S_n + 2n*cgf(theta)) 1{S_n >= n*x}] over
-    the n+1 lattice values of S_n.
+    Sums E_theta[exp(-2*theta*S_n + 2n*cgf(theta)) 1{S_n >= n*x}] over the
+    lattice values of S_n, in log space.
     """
     family = tilt.Bernoulli(p)
     gamma = family.cgf(theta)
     p_t = family.tilted(theta).p
-    k_min = int(lattice_threshold(n, x))
-    total = 0.0
-    for k in range(max(k_min, 0), n + 1):
-        pmf = math.comb(n, k) * p_t**k * (1.0 - p_t) ** (n - k)
-        total += pmf * math.exp(-2.0 * theta * k + 2.0 * n * gamma)
-    return total
+    k = np.arange(max(int(lattice_threshold(n, x)), 0), n + 1)
+    if k.size == 0:
+        return 0.0
+    log_terms = oracles.binomial_log_pmf(n, p_t, k) - 2.0 * theta * k + 2.0 * n * gamma
+    return float(np.exp(logsumexp(log_terms)))
 
 
 def bernoulli_optimality_ladders(
@@ -187,7 +183,7 @@ def bernoulli_optimality_ladders(
     p_points = []
     for n in ladder:
         m2 = bernoulli_is_second_moment(int(n), p, x, use_theta)
-        prob = binomial_tail(int(n), p, lattice_threshold(int(n), x))
+        prob = oracles.binomial_tail(int(n), p, int(lattice_threshold(int(n), x)))
         m2_points.append((float(n), math.log(m2)))
         p_points.append((float(n), math.log(prob)))
     return mc.fit_decay(m2_points), mc.fit_decay(p_points)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .errors import NoRoot, RegimeError
+from .errors import BoundViolated, NoRoot, RegimeError
 from .gaussian import norm_cdf, norm_pdf, norm_ppf
 from .mc import DecayFit, EstimatorResult
 from .tilt import Bernoulli, saddle_theta
@@ -241,15 +241,18 @@ def two_step_is(
             hit = losses >= loss_threshold
             # conditional Chebyshev bound: weight <= exp(-n (theta q - cgf))
             log_bound = -(theta * loss_threshold - log_mgf)
-            finite = np.isfinite(log_conditional)
-            assert np.all(
-                ~(hit & finite) | (log_conditional <= log_bound + 1e-9)
-            ), "conditional weight above the Chebyshev bound"
+            _check_conditional_bound(hit, log_conditional, log_bound)
             log_factor = -mu * z + 0.5 * mu * mu
             values = np.where(hit, np.exp(log_factor + log_conditional), 0.0)
         return values
 
     return mc.run_replications(sampler, N, seed, threads=threads)
+
+
+def _check_conditional_bound(hit: np.ndarray, log_weight: np.ndarray, log_bound: np.ndarray) -> None:
+    finite = np.isfinite(log_weight)
+    if not np.all(~(hit & finite) | (log_weight <= log_bound + 1e-9)):
+        raise BoundViolated("conditional weight above the Chebyshev bound")
 
 
 def plain_loss_tail(

@@ -77,5 +77,9 @@ class AtMaturity(RareflowError):
     """Drift evaluation requested at or after maturity."""
 
 
+class BoundViolated(RareflowError):
+    """A sampled value broke the bound its estimator guarantees per draw."""
+
+
 class ParseError(RareflowError):
     """Config document could not be parsed or failed validation."""

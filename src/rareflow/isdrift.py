@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mc
+from .bridge import kill_exponent_single, kill_prob
 from .errors import AtMaturity, DomainEscape, MomentConditionViolated
-from .gaussian import norm_sf
 from .mc import DecayFit, EstimatorResult
 
 
@@ -353,6 +353,7 @@ def price_up_in_bond(
         log_s = np.full(size, math.log(s0))
         log_weight = np.zeros(size)
         hit = log_s >= log_barrier
+        gap = np.maximum(log_barrier - log_s, 0.0)
         for i in range(steps):
             t = i * dt
             if use_fw_drift:
@@ -363,20 +364,15 @@ def price_up_in_bond(
                 )
             else:
                 phi = np.zeros(size)
-            gauss = rng.normal(size=size)
+            gauss = rng.standard_normal(size)
             log_next = log_s + (base_drift - sigma * phi) * dt + sigma * sqrt_dt * gauss
             log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
             new_hit = log_next >= log_barrier
             if bridge_hits:
                 uniforms = hit_rng.random(size)
-                p_cross = np.exp(
-                    np.minimum(
-                        -2.0 * (log_barrier - log_s) * (log_barrier - log_next)
-                        / (sigma * sigma * dt),
-                        0.0,
-                    )
-                )
-                new_hit |= uniforms < p_cross
+                gap_next = np.maximum(log_barrier - log_next, 0.0)
+                new_hit |= uniforms < kill_prob(kill_exponent_single(gap, gap_next, sigma, dt))
+                gap = gap_next
             hit |= new_hit
             log_s = log_next
         return hit * np.exp(log_weight)
@@ -415,21 +411,3 @@ def likelihood_mean(
         return np.exp(log_weight)
 
     return mc.run_replications(sampler, N, seed, threads=threads)
-
-
-def drifted_max_crossing_prob(s0: float, barrier: float, sigma: float, maturity: float) -> float:
-    """Reflection-principle probability that the log price touches the barrier.
-
-    For X_t = nu t + sigma W_t with nu = -sigma^2/2 and level a = ln(K/s0):
-    P[max X <= a complement] = Phi-bar((a - nu T)/(sigma sqrt T))
-    + exp(2 nu a / sigma^2) Phi-bar((a + nu T)/(sigma sqrt T)).
-    """
-    a = math.log(barrier / s0)
-    if a <= 0.0:
-        return 1.0
-    nu = -0.5 * sigma * sigma
-    denom = sigma * math.sqrt(maturity)
-    return float(
-        norm_sf((a - nu * maturity) / denom)
-        + math.exp(2.0 * nu * a / (sigma * sigma)) * norm_sf((a + nu * maturity) / denom)
-    )

@@ -10,17 +10,29 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import gammaln, logsumexp
 
 from .gaussian import norm_cdf, norm_pdf, norm_ppf, norm_sf
 
 
+def binomial_log_pmf(n: int, p: float, k) -> np.ndarray:
+    """ln P[Bin(n, p) = k] from log-gamma terms, finite for every n."""
+    k = np.asarray(k, dtype=float)
+    return (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+            + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
 def binomial_tail(n: int, p: float, k_min: int) -> float:
-    """P[Bin(n, p) >= k_min] by direct summation of the mass function."""
+    """P[Bin(n, p) >= k_min], the mass function summed in log space.
+
+    The log-gamma terms keep every n representable, where products of
+    ``math.comb(n, k)`` and ``p**k`` overflow a float once n passes ~1030.
+    """
     if k_min <= 0:
         return 1.0
     if k_min > n:
         return 0.0
-    return float(sum(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(k_min, n + 1)))
+    return float(np.exp(logsumexp(binomial_log_pmf(n, p, np.arange(k_min, n + 1)))))
 
 
 def normal_mean_tail(m: float, var: float, n: int, x: float) -> float:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, tilt
-from .errors import DivergentTail, MaxStepsExceeded, NetProfitViolated, NoRoot
+from .errors import BoundViolated, DivergentTail, MaxStepsExceeded, NetProfitViolated, NoRoot
 from .mc import DecayFit, EstimatorResult
 from .tilt import ClaimStep, Exponential, TiltableFamily
 
@@ -202,10 +202,16 @@ def simulate_ruin_is(
             done = active[crossed]
             out[done] = np.exp(-theta_l * walks[done])
             active = active[~crossed]
-        assert np.all(out < bound * (1.0 + 1e-12)), "sample above the Lundberg bound"
+        _check_lundberg(out, bound)
         return out
 
     return mc.run_replications(sampler, N, seed, threads=threads)
+
+
+def _check_lundberg(samples: np.ndarray, bound: float) -> None:
+    # <=, not <: past theta_L * x ~ 745 both sides underflow to 0
+    if not np.all(samples <= bound * (1.0 + 1e-12)):
+        raise BoundViolated("sample above the Lundberg bound")
 
 
 def simulate_ruin_naive_finite(

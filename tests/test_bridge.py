@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rareflow import bridge
+from rareflow import bridge, mc
 from rareflow.bridge import BarrierSpec, EulerModel
 from rareflow.errors import InvalidBarrier
 
@@ -47,6 +47,82 @@ class TestCrossingProbSingle:
         probs = [bridge.crossing_prob_single(0.0, 0.0, u, 1.0, 0.5) for u in levels]
         assert all(b < a for a, b in zip(probs, probs[1:]))
         assert all(0.0 < p < 1.0 for p in probs)
+
+
+class TestKillKernel:
+    @staticmethod
+    def grid():
+        """Endpoint pairs on both sides of two levels, over sigma and eps."""
+        xs = np.linspace(-1.0, 2.0, 13)
+        for upper in (1.0, 1.7):
+            for sigma in (0.2, 0.7, 1.5):
+                for eps in (0.01, 0.1, 0.5):
+                    x_i, x_next = (a.ravel() for a in np.meshgrid(xs, xs))
+                    yield x_i, x_next, upper, sigma, eps
+
+    def test_exp_of_exponent_is_the_crossing_probability(self):
+        for x_i, x_next, upper, sigma, eps in self.grid():
+            gap_i = np.maximum(upper - x_i, 0.0)
+            gap_next = np.maximum(upper - x_next, 0.0)
+            expo = bridge.kill_exponent_single(gap_i, gap_next, sigma, eps)
+            assert np.all(expo <= 0.0)
+            assert np.array_equal(np.exp(expo), bridge.crossing_prob_single(x_i, x_next, upper, sigma, eps))
+            # the dominant-action code rounds the same exponent in another
+            # order; exp turns an exponent error of |e| ulp into a relative
+            # error of the same size, so the agreement is 1e-15 on the
+            # exponent scale and on probabilities where |e| <= 1
+            spec = BarrierSpec.single_up(upper)
+            double_expo = -bridge.crossing_rate_double(x_i, x_next, bridge.NO_LOWER, upper, sigma) / eps
+            assert np.all(np.abs(double_expo - expo) <= 1e-15 * np.maximum(np.abs(expo), 1.0))
+            double = bridge.crossing_prob_double(x_i, x_next, spec, 0.0, sigma, eps)
+            near = expo >= -1.0
+            assert np.all(np.abs(np.exp(expo[near]) - double[near]) <= 1e-15 * double[near])
+
+    def test_floor_changes_no_decision_on_a_positive_uniform(self):
+        assert math.exp(bridge.KILL_FLOOR) < 2.0**-53
+        expo = np.concatenate([np.linspace(-800.0, 0.0, 8001), [-745.2, -708.4, -40.0, -37.4, -36.7, 0.0]])
+        ulp = 2.0**-53
+        uniforms = np.unique(np.concatenate([
+            ulp * np.arange(1, 2001), np.geomspace(ulp, 1.0 - ulp, 3000), 1.0 - ulp * np.arange(1, 2001),
+        ]))
+        for u in uniforms:
+            floored = u < bridge.kill_prob(expo)
+            exact = u < np.exp(expo)
+            assert np.array_equal(floored, exact)
+
+    @pytest.mark.parametrize("lower", [bridge.NO_LOWER, 70.0])
+    def test_constant_barrier_knockout_matches_dominant_action_loop(self, lower):
+        # the corrected pricer before the exact kernel: every spec went
+        # through the double-barrier action and slope term, unfloored; a
+        # single level now takes the kernel, a corridor still the action
+        model = EulerModel(drift=lambda x: 0.05 * x, vol=lambda x: 0.5 * x,
+                           maturity=1.0, steps=16, x0=100.0, rate=0.05)
+        payoff = lambda x: np.maximum(x - 90.0, 0.0)
+        level = 150.0
+        eps, sqrt_eps = model.eps, math.sqrt(model.eps)
+        discount = math.exp(-model.rate * model.maturity)
+
+        def dominant_action_sampler(ss, size):
+            path_ss, kill_ss = ss.spawn(2)
+            rng = np.random.default_rng(path_ss)
+            kill_rng = np.random.default_rng(kill_ss)
+            x = np.full(size, model.x0)
+            alive = np.full(size, lower < model.x0 < level)
+            for _ in range(model.steps):
+                gauss = rng.normal(size=size)
+                sigma_i = model.vol(x)
+                x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
+                uniforms = kill_rng.random(size)
+                rate = bridge.crossing_rate_double(x, x_next, lower, level, sigma_i)
+                w = bridge.sharp_correction_double(x, x_next, lower, level, 0.0, 0.0, sigma_i)
+                alive &= uniforms >= np.exp(np.minimum(-rate / eps - w, 0.0))
+                x = x_next
+            return discount * payoff(x) * alive
+
+        expected = mc.run_replications(dominant_action_sampler, 20_000, seed=9)
+        spec = BarrierSpec.single_up(level) if lower == bridge.NO_LOWER else BarrierSpec.double_const(lower, level)
+        got = bridge.price_knockout(model, payoff, spec, 20_000, seed=9)
+        assert got == expected
 
 
 class TestCrossingRateDouble:

@@ -4,10 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rareflow import cli
+from rareflow import cli, ruin
 from rareflow.cli import ExperimentConfig, parse_config, run_experiment, serialize_config
-from rareflow.errors import ParseError
+from rareflow.errors import BoundViolated, ParseError
 
 
 def write_config(tmp_path, name, doc):
@@ -96,6 +98,73 @@ class TestParseConfig:
         text = serialize_config(config)
         again = parse_config(text, subcommand)
         assert again == config
+
+
+# JSON values of every kind, keys drawn mostly from the real schema
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([0, 1, -1, 2, 10**400, -(10**400)]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_KEYS = sorted({key for schema in cli.SCHEMAS.values() for key in schema} | set(cli._COMMON))
+_DOCS = st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=6), _JSON_VALUES, max_size=10)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("flags, doc", [
+        (["--seed", "-1"], {}),
+        ([], {"seed": -1}),
+        (["--n", "1"], {}),
+        ([], {"replications": 1}),
+    ])
+    def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
+        path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], **doc))
+        assert cli.main(["ruin", "--config", path] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rareflow: ParseError:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub, doc", [
+        ("barrier", dict(MINIMAL["barrier"], strike="high")),
+        ("cramer", {"family": "normal", "n": 10, "x": 0.5, "var": "high"}),
+    ])
+    def test_mistyped_value_next_to_a_cross_field_check(self, sub, doc):
+        with pytest.raises(ParseError) as err:
+            parse_config(json.dumps(doc), sub)
+        assert "expected float, got str" in str(err.value)
+
+    def test_integer_beyond_float_range(self):
+        doc = dict(MINIMAL["ruin"], premium=10**400)
+        with pytest.raises(ParseError) as err:
+            parse_config(json.dumps(doc), "ruin")
+        assert "premium" in str(err.value)
+
+    def test_bound_violation_exits_with_its_code(self, tmp_path, capsys, monkeypatch):
+        # halve the Lundberg bound the real check sees: samples above it fail
+        check = ruin._check_lundberg
+        monkeypatch.setattr(ruin, "_check_lundberg", lambda samples, bound: check(samples, 0.5 * bound))
+        path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], replications=1_000))
+        assert cli.main(["ruin", "--config", path]) == cli.EXIT_CODES[BoundViolated] == 12
+        assert "BoundViolated" in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(doc=_DOCS, subcommand=st.sampled_from(cli.SUBCOMMANDS) | st.none())
+    def test_fuzz_parse_config_raises_only_parse_error(self, doc, subcommand):
+        try:
+            config = parse_config(json.dumps(doc), subcommand)
+        except ParseError:
+            return
+        assert isinstance(config, ExperimentConfig)
+        assert config.seed >= 0 and config.replications >= 2
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(text=st.text(max_size=40))
+    def test_fuzz_parse_config_on_raw_text(self, text):
+        try:
+            parse_config(text, "ruin")
+        except ParseError:
+            pass
 
 
 class TestRunExperiment:

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from rareflow import cramer, mc, tilt
 from rareflow.cramer import EmpiricalMeanProblem
-from rareflow.errors import DomainError
+from rareflow.errors import BoundViolated, DomainError
 from rareflow.tilt import Bernoulli, Normal
 
 from oracles import bernoulli_sum_enumeration, binomial_tail_sum, phi_bar
@@ -129,6 +130,21 @@ class TestVerifyRate:
         assert abs(fit.slope) < 0.01
 
 
+class TestChebyshevCheck:
+    def test_violating_batch_raises(self):
+        with pytest.raises(BoundViolated):
+            cramer._check_chebyshev(np.array([0.1, 0.5, 0.5 * (1.0 + 1e-9)]), 0.5)
+        cramer._check_chebyshev(np.array([0.1, 0.5, 0.0]), 0.5)
+
+    def test_lattice_level_just_above_an_integer(self):
+        # n*x = 3 + 1e-10 rounds down to the lattice site 3, which the bound
+        # must then admit
+        problem = EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.3 + 1e-11)
+        res = cramer.is_tail(problem, N=20_000, seed=2)
+        exact = binomial_tail_sum(10, 0.25, 3)
+        assert abs(res.mean - exact) < 4.0 * res.std_error
+
+
 class TestOptimalityCertificate:
     def test_exact_ladders_certify_optimal_tilt(self):
         gamma_star = tilt.legendre(Bernoulli(0.25), 0.5).rate
@@ -143,6 +159,20 @@ class TestOptimalityCertificate:
         gap_opt = abs(mc.optimality_gap(m2_o, p_o))
         gap_sub = abs(mc.optimality_gap(m2_s, p_s))
         assert gap_sub > 4.0 * gap_opt
+
+    def test_second_moment_past_the_old_overflow(self):
+        # n = 2000 overflowed math.comb(n, k) * p**k; compare the log-space sum
+        n, p, x = 2000, 0.25, 0.5
+        theta = tilt.saddle_theta(Bernoulli(p), x)
+        gamma = Bernoulli(p).cgf(theta)
+        p_t = Bernoulli(p).tilted(theta).p
+        with mpmath.workdps(50):
+            exact = float(mpmath.fsum(
+                mpmath.binomial(n, k) * mpmath.mpf(p_t) ** k * (1 - mpmath.mpf(p_t)) ** (n - k)
+                * mpmath.exp(-2 * mpmath.mpf(theta) * k + 2 * n * mpmath.mpf(gamma))
+                for k in range(1000, n + 1)
+            ))
+        assert cramer.bernoulli_is_second_moment(n, p, x, theta) == pytest.approx(exact, rel=1e-10)
 
     def test_measured_second_moment_decay(self):
         # MC second-moment slope ~ 2x probability slope at the saddle tilt

@@ -5,7 +5,7 @@ import pytest
 
 from rareflow import credit, mc, tilt
 from rareflow.credit import LossSchedule, PortfolioModel
-from rareflow.errors import RegimeError
+from rareflow.errors import BoundViolated, RegimeError
 
 from oracles import credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar
 
@@ -194,6 +194,16 @@ class TestFactorShift:
             ratios.append(mu / z_n)
         assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[-1] > 0.9
+
+
+class TestConditionalBoundCheck:
+    def test_violating_batch_raises(self):
+        hit = np.array([True, True, False])
+        log_bound = np.array([-3.0, -3.0, -3.0])
+        with pytest.raises(BoundViolated):
+            credit._check_conditional_bound(hit, np.array([-4.0, -2.5, -1.0]), log_bound)
+        # misses and non-finite weights are exempt
+        credit._check_conditional_bound(hit, np.array([-4.0, -np.inf, -1.0]), log_bound)
 
 
 class TestTwoStepIs:

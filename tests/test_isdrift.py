@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from rareflow import isdrift
+from rareflow import isdrift, mc
 from rareflow.errors import AtMaturity, DomainEscape, MomentConditionViolated
 
 from oracles import drifted_bm_max_crossing
@@ -239,6 +239,38 @@ class TestUpInBond:
 
         res = isdrift.likelihood_mean(70.0, 0.4, 1.0, 64, 1_000_000, seed=10, phi_fn=phi)
         assert abs(res.mean - 1.0) < 4.0 * res.std_error
+
+    def test_bridge_hits_match_inline_crossing_law(self):
+        # the sampler before it shared the bridge kernel: the crossing law
+        # written out per step, unfloored
+        s0, barrier, sigma, maturity, steps = 80.0, 100.0, 0.4, 1.0, 32
+        dt, sqrt_dt = maturity / steps, math.sqrt(maturity / steps)
+        log_barrier, base_drift = math.log(barrier), -0.5 * sigma * sigma
+
+        def inline_sampler(ss, size):
+            path_ss, kill_ss = ss.spawn(2)
+            rng = np.random.default_rng(path_ss)
+            hit_rng = np.random.default_rng(kill_ss)
+            log_s = np.full(size, math.log(s0))
+            log_weight = np.zeros(size)
+            hit = log_s >= log_barrier
+            for i in range(steps):
+                phi = np.where(hit | (log_s >= log_barrier), 0.0,
+                               (log_s - log_barrier) / (sigma * (maturity - i * dt)))
+                gauss = rng.normal(size=size)
+                log_next = log_s + (base_drift - sigma * phi) * dt + sigma * sqrt_dt * gauss
+                log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+                new_hit = log_next >= log_barrier
+                uniforms = hit_rng.random(size)
+                expo = -2.0 * (log_barrier - log_s) * (log_barrier - log_next) / (sigma * sigma * dt)
+                new_hit |= uniforms < np.exp(np.minimum(expo, 0.0))
+                hit |= new_hit
+                log_s = log_next
+            return hit * np.exp(log_weight)
+
+        expected = mc.run_replications(inline_sampler, 20_000, seed=12)
+        got = isdrift.price_up_in_bond(s0, barrier, sigma, maturity, steps, 20_000, seed=12)
+        assert got == expected
 
     def test_grid_max_mode_underestimates(self):
         # without bridge hits the discrete maximum misses excursions

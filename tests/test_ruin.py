@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from rareflow import mc, ruin, tilt
-from rareflow.errors import DivergentTail, MaxStepsExceeded, NetProfitViolated
+from rareflow.errors import BoundViolated, DivergentTail, MaxStepsExceeded, NetProfitViolated
 from rareflow.ruin import Investment, RuinModel
 from rareflow.tilt import Exponential
 
@@ -19,6 +19,18 @@ def exact_ruin_probability(model, x):
     nu = model.claims.lam
     theta_l = nu - model.lam / model.premium
     return model.lam / (model.premium * nu) * math.exp(-theta_l * x)
+
+
+class TestLundbergCheck:
+    def test_violating_batch_raises(self):
+        with pytest.raises(BoundViolated):
+            ruin._check_lundberg(np.array([0.01, 0.2, 0.3]), 0.25)
+        ruin._check_lundberg(np.array([0.01, 0.25, 0.0]), 0.25)
+
+    def test_underflowed_bound_is_not_a_violation(self):
+        # theta_L * x = 750: samples and bound both underflow to 0
+        res = ruin.simulate_ruin_is(exponential_model(), 1500.0, 100, seed=1)
+        assert res.mean == 0.0
 
 
 class TestAdjustmentCoefficient:
