@@ -74,22 +74,18 @@ def _positive(name):
     return lambda v, _p: None if v > 0 else f"{name} must be positive, got {v}"
 
 
+def _at_least(low, name):
+    return lambda v, _p: None if v >= low else f"{name} must be at least {low}, got {v}"
+
+
 def _probability(name):
     return lambda v, _p: None if 0.0 < v < 1.0 else f"{name} must lie in (0,1), got {v}"
 
 
-def _check_replications(value, _params=None) -> str | None:
-    return None if value >= 2 else f"replications must be at least 2, got {value}"
-
-
-def _check_seed(value, _params=None) -> str | None:
-    return None if value >= 0 else f"seed must be nonnegative, got {value}"
-
-
 _COMMON = {
     "subcommand": FieldSpec(str, choices=SUBCOMMANDS),
-    "replications": FieldSpec(int, default=10000, check=_check_replications),
-    "seed": FieldSpec(int, default=0, check=_check_seed),
+    "replications": FieldSpec(int, default=10000, check=_at_least(2, "replications")),
+    "seed": FieldSpec(int, default=0, check=_at_least(0, "seed")),
     "ladder": FieldSpec(list, default=None),
     "output": FieldSpec(str, default="csv", choices=("csv", "json")),
     "oracle": FieldSpec(bool, default=False),
@@ -111,7 +107,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "premium": FieldSpec(float, required=True, check=_positive("premium")),
         "lam": FieldSpec(float, required=True, check=_positive("lam")),
         "claim_rate": FieldSpec(float, required=True, check=_positive("claim_rate")),
-        "x": FieldSpec(float, required=True, check=lambda v, _p: None if v >= 0 else "x must be >= 0"),
+        "x": FieldSpec(float, required=True, check=_at_least(0, "x")),
     },
     "ruin-invest": {
         "premium": FieldSpec(float, required=True, check=_positive("premium")),
@@ -119,9 +115,8 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "claim_rate": FieldSpec(float, required=True, check=_positive("claim_rate")),
         "b": FieldSpec(float, required=True),
         "sigma": FieldSpec(float, required=True, check=_positive("sigma")),
-        "x": FieldSpec(float, default=None),
-        "horizon": FieldSpec(float, default=None),
-        "euler_step": FieldSpec(float, default=None),
+        "x": FieldSpec(float, default=None, check=_at_least(0, "x")),
+        "horizon": FieldSpec(float, default=None, check=_positive("horizon")),
         "simulate": FieldSpec(bool, default=False),
     },
     "barrier": {
@@ -131,7 +126,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "rate": FieldSpec(float, default=0.0),
         "sigma": FieldSpec(float, required=True, check=_positive("sigma")),
         "maturity": FieldSpec(float, required=True, check=_positive("maturity")),
-        "steps": FieldSpec(int, default=64, check=_positive("steps")),
+        "steps": FieldSpec(int, default=64, check=_at_least(2, "steps")),
         "payoff": FieldSpec(str, default="call", choices=("call", "bond")),
         "space": FieldSpec(str, default="log", choices=("log", "price")),
         "method": FieldSpec(str, default="both", choices=("naive", "corrected", "both")),
@@ -179,6 +174,12 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "simulate": FieldSpec(bool, default=False),
     },
 }
+
+
+# the field each ladder rung stands in for; longterm rungs are horizons
+_LADDER_FIELDS = {"cramer": "n", "ruin": "x", "ruin-invest": "x", "barrier": "steps",
+                  "credit": "n", "longterm": "horizon"}
+_HORIZON_SPEC = FieldSpec(float, check=_positive("horizon"))
 
 
 @dataclass
@@ -278,10 +279,14 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
         params[name] = _field_value(raw, name, spec, errors)
 
     _validate_cross_fields(sub, params, errors)
-    ladder = common_values.get("ladder")
-    if ladder is not None:
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in ladder):
-            errors.append("ladder must be a list of numbers")
+    ladder, field_name = common_values["ladder"], _LADDER_FIELDS.get(sub)
+    if ladder is not None and field_name is None:
+        errors.append(f"ladder: subcommand {sub!r} takes no ladder")
+    elif ladder:
+        for i, value in enumerate(ladder):
+            found: list[str] = []
+            _field_value({field_name: value}, field_name, schema.get(field_name, _HORIZON_SPEC), found)
+            errors.extend(f"ladder[{i}]: {problem}" for problem in found)
     if errors:
         raise ParseError("config validation failed:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(
@@ -426,10 +431,8 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
         horizon = p["horizon"] if p["horizon"] is not None else 200.0 / p["lam"]
         reserves = config.ladder if config.ladder else [p["x"] if p["x"] is not None else 4.0]
         for i, x in enumerate(reserves):
-            res = ruin.simulate_wealth_ruin(
-                model, float(x), alpha, horizon, config.replications, config.seed + i,
-                euler_step=p["euler_step"], threads=threads,
-            )
+            res = ruin.simulate_wealth_ruin(model, float(x), alpha, horizon, config.replications,
+                                            config.seed + i, threads=threads)
             rows.append([float(x), theta_l, sol.value, alpha] + _estimator_row(res))
     else:
         rows.append([p["x"] if p["x"] is not None else 0.0, theta_l, sol.value, alpha, 0, None, None, None, None])
@@ -631,12 +634,12 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text, args.subcommand)
         if args.seed is not None:
-            problem = _check_seed(args.seed)
+            problem = _COMMON["seed"].check(args.seed, None)
             if problem:
                 raise ParseError(f"--seed: {problem}")
             config.seed = args.seed
         if args.n is not None:
-            problem = _check_replications(args.n)
+            problem = _COMMON["replications"].check(args.n, None)
             if problem:
                 raise ParseError(f"--n: {problem}")
             config.replications = args.n

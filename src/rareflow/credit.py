@@ -264,7 +264,7 @@ def plain_loss_tail(
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
-        z = rng.normal(size=size)
+        z = rng.standard_normal(size)
         pz = np.asarray(conditional_default_prob(model, z), dtype=float)
         losses = rng.binomial(n, pz, size)
         return (losses >= loss_threshold).astype(float)

@@ -405,7 +405,7 @@ def likelihood_mean(
         log_weight = np.zeros(size)
         for i in range(steps):
             phi = np.asarray(phi_fn(i * dt, np.exp(log_s)), dtype=float)
-            gauss = rng.normal(size=size)
+            gauss = rng.standard_normal(size)
             log_s = log_s + (base_drift - sigma * phi) * dt + sigma * sqrt_dt * gauss
             log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
         return np.exp(log_weight)

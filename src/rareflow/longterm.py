@@ -412,7 +412,7 @@ def mc_outperformance(
     else:
         theta_pol = 0.0
 
-    points = []
+    results = []
     for rung, horizon in enumerate(horizons):
         n_steps = max(int(round(horizon / euler_step)), 1)
         dt = horizon / n_steps
@@ -434,15 +434,14 @@ def mc_outperformance(
                          + model.beta2 * ys * alpha + model.beta3 * ys
                          + model.beta4 * alpha + model.beta5)
                 vol = model.delta0 * ys + model.delta1 * alpha + model.delta2
-                gw = rng.normal(size=size)
-                gb = rng.normal(size=size)
+                gw = rng.standard_normal(size)
+                gb = rng.standard_normal(size)
                 xs += drift * _dt + vol * _sqrt * gw
                 ys = ys * _decay + _sd * gb
             return (xs / _T >= x).astype(float)
 
-        res = mc.run_replications(sampler, N, seed + rung, threads=threads)
-        points.append((float(horizon), res.log_mean))
-    usable = [(s, lp) for s, lp in points if math.isfinite(lp)]
-    if len(usable) < len(points):
-        warnings.warn(f"dropped {len(points) - len(usable)} zero-hit horizons", stacklevel=2)
-    return mc.fit_decay(usable)
+        results.append(mc.run_replications(sampler, N, seed + rung, threads=threads))
+    points, dropped = mc.decay_points(horizons, results)
+    if dropped:
+        warnings.warn(f"dropped {dropped} zero-hit horizons", stacklevel=2)
+    return mc.fit_decay(points)

@@ -79,7 +79,8 @@ def run_replications(
 
     ``sampler(seed_seq, size)`` must return ``size`` values drawn from
     generators derived from ``seed_seq`` only.  The result is bit-identical
-    for fixed ``(sampler, n, seed)`` whatever ``threads`` is.
+    for fixed ``(sampler, n, seed)`` whatever ``threads`` is.  A batch holding
+    a NaN or inf sample raises ``NonFiniteInput`` naming the batch index.
     """
     if n < 2:
         raise ValueError("need at least 2 replications")
@@ -98,7 +99,10 @@ def run_replications(
         values = np.asarray(sampler(ss, size), dtype=float)
         if values.shape != (size,):
             raise ValueError(f"sampler returned shape {values.shape}, wanted ({size},)")
-        return _batch_stats(values)
+        stats = _batch_stats(values)
+        if not (math.isfinite(stats[1]) and math.isfinite(stats[2])):
+            raise NonFiniteInput(f"batch {idx}: non-finite samples (mean {stats[1]}, M2 {stats[2]})")
+        return stats
 
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

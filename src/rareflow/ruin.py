@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mc, tilt
+from . import bridge, mc, tilt
 from .errors import BoundViolated, DivergentTail, MaxStepsExceeded, NetProfitViolated, NoRoot
 from .mc import DecayFit, EstimatorResult
 from .tilt import ClaimStep, Exponential, TiltableFamily
@@ -264,58 +264,50 @@ def simulate_wealth_ruin(
     horizon: float,
     N: int,
     seed: int,
-    euler_step: float | None = None,
     threads: int = 1,
 ) -> EstimatorResult:
     """Finite-horizon ruin frequency of the insurer investing ``alpha`` in stock.
 
     Wealth follows dV = (premium + alpha*b) dt + alpha*sigma dW minus claims
-    at Poisson arrival times; claims are applied at their exact times and the
-    Brownian part is advanced on an Euler grid refined to include them.  This
-    truncates the infinite-horizon ruin probability from below (paths ruined
-    after ``horizon`` are missed), so it underestimates; only decay-slope
-    property tests should consume it.
+    at Poisson arrival times, a Brownian motion with drift between claims.
+    Live paths jump from claim to claim: each round draws the wait (cut at
+    the horizon) and the exact Gaussian endpoint, kills with the bridge law
+    of touching 0 in between (certain when the endpoint is below 0), then
+    subtracts the claim.  There is no grid bias, but ruin after ``horizon``
+    is missed, so this underestimates; only decay-slope tests consume it.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    invest = model.invest or Investment(0.0, 1e-12)
-    drift = model.premium + alpha * invest.b
-    vol = alpha * invest.sigma
-    dt = horizon / 4096.0 if euler_step is None else float(euler_step)
-    n_steps = max(int(round(horizon / dt)), 1)
-    dt = horizon / n_steps
+    if x < 0.0:
+        raise ValueError("initial reserve must be nonnegative")
+    b, sigma = (model.invest.b, model.invest.sigma) if model.invest else (0.0, 0.0)
+    drift = model.premium + alpha * b
+    vol = abs(alpha) * sigma
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
-        wealth = np.full(size, float(x))
-        ruined = np.zeros(size, dtype=bool)
-        for _ in range(n_steps):
-            counts = rng.poisson(model.lam * dt, size)
-            # common case: diffuse across the whole step
-            no_claim = counts == 0
-            gauss = rng.normal(size=size)
-            idx0 = np.nonzero(no_claim)[0]
-            wealth[idx0] += drift * dt + vol * math.sqrt(dt) * gauss[idx0]
-            ruined[idx0] |= wealth[idx0] < 0.0
-            # claim-bearing paths: refine the grid at the arrival times
-            for kv in np.unique(counts[~no_claim]):
-                idx = np.nonzero(counts == kv)[0]
-                arrivals = np.sort(rng.random((idx.size, kv)), axis=1) * dt
-                prev = np.zeros(idx.size)
-                for j in range(kv):
-                    sub = arrivals[:, j] - prev
-                    g = rng.normal(size=idx.size)
-                    wealth[idx] += drift * sub + vol * np.sqrt(sub) * g
-                    wealth[idx] -= model.claims.sample(rng, idx.size)
-                    ruined[idx] |= wealth[idx] < 0.0
-                    prev = arrivals[:, j]
-                tail = dt - prev
-                g = rng.normal(size=idx.size)
-                wealth[idx] += drift * tail + vol * np.sqrt(tail) * g
-                ruined[idx] |= wealth[idx] < 0.0
-            # ruin is absorbing: freeze ruined paths by ignoring later dips
-            # (wealth keeps evolving but the flag is monotone)
-        return ruined.astype(float)
+        ruined = np.zeros(size)
+        active, wealth, clock = np.arange(size), np.full(size, float(x)), np.zeros(size)
+        while active.size:
+            n = active.size
+            wait = rng.exponential(1.0 / model.lam, n)
+            left = horizon - clock
+            tau = np.minimum(wait, left)
+            end = wealth + drift * tau
+            if vol > 0.0:
+                end += vol * np.sqrt(tau) * rng.standard_normal(n)
+                # distances above the barrier at 0 play the gaps below an upper level
+                expo = bridge.kill_exponent_single(wealth, np.maximum(end, 0.0), vol, tau)
+                killed = rng.random(n) < bridge.kill_prob(expo)
+            else:
+                killed = end < 0.0
+            claimed = ~killed & (wait < left)
+            end[claimed] -= model.claims.sample(rng, int(claimed.sum()))
+            killed |= end < 0.0
+            ruined[active[killed]] = 1.0
+            live = claimed & ~killed
+            active, wealth, clock = active[live], end[live], clock[live] + wait[live]
+        return ruined
 
     return mc.run_replications(sampler, N, seed, threads=threads)
 

@@ -313,8 +313,7 @@ def test_criterion_10_reproducibility(tmp_path):
             "cramer": {"family": "bernoulli", "p": 0.25, "n": 10, "x": 0.5},
             "ruin": {"premium": 2.0, "lam": 1.0, "claim_rate": 1.0, "x": 2.0},
             "ruin-invest": {"premium": 2.0, "lam": 1.0, "claim_rate": 1.0, "b": 1.0,
-                            "sigma": 1.0, "simulate": True, "x": 2.0, "horizon": 20.0,
-                            "euler_step": 0.05},
+                            "sigma": 1.0, "simulate": True, "x": 2.0, "horizon": 20.0},
             "barrier": {"s0": 100.0, "strike": 90.0, "barrier": 130.0, "sigma": 0.25,
                         "maturity": 1.0, "steps": 8},
             "fw-bond": {"s0": 80.0, "barrier": 100.0, "sigma": 0.4, "maturity": 1.0, "steps": 8},

@@ -117,10 +117,23 @@ class TestBadInput:
         ([], {"seed": -1}),
         (["--n", "1"], {}),
         ([], {"replications": 1}),
+        # values that pass a type check but not the model behind the field
+        ([], {"subcommand": "barrier", "steps": 1}),
+        ([], {"subcommand": "barrier", "ladder": [8, 1]}),
+        ([], {"ladder": [-1]}),
+        ([], {"subcommand": "cramer", "ladder": [0]}),
+        ([], {"subcommand": "longterm", "simulate": True, "ladder": [-5.0]}),
+        ([], {"subcommand": "ruin-invest", "simulate": True, "ladder": [-1]}),
+        ([], {"subcommand": "ruin-invest", "x": -1.0}),
+        ([], {"subcommand": "ruin-invest", "simulate": True, "horizon": 0.0}),
+        ([], {"subcommand": "credit", "ladder": [2.7]}),
+        ([], {"subcommand": "fw-bond", "ladder": [8]}),
+        ([], {"subcommand": "ghs", "ladder": [8]}),
     ])
     def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
-        path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], **doc))
-        assert cli.main(["ruin", "--config", path] + flags) == 2
+        sub = doc.get("subcommand", "ruin")
+        path = write_config(tmp_path, f"{sub}.json", dict(MINIMAL[sub], **doc))
+        assert cli.main([sub, "--config", path] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("rareflow: ParseError:")
         assert "Traceback" not in err

@@ -58,6 +58,17 @@ class TestRunReplications:
         with pytest.raises(ValueError):
             mc.run_replications(bad, 100, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_names_its_batch(self, bad):
+        def sampler(ss, size):
+            values = np.ones(size)
+            if ss.entropy[1] == 1:  # the second batch
+                values[7] = bad
+            return values
+
+        with pytest.raises(NonFiniteInput, match="batch 1"):
+            mc.run_replications(sampler, 2 * mc.BATCH_SIZE + 5, seed=0, threads=2)
+
     def test_log_mean_sentinel_for_zero_hits(self):
         res = mc.run_replications(constant_sampler(0.0), 100, seed=0)
         assert res.log_mean == mc.LOG_ZERO

@@ -175,19 +175,37 @@ class TestWealthSimulation:
         theta_star = ruin.invest_exponent(model).value
         est = ruin.simulate_wealth_ruin(
             model, 50.0 / theta_star, alpha=ruin.optimal_fraction(model),
-            horizon=50.0, N=10_000, seed=8, euler_step=0.05,
+            horizon=50.0, N=10_000, seed=8,
         )
         assert est.mean < 1e-3
 
     def test_no_investment_matches_embedded_walk(self):
         model = exponential_model(invest=Investment(0.0, 1.0))
         x, horizon = 2.0, 60.0
-        wealth = ruin.simulate_wealth_ruin(model, x, alpha=0.0, horizon=horizon, N=30_000, seed=9, euler_step=0.05)
+        wealth = ruin.simulate_wealth_ruin(model, x, alpha=0.0, horizon=horizon, N=30_000, seed=9)
         walk = ruin.simulate_ruin_naive_finite(model, x, horizon, 30_000, seed=10)
         joint_se = math.hypot(wealth.std_error, walk.std_error)
         assert abs(wealth.mean - walk.mean) < 4.0 * joint_se
 
-    @pytest.mark.slow
+    @pytest.mark.parametrize("x, premium, b, sigma, alpha, horizon", [
+        (1.0, 0.2, 0.5, 1.0, 1.0, 2.0),
+        (1.5, 0.3, -0.5, 0.8, 1.0, 3.0),
+        (2.0, 0.1, 0.2, 2.0, 0.7, 5.0),
+    ])
+    def test_no_claims_match_brownian_first_passage(self, x, premium, b, sigma, alpha, horizon):
+        # lam = 1e-9: no claim arrives, so ruin is the first passage of x + mu t + s W_t below 0
+        model = RuinModel(premium, 1e-9, Exponential(1.0), invest=Investment(b, sigma))
+        mu, s = premium + alpha * b, alpha * sigma
+        root_t = math.sqrt(horizon)
+
+        def phi(z):
+            return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+        exact = (phi((-x - mu * horizon) / (s * root_t))
+                 + math.exp(-2.0 * mu * x / s**2) * phi((-x + mu * horizon) / (s * root_t)))
+        est = ruin.simulate_wealth_ruin(model, x, alpha, horizon, N=200_000, seed=11)
+        assert abs(est.mean - exact) < 4.0 * est.std_error
+
     def test_decay_slope_bracket(self):
         model = exponential_model(invest=Investment(1.0, 1.0))
         theta_l = ruin.adjustment_coefficient(model).value
