@@ -550,6 +550,8 @@ def _run_longterm(config: ExperimentConfig, threads: int) -> Report:
             config.seed, policy_index=p["policy_index"], euler_step=p["euler_step"], threads=threads,
         )
         meta["mc_slope"] = fit.slope
+        fitted = {scale for scale, _ in fit.points}
+        meta["dropped_horizons"] = [float(t) for t in config.ladder if float(t) not in fitted]
         for scale, log_prob in fit.points:
             rows.append([p["x"], value, theta_x, alpha, scale, None, math.exp(log_prob), None, None, log_prob])
     else:

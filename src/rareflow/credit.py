@@ -223,7 +223,7 @@ def two_step_is(
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
-        z = rng.normal(loc=mu, size=size)
+        z = mu + rng.standard_normal(size)
         pz = np.asarray(conditional_default_prob(model, z), dtype=float)
         rare = pz < q
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -397,10 +397,22 @@ def mc_outperformance(
 
     The policy is alpha(theta(x + 1/policy_index), y) from the dual solution
     (the theorem's nearly-optimal sequence; larger indices track the optimum
-    more closely), or a fixed ``constant_policy``.  The factor is advanced by
-    its exact Ornstein-Uhlenbeck transition, the growth integral by
-    left-endpoint Euler steps.  The fitted slope estimates v(x); the approach
-    in T is slow (a -ln(T)/2 prefactor), so treat this as a property check.
+    more closely), or a fixed ``constant_policy``.  Either way alpha = p y + q
+    is affine in the factor, so along it the growth drift is a quadratic
+    c2 y^2 + c1 y + c0 and the volatility a line v1 y + v0.
+
+    The factor moves by its exact Ornstein-Uhlenbeck transition on the grid
+    of ``euler_step``.  The growth is the left-endpoint Euler sum, but it is
+    drawn from its exact law given the factor path: with S1 and S2 the sums of
+    y and y^2 over the left endpoints, and W independent of the factor noise,
+    X_T ~ N(dt (c2 S2 + c1 S1 + n c0), dt (v1^2 S2 + 2 v1 v0 S1 + n v0^2)).
+    So a step costs one factor normal, and a path one more normal for X_T.
+    When c2 = c1 = v1 = 0 (a market with constant coefficients) the factor
+    carries no weight: no factor path is simulated and X_T is drawn from its
+    exact law N(c0 T, v0^2 T).
+
+    The fitted slope estimates v(x); the approach in T is slow (a -ln(T)/2
+    prefactor), so treat this as a property check.
     """
     dual = solve_dual(model)
     if constant_policy is None:
@@ -409,35 +421,43 @@ def mc_outperformance(
         if x <= lam0_slope:
             target = lam0_slope + 1.0 / policy_index
         _, theta_pol = dual_to_value(dual, target)
+        q = feedback_policy(model, theta_pol, 0.0)
+        p = feedback_policy(model, theta_pol, 1.0) - q
     else:
-        theta_pol = 0.0
+        p, q = 0.0, constant_policy
+    c2 = model.beta0 + model.beta1 * p * p + model.beta2 * p
+    c1 = 2.0 * model.beta1 * p * q + model.beta2 * q + model.beta3 + model.beta4 * p
+    c0 = model.beta1 * q * q + model.beta4 * q + model.beta5
+    v1 = model.delta0 + model.delta1 * p
+    v0 = model.delta1 * q + model.delta2
+    factor_free = c2 == 0.0 and c1 == 0.0 and v1 == 0.0
 
     results = []
     for rung, horizon in enumerate(horizons):
         n_steps = max(int(round(horizon / euler_step)), 1)
         dt = horizon / n_steps
-        sqrt_dt = math.sqrt(dt)
         decay = math.exp(-model.k * dt)
         ou_sd = math.sqrt((1.0 - decay * decay) / (2.0 * model.k))
 
-        def sampler(ss, size, _dt=dt, _sqrt=sqrt_dt, _n=n_steps, _decay=decay, _sd=ou_sd, _T=horizon):
+        def sampler(ss, size, _dt=dt, _n=n_steps, _decay=decay, _sd=ou_sd, _T=horizon):
             rng = np.random.default_rng(ss)
-            xs = np.zeros(size)
-            ys = np.zeros(size)
-            for _ in range(_n):
-                if constant_policy is None:
-                    alpha = ((model.beta2 + theta_pol * model.delta0 * model.delta1) * ys
-                             + model.beta4 + theta_pol * model.delta1 * model.delta2) / (1.0 - theta_pol * model.delta1**2)
-                else:
-                    alpha = np.full(size, constant_policy)
-                drift = (model.beta0 * ys * ys + model.beta1 * alpha * alpha
-                         + model.beta2 * ys * alpha + model.beta3 * ys
-                         + model.beta4 * alpha + model.beta5)
-                vol = model.delta0 * ys + model.delta1 * alpha + model.delta2
-                gw = rng.standard_normal(size)
-                gb = rng.standard_normal(size)
-                xs += drift * _dt + vol * _sqrt * gw
-                ys = ys * _decay + _sd * gb
+            s1 = s2 = 0.0  # y_0 = 0 adds nothing to either sum
+            if not factor_free:
+                ys = np.zeros(size)
+                s1 = np.zeros(size)
+                s2 = np.zeros(size)
+                buf = np.empty(size)
+                for _ in range(_n - 1):
+                    rng.standard_normal(size, out=buf)
+                    ys *= _decay
+                    buf *= _sd
+                    ys += buf
+                    s1 += ys
+                    np.multiply(ys, ys, out=buf)
+                    s2 += buf
+            mean = _dt * (c2 * s2 + c1 * s1 + _n * c0)
+            var = np.maximum(_dt * (v1 * v1 * s2 + 2.0 * v1 * v0 * s1 + _n * v0 * v0), 0.0)
+            xs = mean + np.sqrt(var) * rng.standard_normal(size)
             return (xs / _T >= x).astype(float)
 
         results.append(mc.run_replications(sampler, N, seed + rung, threads=threads))

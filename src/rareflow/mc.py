@@ -63,8 +63,16 @@ def _merge(stats_a, stats_b):
 
 
 def _batch_stats(values: np.ndarray):
+    """(count, mean, M2) of one batch; M2 is NaN when the mean is not finite.
+
+    The mean is tested first, so a batch holding inf never forms ``inf - inf``
+    and the caller rejects it without a numpy RuntimeWarning.
+    """
     n = values.size
-    mean = float(np.mean(values))
+    with np.errstate(invalid="ignore"):  # a batch holding both +inf and -inf
+        mean = float(np.mean(values))
+    if not math.isfinite(mean):
+        return (n, mean, math.nan)
     m2 = float(np.sum((values - mean) ** 2))
     return (n, mean, m2)
 

@@ -217,6 +217,19 @@ class TestRunExperiment:
         assert not out.exists()
         assert "theta" in capsys.readouterr().err
 
+    def test_longterm_records_dropped_horizons(self, tmp_path):
+        # P[X_400/400 >= 0.18] ~ 1e-15: 2,000 paths see no hit on that rung
+        doc = dict(MINIMAL["longterm"], x=0.18, simulate=True, ladder=[5.0, 10.0, 20.0, 400.0],
+                   euler_step=0.5, policy_index=50, replications=2_000, seed=5)
+        path = write_config(tmp_path, "longterm.json", doc)
+        out = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
+            assert cli.main(["longterm", "--config", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["meta"]["dropped_horizons"] == [400.0]
+        horizon = report["columns"].index("horizon")
+        assert [row[horizon] for row in report["rows"]] == ["5", "10", "20"]
+
     def test_net_profit_violation_exit_code(self, tmp_path, capsys):
         doc = dict(MINIMAL["ruin"], premium=0.5)
         path = write_config(tmp_path, "bad.json", doc)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rareflow import longterm
+from rareflow import longterm, mc
 from rareflow.errors import (
     DomainError,
     NegativeTarget,
@@ -267,7 +267,6 @@ class TestMcOutperformance:
         assert abs(fit.slope) < 1e-3
         assert all(math.exp(lp) > 0.99 for _, lp in fit.points)
 
-    @pytest.mark.slow
     def test_decay_slope_matches_value_at_resolvable_target(self):
         # x = 0.18 gives v = -0.08, large enough that the -log(T)/2 prefactor
         # on the pinned ladder does not swamp the 20% band
@@ -278,7 +277,6 @@ class TestMcOutperformance:
         assert value == pytest.approx(-0.08, abs=1e-12)
         assert fit.slope == pytest.approx(value, rel=0.20)
 
-    @pytest.mark.slow
     @pytest.mark.xfail(
         strict=False,
         reason=(
@@ -294,7 +292,6 @@ class TestMcOutperformance:
                                          policy_index=50, euler_step=0.5)
         assert fit.slope == pytest.approx(-0.02, rel=0.20)
 
-    @pytest.mark.slow
     def test_suboptimal_policy_decays_faster(self):
         model = bs_model(0.2)
         tuned = longterm.mc_outperformance(model, 0.08, [25.0, 50.0, 100.0], 400_000, seed=6,
@@ -302,6 +299,69 @@ class TestMcOutperformance:
         halved = longterm.mc_outperformance(model, 0.08, [25.0, 50.0, 100.0], 400_000, seed=6,
                                             policy_index=50, euler_step=0.5, constant_policy=0.2)
         assert halved.slope < tuned.slope - 0.01
+
+    @pytest.mark.parametrize("constant_policy", [None, 0.6])
+    def test_bs_rungs_match_closed_form(self, constant_policy):
+        # with constant coefficients X_T ~ N(c0 T, q^2 T) under alpha = q,
+        # c0 = -q^2/2 + 0.2 q; the feedback policy at target t holds the
+        # Black-Scholes position q = sqrt(2 t)
+        x, n_paths, policy_index = 0.18, 400_000, 50
+        q = math.sqrt(2.0 * (x + 1.0 / policy_index)) if constant_policy is None else constant_policy
+        c0 = -0.5 * q * q + 0.2 * q
+        fit = longterm.mc_outperformance(bs_model(0.2), x, [25.0, 50.0, 100.0], n_paths, seed=31,
+                                         policy_index=policy_index, euler_step=0.5,
+                                         constant_policy=constant_policy)
+        assert [h for h, _ in fit.points] == [25.0, 50.0, 100.0]
+        for horizon, log_prob in fit.points:
+            exact = 0.5 * math.erfc((x - c0) * math.sqrt(horizon) / q / math.sqrt(2.0))
+            se = math.sqrt(exact * (1.0 - exact) / n_paths)
+            assert abs(math.exp(log_prob) - exact) <= 4.0 * se, horizon
+
+    @pytest.mark.parametrize("constant_policy", [None, 0.3])
+    def test_factor_model_matches_two_normal_euler_loop(self, constant_policy):
+        # b != 0: the growth drift and vol depend on the factor, so the
+        # conditional law is checked against a plain Euler loop that draws
+        # both the W and the B normal at every step
+        model = LqModel.from_market(MarketSpec(a0=0.0, b0=0.0, a=0.2, b=0.3, sigma=1.0), 1.0)
+        x, ladder, n_paths, step, policy_index = 0.15, [5.0, 10.0, 20.0], 100_000, 0.25, 10
+        fit = longterm.mc_outperformance(model, x, ladder, n_paths, seed=11,
+                                         policy_index=policy_index, euler_step=step,
+                                         constant_policy=constant_policy)
+        if constant_policy is None:
+            _, theta = longterm.dual_to_value(longterm.solve_dual(model), x + 1.0 / policy_index)
+
+            def policy(ys):
+                return longterm.feedback_policy(model, theta, ys)
+        else:
+
+            def policy(ys):
+                return np.full(ys.shape, constant_policy)
+
+        assert [h for h, _ in fit.points] == ladder
+        for rung, (horizon, log_prob) in enumerate(fit.points):
+            n_steps = int(round(horizon / step))
+            dt = horizon / n_steps
+            decay = math.exp(-model.k * dt)
+            sd = math.sqrt((1.0 - decay * decay) / (2.0 * model.k))
+
+            def sampler(ss, size):
+                rng = np.random.default_rng(ss)
+                xs = np.zeros(size)
+                ys = np.zeros(size)
+                for _ in range(n_steps):
+                    alpha = policy(ys)
+                    drift = (model.beta0 * ys * ys + model.beta1 * alpha * alpha
+                             + model.beta2 * ys * alpha + model.beta3 * ys
+                             + model.beta4 * alpha + model.beta5)
+                    vol = model.delta0 * ys + model.delta1 * alpha + model.delta2
+                    xs += drift * dt + vol * math.sqrt(dt) * rng.standard_normal(size)
+                    ys = ys * decay + sd * rng.standard_normal(size)
+                return (xs / horizon >= x).astype(float)
+
+            euler = mc.run_replications(sampler, n_paths, seed=21 + rung)
+            prob = math.exp(log_prob)
+            se = math.hypot(math.sqrt(prob * (1.0 - prob) / n_paths), euler.std_error)
+            assert abs(prob - euler.mean) <= 4.0 * se, horizon
 
 
 class TestNormalization:

@@ -58,6 +58,8 @@ class TestRunReplications:
         with pytest.raises(ValueError):
             mc.run_replications(bad, 100, seed=0)
 
+    # a RuntimeWarning from the batch statistics becomes the raised error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_names_its_batch(self, bad):
         def sampler(ss, size):
@@ -68,6 +70,16 @@ class TestRunReplications:
 
         with pytest.raises(NonFiniteInput, match="batch 1"):
             mc.run_replications(sampler, 2 * mc.BATCH_SIZE + 5, seed=0, threads=2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_infinities_raise_without_warning(self):
+        def sampler(ss, size):
+            values = np.ones(size)
+            values[:2] = (math.inf, -math.inf)
+            return values
+
+        with pytest.raises(NonFiniteInput, match="batch 0"):
+            mc.run_replications(sampler, 100, seed=0)
 
     def test_log_mean_sentinel_for_zero_hits(self):
         res = mc.run_replications(constant_sampler(0.0), 100, seed=0)
