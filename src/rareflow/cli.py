@@ -371,25 +371,24 @@ def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
     else:
         family = tilt.Normal(p["mean"], p["var"])
 
-    def one(n: int, seed: int):
+    def estimate(n: int, seed: int):
         problem = cramer.EmpiricalMeanProblem(family, n, p["x"])
         if p["estimator"] == "naive":
-            res = cramer.naive_tail(problem, config.replications, seed, threads=threads)
-            theta = 0.0
-        else:
-            theta = p["theta"] if p["theta"] is not None else cramer.default_theta(problem)
-            res = cramer.is_tail(problem, theta, config.replications, seed, threads=threads)
+            return 0.0, cramer.naive_tail(problem, config.replications, seed, threads=threads)
+        theta = p["theta"] if p["theta"] is not None else cramer.default_theta(problem)
+        return theta, cramer.is_tail(problem, theta, config.replications, seed, threads=threads)
+
+    sizes = [int(n) for n in config.ladder] if config.ladder else [p["n"]]
+    runs = mc.run_ladder(estimate, sizes, config.seed)
+    rows = []
+    for n, (theta, res) in zip(sizes, runs):
         row = [n, p["x"], theta] + _estimator_row(res)
         if config.oracle:
             row.append(_cramer_oracle(fam_name, p, family, n))
-        return row
-
+        rows.append(row)
     cols = ["n", "x", "theta"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    if config.ladder:
-        rows = [one(int(n), config.seed + i) for i, n in enumerate(config.ladder)]
-    else:
-        rows = [one(p["n"], config.seed)]
-    return Report(meta={}, columns=cols, rows=rows)
+    meta = {"zero_hit_rungs": mc.zero_hit_rungs(sizes, [res for _, res in runs])}
+    return Report(meta=meta, columns=cols, rows=rows)
 
 
 def _cramer_oracle(fam_name, p, family, n):
@@ -404,16 +403,18 @@ def _run_ruin(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     model = ruin.RuinModel(p["premium"], p["lam"], tilt.Exponential(p["claim_rate"]))
     sol = ruin.adjustment_coefficient(model)
-    reserves = config.ladder if config.ladder else [p["x"]]
+    reserves = [float(x) for x in config.ladder] if config.ladder else [p["x"]]
+    results = mc.run_ladder(lambda x, seed: ruin.simulate_ruin_is(model, x, config.replications, seed, threads=threads),
+                            reserves, config.seed)
     rows = []
-    for i, x in enumerate(reserves):
-        res = ruin.simulate_ruin_is(model, float(x), config.replications, config.seed + i, threads=threads)
-        row = [float(x), sol.value, math.exp(-sol.value * float(x))] + _estimator_row(res)
+    for x, res in zip(reserves, results):
+        row = [x, sol.value, math.exp(-sol.value * x)] + _estimator_row(res)
         if config.oracle:
-            row.append(oracles.ruin_probability_exponential(p["premium"], p["lam"], p["claim_rate"], float(x)))
+            row.append(oracles.ruin_probability_exponential(p["premium"], p["lam"], p["claim_rate"], x))
         rows.append(row)
     cols = ["x", "theta_l", "lundberg_bound"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    return Report(meta={"theta_l": sol.value, "residual": sol.residual}, columns=cols, rows=rows)
+    meta = {"theta_l": sol.value, "residual": sol.residual, "zero_hit_rungs": mc.zero_hit_rungs(reserves, results)}
+    return Report(meta=meta, columns=cols, rows=rows)
 
 
 def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
@@ -426,17 +427,17 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
     sol = ruin.invest_exponent(model)
     alpha = ruin.optimal_fraction(model)
     cols = ["x", "theta_l", "theta_star", "alpha_star"] + _EST_COLS
-    rows = []
+    meta = {"theta_star": sol.value, "alpha_star": alpha}
     if p["simulate"]:
         horizon = p["horizon"] if p["horizon"] is not None else 200.0 / p["lam"]
-        reserves = config.ladder if config.ladder else [p["x"] if p["x"] is not None else 4.0]
-        for i, x in enumerate(reserves):
-            res = ruin.simulate_wealth_ruin(model, float(x), alpha, horizon, config.replications,
-                                            config.seed + i, threads=threads)
-            rows.append([float(x), theta_l, sol.value, alpha] + _estimator_row(res))
+        reserves = [float(x) for x in config.ladder] if config.ladder else [p["x"] if p["x"] is not None else 4.0]
+        results = mc.run_ladder(lambda x, seed: ruin.simulate_wealth_ruin(
+            model, x, alpha, horizon, config.replications, seed, threads=threads), reserves, config.seed)
+        rows = [[x, theta_l, sol.value, alpha] + _estimator_row(res) for x, res in zip(reserves, results)]
+        meta["zero_hit_rungs"] = mc.zero_hit_rungs(reserves, results)
     else:
-        rows.append([p["x"] if p["x"] is not None else 0.0, theta_l, sol.value, alpha, 0, None, None, None, None])
-    return Report(meta={"theta_star": sol.value, "alpha_star": alpha}, columns=cols, rows=rows)
+        rows = [[p["x"] if p["x"] is not None else 0.0, theta_l, sol.value, alpha, 0, None, None, None, None]]
+    return Report(meta=meta, columns=cols, rows=rows)
 
 
 def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
@@ -469,17 +470,18 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
     cols = ["steps", "eps"] + [f"{m}_{c}" for m in methods for c in ("mean", "std_error")]
     if config.oracle:
         cols.append("oracle")
-    rows = []
-    for i, steps in enumerate(steps_ladder):
+
+    def one_row(steps: int, seed: int) -> list:
         model = bridge.EulerModel(drift=drift, vol=vol, maturity=p["maturity"], steps=steps, x0=x0, rate=rate)
         row = [steps, model.eps]
         for method in methods:
-            res = bridge.price_knockout(model, payoff, spec, config.replications, config.seed + i, method=method, threads=threads)
+            res = bridge.price_knockout(model, payoff, spec, config.replications, seed, method=method, threads=threads)
             row.extend([res.mean, res.std_error])
         if config.oracle:
             row.append(oracle_value)
-        rows.append(row)
-    return Report(meta={}, columns=cols, rows=rows)
+        return row
+
+    return Report(meta={}, columns=cols, rows=mc.run_ladder(one_row, steps_ladder, config.seed))
 
 
 def _run_fw_bond(config: ExperimentConfig, threads: int) -> Report:
@@ -517,15 +519,16 @@ def _run_credit(config: ExperimentConfig, threads: int) -> Report:
     threshold = p["q"] if p["q"] is not None else credit.LossSchedule(p["schedule_a"], p["schedule_c"])
     model = credit.PortfolioModel(n=p["n"], p=p["p"], rho=p["rho"], threshold=threshold)
     sizes = [int(v) for v in config.ladder] if config.ladder else [p["n"]]
+    results = mc.run_ladder(lambda n, seed: credit.two_step_is(
+        model, n, config.replications, seed, shift=p["shift"], threads=threads), sizes, config.seed)
     rows = []
-    for i, n in enumerate(sizes):
-        res = credit.two_step_is(model, n, config.replications, config.seed + i, shift=p["shift"], threads=threads)
+    for n, res in zip(sizes, results):
         row = [n, model.q_at(n)] + _estimator_row(res)
         if config.oracle:
             row.append(oracles.credit_tail_quadrature(n, p["p"], p["rho"], model.q_at(n)) if n <= 20000 else None)
         rows.append(row)
     cols = ["n", "q_n"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    return Report(meta={}, columns=cols, rows=rows)
+    return Report(meta={"zero_hit_rungs": mc.zero_hit_rungs(sizes, results)}, columns=cols, rows=rows)
 
 
 def _run_longterm(config: ExperimentConfig, threads: int) -> Report:
@@ -545,15 +548,16 @@ def _run_longterm(config: ExperimentConfig, threads: int) -> Report:
     cols = ["x", "value", "theta_x", "alpha_star", "horizon"] + _EST_COLS
     rows = []
     if p["simulate"] and config.ladder:
+        horizons = [float(t) for t in config.ladder]
         fit = longterm.mc_outperformance(
-            model, x_norm, [float(t) for t in config.ladder], config.replications,
-            config.seed, policy_index=p["policy_index"], euler_step=p["euler_step"], threads=threads,
+            model, x_norm, horizons, config.replications, config.seed,
+            policy_index=p["policy_index"], euler_step=p["euler_step"], threads=threads,
         )
         meta["mc_slope"] = fit.slope
-        fitted = {scale for scale, _ in fit.points}
-        meta["dropped_horizons"] = [float(t) for t in config.ladder if float(t) not in fitted]
-        for scale, log_prob in fit.points:
-            rows.append([p["x"], value, theta_x, alpha, scale, None, math.exp(log_prob), None, None, log_prob])
+        meta["dropped_horizons"] = list(fit.dropped)
+        for horizon, res in zip(horizons, fit.results):
+            if math.isfinite(res.log_mean):
+                rows.append([p["x"], value, theta_x, alpha, horizon] + _estimator_row(res))
     else:
         rows.append([p["x"], value, theta_x, alpha, None, None, None, None, None, None])
     return Report(meta=meta, columns=cols, rows=rows)

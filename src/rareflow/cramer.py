@@ -9,7 +9,6 @@ the rate of the probability.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,15 +134,13 @@ def verify_rate(
     Each rung is estimated by importance sampling at the saddle tilt (or the
     supplied theta).  Zero-hit rungs are dropped with a warning.
     """
-    results = []
-    for rung, n in enumerate(ladder):
+
+    def estimate(n, rung_seed):
         problem = EmpiricalMeanProblem(family, int(n), x)
         use_theta = default_theta(problem) if theta is None else theta
-        results.append(is_tail(problem, use_theta, N, seed + rung, threads=threads))
-    points, dropped = mc.decay_points(list(ladder), results)
-    if dropped:
-        warnings.warn(f"dropped {dropped} zero-hit rungs from the rate fit", stacklevel=2)
-    return mc.fit_decay(points)
+        return is_tail(problem, use_theta, N, rung_seed, threads=threads)
+
+    return mc.fit_ladder(ladder, mc.run_ladder(estimate, ladder, seed))
 
 
 # -- exact oracles for lattice families ------------------------------------

@@ -10,7 +10,6 @@ and shifting the factor mean, each step with its closed-form optimizer.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -285,14 +284,8 @@ def measure_loss_decay(
     The slope estimates -dependent_decay(a, rho); convergence in ln n is
     slow, so tolerances downstream are generous.
     """
-    results = []
-    for rung, n in enumerate(ladder):
-        results.append(two_step_is(model, int(n), N, seed + rung, shift=shift, threads=threads))
-    scales = [math.log(float(n)) for n in ladder]
-    points, dropped = mc.decay_points(scales, results)
-    if dropped:
-        warnings.warn(f"dropped {dropped} zero-hit rungs from the loss decay fit", stacklevel=2)
-    return mc.fit_decay(points)
+    results = mc.run_ladder(lambda n, s: two_step_is(model, int(n), N, s, shift=shift, threads=threads), ladder, seed)
+    return mc.fit_ladder([math.log(float(n)) for n in ladder], results)
 
 
 def independent_twist_reference(p: float, q: float) -> float:

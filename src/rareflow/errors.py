@@ -45,10 +45,6 @@ class InvalidBarrier(RareflowError):
     """Lower barrier is not strictly below the upper barrier."""
 
 
-class NotConverged(RareflowError):
-    """Iterative solver stopped before reaching the requested tolerance."""
-
-
 class DomainEscape(RareflowError):
     """Fixed-point iterate left the domain where the log-payoff is finite."""
 

@@ -187,27 +187,27 @@ def scaled_second_moment_rate(
 
     For each eps the second moment M2(eps) of the scaled estimator is
     estimated by Monte Carlo and ln M2 is fitted against 1/eps; the slope
-    estimates sup_z [2F(z) - mu'z + mu'mu/2 - z'z/2].
+    estimates sup_z [2F(z) - mu'z + mu'mu/2 - z'z/2].  A rung whose estimate
+    is zero is left out of the fit with a warning.
     """
     mu = np.asarray(mu, dtype=float)
     _check_growth(payoff, np.random.default_rng(np.random.SeedSequence([seed, 987654321])))
-    half_norm = 0.5 * float(mu @ mu)
-    points = []
-    for rung, eps in enumerate(eps_ladder):
+
+    def estimate(eps, rung_seed):
         sqrt_eps = math.sqrt(eps)
         mu_eps = mu / sqrt_eps
 
-        def sampler(ss, size, _eps=eps, _sqrt=sqrt_eps, _mu_eps=mu_eps):
+        def sampler(ss, size):
             rng = np.random.default_rng(ss)
-            z = rng.standard_normal((size, payoff.dim)) + _mu_eps
-            z_eps = _sqrt * z
+            z = rng.standard_normal((size, payoff.dim)) + mu_eps
+            z_eps = sqrt_eps * z
             f = np.log(np.maximum(payoff.evaluate_batch(z_eps), 1e-300))
-            expo = (2.0 * f - 2.0 * (z_eps @ mu) + float(mu @ mu)) / _eps
+            expo = (2.0 * f - 2.0 * (z_eps @ mu) + float(mu @ mu)) / eps
             return np.exp(expo)
 
-        res = mc.run_replications(sampler, N, seed + rung, threads=threads)
-        points.append((1.0 / eps, res.log_mean))
-    return mc.fit_decay(points)
+        return mc.run_replications(sampler, N, rung_seed, threads=threads)
+
+    return mc.fit_ladder([1.0 / eps for eps in eps_ladder], mc.run_ladder(estimate, eps_ladder, seed))
 
 
 def varadhan_limit_linear(c, mu) -> float:

@@ -13,7 +13,6 @@ v(x) = -sup_theta [theta x - Lambda(theta)].
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -432,14 +431,14 @@ def mc_outperformance(
     v0 = model.delta1 * q + model.delta2
     factor_free = c2 == 0.0 and c1 == 0.0 and v1 == 0.0
 
-    results = []
-    for rung, horizon in enumerate(horizons):
+
+    def estimate(horizon, rung_seed):
         n_steps = max(int(round(horizon / euler_step)), 1)
         dt = horizon / n_steps
         decay = math.exp(-model.k * dt)
         ou_sd = math.sqrt((1.0 - decay * decay) / (2.0 * model.k))
 
-        def sampler(ss, size, _dt=dt, _n=n_steps, _decay=decay, _sd=ou_sd, _T=horizon):
+        def sampler(ss, size):
             rng = np.random.default_rng(ss)
             s1 = s2 = 0.0  # y_0 = 0 adds nothing to either sum
             if not factor_free:
@@ -447,21 +446,19 @@ def mc_outperformance(
                 s1 = np.zeros(size)
                 s2 = np.zeros(size)
                 buf = np.empty(size)
-                for _ in range(_n - 1):
+                for _ in range(n_steps - 1):
                     rng.standard_normal(size, out=buf)
-                    ys *= _decay
-                    buf *= _sd
+                    ys *= decay
+                    buf *= ou_sd
                     ys += buf
                     s1 += ys
                     np.multiply(ys, ys, out=buf)
                     s2 += buf
-            mean = _dt * (c2 * s2 + c1 * s1 + _n * c0)
-            var = np.maximum(_dt * (v1 * v1 * s2 + 2.0 * v1 * v0 * s1 + _n * v0 * v0), 0.0)
+            mean = dt * (c2 * s2 + c1 * s1 + n_steps * c0)
+            var = np.maximum(dt * (v1 * v1 * s2 + 2.0 * v1 * v0 * s1 + n_steps * v0 * v0), 0.0)
             xs = mean + np.sqrt(var) * rng.standard_normal(size)
-            return (xs / _T >= x).astype(float)
+            return (xs / horizon >= x).astype(float)
 
-        results.append(mc.run_replications(sampler, N, seed + rung, threads=threads))
-    points, dropped = mc.decay_points(horizons, results)
-    if dropped:
-        warnings.warn(f"dropped {dropped} zero-hit horizons", stacklevel=2)
-    return mc.fit_decay(points)
+        return mc.run_replications(sampler, N, rung_seed, threads=threads)
+
+    return mc.fit_ladder(horizons, mc.run_ladder(estimate, horizons, seed))

@@ -5,14 +5,16 @@ seed ``s`` draws from ``SeedSequence([s, b])``, so the stream layout depends
 only on ``(sampler, n, seed)`` — never on thread count — and batch statistics
 are merged in batch-index order.  Samplers receive the batch SeedSequence and
 may spawn independent sub-streams from it (path noise vs. kill decisions,
-say) without perturbing each other.
+say) without perturbing each other.  Every ladder of runs goes through
+``run_ladder`` and, when its rates are fitted, ``fit_ladder``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,12 +45,18 @@ class EstimatorResult:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Ordinary least squares fit of log-probability against a scale."""
+    """Ordinary least squares fit of log-probability against a scale.
+
+    A fit made by ``fit_ladder`` also carries every rung's result in ladder
+    order and the scales of the zero-hit rungs it left out.
+    """
 
     points: tuple[tuple[float, float], ...]
     slope: float
     intercept: float
     r_squared: float
+    results: tuple[EstimatorResult, ...] = ()
+    dropped: tuple[float, ...] = ()
 
 
 def _merge(stats_a, stats_b):
@@ -178,14 +186,35 @@ def decay_points(
     Returns the usable points and the number of dropped rungs so callers can
     warn instead of silently fitting a truncated ladder.
     """
-    points = []
-    dropped = 0
-    for scale, res in zip(scales, results):
-        if math.isfinite(res.log_mean):
-            points.append((float(scale), res.log_mean))
-        else:
-            dropped += 1
-    return points, dropped
+    points = [(float(scale), res.log_mean) for scale, res in zip(scales, results)
+              if math.isfinite(res.log_mean)]
+    return points, len(results) - len(points)
+
+
+def zero_hit_rungs(rungs: Sequence, results: Sequence[EstimatorResult]) -> list:
+    """The rungs whose run saw no hit: a mean that is not positive."""
+    return [rung for rung, res in zip(rungs, results) if not math.isfinite(res.log_mean)]
+
+
+def run_ladder(estimate: Callable[[object, int], object], rungs: Sequence, seed: int) -> list:
+    """``estimate(rung, seed + i)`` for rung ``i`` of a ladder, in ladder order.
+
+    Rungs draw from distinct seeds, and a ladder of one rung repeats the
+    single run at ``seed``.
+    """
+    return [estimate(rung, seed + i) for i, rung in enumerate(rungs)]
+
+
+def fit_ladder(scales: Sequence[float], results: Sequence[EstimatorResult]) -> DecayFit:
+    """Fit log-estimates against scales, leaving zero-hit rungs out with a warning.
+
+    The fit carries every result in ladder order and the dropped scales.
+    """
+    points, dropped = decay_points(scales, results)
+    if dropped:  # attributed to the caller of the function that fits its ladder
+        warnings.warn(f"dropped {dropped} zero-hit rungs from the decay fit", stacklevel=3)
+    return replace(fit_decay(points), results=tuple(results),
+                   dropped=tuple(float(s) for s in zero_hit_rungs(scales, results)))
 
 
 def optimality_gap(second_moment_fit: DecayFit, prob_fit: DecayFit) -> float:

@@ -12,7 +12,6 @@ event and yields an unbiased, asymptotically optimal estimator
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,8 +78,8 @@ def _solve_exponent(model: RuinModel, offset: float, kind: str) -> ExponentSolut
 
     Equivalently h(theta) = cgf_Y(theta) - ln(1 + premium*theta/lam + offset)
     = 0, a convex-vs-concave crossing with a unique positive root for
-    light-tailed claims.  Bisection on (0, claim-domain edge) with a sign
-    probe, then bisection refinement to 1e-10 residual.
+    light-tailed claims.  A sign probe along ``tilt.expansion_grid`` toward
+    the claim-domain edge brackets it; bisection refines to 1e-10 residual.
     """
     if model.safety_loading <= 0.0:
         raise NetProfitViolated(
@@ -90,31 +89,13 @@ def _solve_exponent(model: RuinModel, offset: float, kind: str) -> ExponentSolut
     def h(theta):
         return _gamma_shifted(model, theta) - model.premium * theta / model.lam - offset
 
-    _, hi = model.claims.cgf_domain
-    # geometric probe from just above zero toward the claim-domain edge,
-    # stopping 1e-9 inside when it is finite
-    probes = []
-    if math.isinf(hi):
-        t = 1e-6
-        while t < 1e12:
-            probes.append(t)
-            t *= 2.0
-    else:
-        frac = 0.5
-        while hi * frac > 1e-9 * max(1.0, hi):
-            probes.append(hi * (1.0 - frac))
-            frac *= 0.5
-        probes.append(hi - 1e-9 * max(1.0, hi))
-
     a = 1e-12
     b = None
-    ha = h(a)
-    for t in probes:
-        ht = h(t)
-        if ht > 0.0:
+    for t in tilt.expansion_grid(*model.claims.cgf_domain, toward_hi=True):
+        if h(t) > 0.0:
             b = t
             break
-        a, ha = t, ht
+        a = t
     if b is None:
         raise NoRoot(f"no positive solution for kind={kind}; claims may be too heavy")
     # plain bisection: h is monotone on the bracket side we care about only
@@ -247,14 +228,8 @@ def ruin_decay_fit(
     model: RuinModel, reserves: Sequence[float], N: int, seed: int, threads: int = 1
 ) -> DecayFit:
     """Fit ln psi_hat(x) against the initial reserve ladder."""
-    results = [
-        simulate_ruin_is(model, float(x), N, seed + i, threads=threads)
-        for i, x in enumerate(reserves)
-    ]
-    points, dropped = mc.decay_points(list(reserves), results)
-    if dropped:
-        warnings.warn(f"dropped {dropped} zero-hit rungs from the ruin decay fit", stacklevel=2)
-    return mc.fit_decay(points)
+    results = mc.run_ladder(lambda x, s: simulate_ruin_is(model, float(x), N, s, threads=threads), reserves, seed)
+    return mc.fit_ladder(reserves, results)
 
 
 def simulate_wealth_ruin(

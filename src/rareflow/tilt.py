@@ -378,7 +378,7 @@ def tilt(family: TiltableFamily, theta: float) -> TiltableFamily:
     return family.tilted(theta)
 
 
-def _expansion_grid(lo: float, hi: float, toward_hi: bool):
+def expansion_grid(lo: float, hi: float, toward_hi: bool):
     """Geometric probe sequence from 0 toward one open domain endpoint.
 
     The domain contains 0, so hi > 0 and lo < 0.  Finite endpoints are
@@ -415,7 +415,7 @@ def _bracketed_saddle(family: TiltableFamily, x: float) -> float | None:
     toward_hi = f0 < 0.0
     a, fa = 0.0, f0
     b = None
-    for theta in _expansion_grid(lo, hi, toward_hi):
+    for theta in expansion_grid(lo, hi, toward_hi):
         ft = family.cgf_prime(theta) - x
         if (ft >= 0.0) != toward_hi and ft != 0.0:
             # still on the same side: tighten the near end of the bracket
@@ -489,7 +489,7 @@ def legendre(family: TiltableFamily, x: float) -> LegendreResult:
     lo, hi = family.cgf_domain
     toward_hi = x > family.mean
     best = 0.0
-    for theta in _expansion_grid(lo, hi, toward_hi):
+    for theta in expansion_grid(lo, hi, toward_hi):
         val = theta * x - family.cgf(theta)
         gain = val - best
         if val > best:

@@ -230,6 +230,38 @@ class TestRunExperiment:
         horizon = report["columns"].index("horizon")
         assert [row[horizon] for row in report["rows"]] == ["5", "10", "20"]
 
+    def test_longterm_rows_carry_estimator_columns(self, tmp_path):
+        doc = dict(MINIMAL["longterm"], x=0.18, simulate=True, ladder=[5.0, 10.0, 20.0],
+                   euler_step=0.5, policy_index=50, replications=2_000, seed=5)
+        path = write_config(tmp_path, "longterm.json", doc)
+        out = tmp_path / "report.json"
+        assert cli.main(["longterm", "--config", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for cells in report["rows"]:
+            row = dict(zip(report["columns"], cells))
+            assert row["n_rep"] == "2000"
+            mean, se = float(row["mean"]), float(row["std_error"])
+            # 0/1 samples: the sample variance is m (1 - m) n / (n - 1)
+            assert se == pytest.approx(math.sqrt(mean * (1.0 - mean) / 1_999), rel=1e-9)
+            assert float(row["rel_error"]) == pytest.approx(se / mean, rel=1e-12)
+            assert math.log(mean) == pytest.approx(float(row["log_mean"]), rel=1e-12)
+
+    def test_zero_hit_run_listed_in_metadata(self, tmp_path):
+        # P[Bin(200, 0.25) >= 100] ~ 1e-14: 20,000 naive draws see no hit
+        doc = dict(MINIMAL["cramer"], n=200, estimator="naive", replications=20_000, seed=1)
+        path = write_config(tmp_path, "naive.json", doc)
+        out = tmp_path / "naive.json.out.json"
+        assert cli.main(["cramer", "--config", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["meta"]["zero_hit_rungs"] == [200]
+        assert report["rows"] == [["200", "0.5", "0", "20000", "0", "0", "na", "na"]]
+
+    def test_rungs_with_hits_leave_zero_hit_list_empty(self, tmp_path):
+        path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], ladder=[2.0, 4.0, 8.0], replications=2_000))
+        out = tmp_path / "ruin.json.out.json"
+        assert cli.main(["ruin", "--config", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["zero_hit_rungs"] == []
+
     def test_net_profit_violation_exit_code(self, tmp_path, capsys):
         doc = dict(MINIMAL["ruin"], premium=0.5)
         path = write_config(tmp_path, "bad.json", doc)
@@ -291,3 +323,32 @@ class TestRunExperiment:
         assert out.exists()
         lines = data_section(out.read_text())
         assert len(lines) >= 2
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# At 2,000 paths the 100-year horizon of longterm.json (P ~ 2.8e-5) sees no
+# hit, two horizons are left for a three-point slope fit, and the run ends
+# with InsufficientData (exit 10) instead of reporting the two estimates.
+_LONGTERM_TOO_RARE = pytest.mark.xfail(
+    strict=True, reason="rarest horizon has no hit at 2,000 paths; the slope fit needs 3 horizons")
+CONFIGS = [
+    pytest.param(os.path.join(CONFIG_DIR, name), id=name, marks=[_LONGTERM_TOO_RARE] if name == "longterm.json" else [])
+    for name in sorted(os.listdir(CONFIG_DIR)) if name.endswith(".json")
+]
+
+
+@pytest.mark.parametrize("config_path", CONFIGS)
+def test_committed_config_runs(tmp_path, config_path):
+    with open(config_path) as handle:
+        subcommand = json.load(handle)["subcommand"]
+    sections = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        code = cli.main([subcommand, "--config", config_path, "--n", "2000", "--threads", str(threads), "--out", str(out)])
+        assert code == 0
+        sections.append(data_section(out.read_text()))
+    header, rows = sections[0][0], sections[0][1:]
+    assert rows
+    for row in rows:
+        assert len(row.split(",")) == len(header.split(","))
+    assert sections[0] == sections[1]

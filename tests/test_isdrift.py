@@ -157,6 +157,16 @@ class TestScaledSecondMoment:
         assert fit.slope == pytest.approx(limit, rel=0.15)
         assert fit.slope > isdrift.varadhan_limit_linear(c, c) * 1.5
 
+    def test_zero_rung_dropped_with_warning(self):
+        # at mu = c the second moment is exp(-799.5/eps) exactly, which
+        # underflows to 0 at eps = 1 and is representable at the other rungs
+        payoff = isdrift.linear_payoff(np.array([0.5, 0.5]), offset=-400.0)
+        with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
+            fit = isdrift.scaled_second_moment_rate(payoff, [0.5, 0.5], [8.0, 4.0, 2.0, 1.0], 1_000, seed=3)
+        assert fit.dropped == (1.0,)
+        assert [s for s, _ in fit.points] == [0.125, 0.25, 0.5]
+        assert fit.slope == pytest.approx(-799.5, rel=1e-9)
+
     def test_growth_condition_diagnostic(self):
         # log-payoff growing like 0.3 z'z breaks the c2 < 1/4 requirement
         hot = isdrift.PathPayoff(

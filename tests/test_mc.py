@@ -165,6 +165,39 @@ class TestFitDecay:
         assert [s for s, _ in points] == [1.0, 3.0]
 
 
+class TestLadderDriver:
+    def test_rung_i_runs_at_seed_plus_i(self):
+        calls = mc.run_ladder(lambda rung, seed: (rung, seed), ["a", "b", "c"], 10)
+        assert calls == [("a", 10), ("b", 11), ("c", 12)]
+
+    def test_zero_hit_rung_dropped_from_fit_with_warning(self):
+        means = {1.0: 0.5, 2.0: 0.0, 3.0: 0.125, 4.0: 0.0625}
+        results = mc.run_ladder(
+            lambda scale, seed: mc.run_replications(constant_sampler(means[scale]), 100, seed), list(means), 0
+        )
+        with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
+            fit = mc.fit_ladder(list(means), results)
+        assert [res.mean for res in fit.results] == [0.5, 0.0, 0.125, 0.0625]
+        assert all(a is b for a, b in zip(fit.results, results))
+        assert fit.dropped == (2.0,)
+        assert [s for s, _ in fit.points] == [1.0, 3.0, 4.0]
+        assert fit.slope == pytest.approx(-math.log(2.0), rel=1e-12)
+        assert mc.zero_hit_rungs(list(means), results) == [2.0]
+
+    def test_full_ladder_fits_silently(self, recwarn):
+        results = mc.run_ladder(
+            lambda scale, seed: mc.run_replications(bernoulli_indicator(0.5**scale), 4_000, seed), [1, 2, 3], 7
+        )
+        fit = mc.fit_ladder([1, 2, 3], results)
+        assert not recwarn.list
+        assert fit.dropped == ()
+        assert [res.n for res in fit.results] == [4_000, 4_000, 4_000]
+
+    def test_plain_fit_carries_no_ladder(self):
+        fit = mc.fit_decay([(1.0, -1.0), (2.0, -2.0), (3.0, -3.0)])
+        assert fit.results == () and fit.dropped == ()
+
+
 class TestOptimalityGap:
     def _fit(self, slope, scales=(1.0, 2.0, 3.0)):
         return mc.fit_decay([(s, slope * s) for s in scales])
