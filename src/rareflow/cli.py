@@ -604,8 +604,11 @@ def render_csv(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    # JSON has no nan or inf: such meta values print as their CSV text
+    meta = {key: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in report.meta.items()}
     doc = {
-        "meta": report.meta,
+        "meta": meta,
         "columns": report.columns,
         "rows": [[_fmt(v) for v in row] for row in report.rows],
     }

@@ -15,11 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mc
+from . import mc, tilt
 from .errors import BoundViolated, NoRoot, RegimeError
 from .gaussian import norm_cdf, norm_pdf, norm_ppf
 from .mc import DecayFit, EstimatorResult
-from .tilt import Bernoulli, saddle_theta
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,8 @@ def factor_shift(model: PortfolioModel, n: int) -> float:
     """The variance-optimal factor mean mu_n solving F_n'(mu) = mu.
 
     F_n' - id decreases (F_n(z) - z^2/2 is strictly concave), is positive at
-    0 for thresholds in the rare regime and equals -z_n at z_n, so bisection
-    on [0, z_n] converges; a diagnostic NoRoot guards the bracket.
+    0 for thresholds in the rare regime and equals -z_n at z_n, so the root
+    lies in [0, z_n]; a diagnostic NoRoot guards the bracket.
     """
     z_n = factor_threshold(model, n)
     if z_n <= 0.0:
@@ -170,19 +169,12 @@ def factor_shift(model: PortfolioModel, n: int) -> float:
     def g(mu):
         return outer_exponent_prime(model, n, mu) - mu
 
-    a, b = 0.0, z_n
-    if g(a) <= 0.0:
+    if g(0.0) <= 0.0:
         raise NoRoot("F_n'(0) <= 0: threshold not rare enough for a factor shift")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if abs(gm) <= 1e-12 or (b - a) <= 1e-15 * max(1.0, z_n):
-            return mid
-        if gm > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    mu = tilt._bracketed_root(g, 0.0, -math.inf, z_n)
+    if mu is None:
+        raise NoRoot(f"F_n'(mu) - mu keeps its sign on [0, z_n={z_n:.4g}]")
+    return mu
 
 
 def _resolve_shift(model: PortfolioModel, n: int, shift) -> float:
@@ -286,8 +278,3 @@ def measure_loss_decay(
     """
     results = mc.run_ladder(lambda n, s: two_step_is(model, int(n), N, s, shift=shift, threads=threads), ladder, seed)
     return mc.fit_ladder([math.log(float(n)) for n in ladder], results)
-
-
-def independent_twist_reference(p: float, q: float) -> float:
-    """The independent-case twist, identical to the Bernoulli saddle point."""
-    return saddle_theta(Bernoulli(p), q)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import mc
+from . import mc, tilt
 from .errors import (
     DomainError,
     NegativeTarget,
@@ -93,12 +93,11 @@ class LqModel:
 
 @dataclass(frozen=True)
 class DualSolution:
-    """(Lambda, A, B) on [0, theta_bar) plus steepness of Lambda at the edge."""
+    """Lambda and Lambda' on [0, theta_bar) plus steepness of Lambda at the edge."""
 
     theta_bar: float
     lam: Callable[[float], float]
-    coeff_a: Callable[[float], float]
-    coeff_b: Callable[[float], float]
+    lam_prime: Callable[[float], float]
     steep: bool
 
 
@@ -150,7 +149,7 @@ def bs_outperformance(a: float, a0: float, sigma: float, x: float) -> tuple[floa
 
 
 def _quadratic_pieces(model: LqModel, theta: float):
-    """Coefficient-matching terms shared by lq_dual and theta_bar.
+    """Coefficient-matching terms shared by lq_dual, lam_prime and theta_bar.
 
     Substituting phi = A y^2/2 + B y into the ergodic equation and matching
     powers of y gives
@@ -196,6 +195,31 @@ def lq_dual(model: LqModel, theta: float) -> tuple[float, float, float]:
     return coeff_a, coeff_b, lam
 
 
+def lam_prime(model: LqModel, theta: float) -> float:
+    """Closed-form Lambda'(theta), by the chain rule through _quadratic_pieces.
+
+    With s = sqrt(disc) = k - A and primes for d/dtheta:
+      A' = C2'/s,  B' = (rhs' + B C2'/s)/s,
+      Lambda' = A'/2 + B B' + theta delta2^2 + T' Q^2/2 + T Q Q',
+    where T' = 1/(1 - theta delta1^2)^2, P' = delta0 delta1, Q' = delta1 delta2,
+    C2' = beta0 + theta delta0^2 + T' P^2/2 + T P P' and
+    rhs' = beta3 + 2 theta delta0 delta2 + T' P Q + T (P' Q + P Q').
+    Raises OutOfDomain where lq_dual does.
+    """
+    coeff_a, coeff_b, _ = lq_dual(model, theta)
+    t_factor, p_lin, q_lin, _ = _quadratic_pieces(model, theta)
+    root = model.k - coeff_a
+    t_prime = 1.0 / (1.0 - theta * model.delta1**2) ** 2
+    dp, dq = model.delta0 * model.delta1, model.delta1 * model.delta2
+    c2_prime = model.beta0 + theta * model.delta0**2 + 0.5 * t_prime * p_lin**2 + t_factor * p_lin * dp
+    rhs_prime = (model.beta3 + 2.0 * theta * model.delta0 * model.delta2 + t_prime * p_lin * q_lin
+                 + t_factor * (dp * q_lin + p_lin * dq))
+    a_prime = c2_prime / root
+    b_prime = (rhs_prime + coeff_b * c2_prime / root) / root
+    return (0.5 * a_prime + coeff_b * b_prime + theta * model.delta2**2
+            + 0.5 * t_prime * q_lin**2 + t_factor * q_lin * dq)
+
+
 def hjb_residual(model: LqModel, theta: float, y: float) -> float:
     """Residual of the ergodic equation at (theta, y) for the encoded (A,B,Lambda).
 
@@ -216,58 +240,26 @@ def hjb_residual(model: LqModel, theta: float, y: float) -> float:
     return rhs - lam
 
 
-def theta_bar(model: LqModel, tol: float = 1e-10) -> tuple[float, bool]:
+def theta_bar(model: LqModel) -> tuple[float, bool]:
     """Right endpoint of the dual domain and whether Lambda is steep there.
 
-    The endpoint is the smaller of 1/delta1^2 and the first theta where the
-    A-discriminant turns negative (located by bisection).  Steepness is
-    detected by the growth of Lambda' along a geometric approach to the
-    endpoint.
+    The endpoint is the first zero of the A-discriminant on the way to
+    1/delta1^2, or 1/delta1^2 itself when the discriminant stays positive.
+    Steepness follows from the term of lam_prime that diverges there: at a
+    discriminant zero A' = C2'/sqrt(disc) does; at 1/delta1^2, T' Q^2/2
+    does unless Q vanishes there; an infinite endpoint counts as steep.
     """
     cap = math.inf if model.delta1 == 0.0 else 1.0 / model.delta1**2
 
-    def disc_ok(theta: float) -> bool:
-        t_factor, _, _, c2 = _quadratic_pieces(model, theta)
-        return model.k**2 - 2.0 * c2 >= 0.0
+    def disc(theta: float) -> float:
+        return model.k**2 - 2.0 * _quadratic_pieces(model, theta)[3]
 
-    hi = cap
+    bar = tilt._bracketed_root(disc, 0.0, -math.inf, cap)
+    if bar is not None:
+        return bar, True
     if math.isinf(cap):
-        hi = 1.0
-        while disc_ok(hi) and hi < 1e12:
-            hi *= 2.0
-        if hi >= 1e12:
-            return math.inf, True
-    lo = 0.0
-    if disc_ok(hi * (1.0 - 1e-15) if math.isfinite(hi) else hi):
-        bar = cap
-    else:
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if disc_ok(mid):
-                a = mid
-            else:
-                b = mid
-        bar = 0.5 * (a + b)
-
-    # steepness probe: Lambda' on a geometric approach grid to the endpoint
-    def lam_prime(theta: float, h: float) -> float:
-        _, _, up = lq_dual(model, theta + h)
-        _, _, down = lq_dual(model, theta - h)
-        return (up - down) / (2.0 * h)
-
-    growth = []
-    for gap in (1e-3, 1e-5, 1e-7):
-        theta = bar - gap
-        if theta <= 0.0:
-            continue
-        h = gap * 0.1
-        try:
-            growth.append(lam_prime(theta, h))
-        except OutOfDomain:
-            continue
-    steep = len(growth) >= 2 and growth[-1] > 10.0 * max(growth[0], 1.0)
-    return bar, steep
+        return math.inf, True
+    return cap, model.beta4 + cap * model.delta1 * model.delta2 != 0.0
 
 
 def feedback_policy(model: LqModel, theta: float, y: float) -> float:
@@ -286,99 +278,30 @@ def hamiltonian_term(model: LqModel, theta: float, y: float, a: float) -> float:
 
 
 def solve_dual(model: LqModel) -> DualSolution:
-    """Package Lambda, A, B as functions of theta on [0, theta_bar)."""
+    """Package Lambda and Lambda' as functions of theta on [0, theta_bar)."""
     bar, steep = theta_bar(model)
-
-    def lam(theta: float) -> float:
-        return lq_dual(model, theta)[2]
-
-    def coeff_a(theta: float) -> float:
-        return lq_dual(model, theta)[0]
-
-    def coeff_b(theta: float) -> float:
-        return lq_dual(model, theta)[1]
-
-    return DualSolution(theta_bar=bar, lam=lam, coeff_a=coeff_a, coeff_b=coeff_b, steep=steep)
-
-
-def _lam_prime(dual: DualSolution, theta: float) -> float:
-    h = min(1e-7, max(theta, dual.theta_bar - theta) * 1e-3 + 1e-12)
-    lo = max(theta - h, 0.0)
-    hi = theta + h
-    if math.isfinite(dual.theta_bar):
-        hi = min(hi, dual.theta_bar * (1.0 - 1e-12))
-    if hi <= lo:
-        return 0.0
-    return (dual.lam(hi) - dual.lam(lo)) / (hi - lo)
+    return DualSolution(theta_bar=bar, lam=lambda theta: lq_dual(model, theta)[2],
+                        lam_prime=lambda theta: lam_prime(model, theta), steep=steep)
 
 
 def dual_to_value(dual: DualSolution, x: float) -> tuple[float, float]:
     """v(x) = -sup_{theta in [0, theta_bar)} [theta x - Lambda(theta)].
 
-    The objective is concave, so golden-section plus a Newton polish on
-    Lambda'(theta) = x locates the argmax; targets at or below Lambda'(0)
-    give v = 0 with theta(x) = 0.  Raises OutOfDualDomain for targets beyond
-    Lambda'(theta_bar) when Lambda is not steep.
+    The objective is concave, so its argmax theta(x) is the root of
+    Lambda'(theta) = x; targets at or below Lambda'(0) give v = 0 with
+    theta(x) = 0.  Raises OutOfDualDomain for targets beyond Lambda' on the
+    probe toward theta_bar, which happens below the edge only when Lambda
+    is not steep.
     """
-    if x <= _lam_prime(dual, 0.0) + 1e-15:
+    if x <= dual.lam_prime(0.0):
         return 0.0, 0.0
-    if not dual.steep and math.isfinite(dual.theta_bar):
-        edge_slope = _lam_prime(dual, dual.theta_bar * (1.0 - 1e-9))
-        if x >= edge_slope:
-            raise OutOfDualDomain(
-                f"x={x} >= Lambda'(theta_bar) ~ {edge_slope:.6g}; dual not steep"
-            )
-
-    def objective(theta: float) -> float:
-        return theta * x - dual.lam(theta)
-
-    lo = 0.0
-    hi = dual.theta_bar if math.isfinite(dual.theta_bar) else 1.0
-    if math.isinf(dual.theta_bar):
-        while objective(hi * 2.0) > objective(hi) and hi < 1e12:
-            hi *= 2.0
-        hi *= 2.0
-    else:
-        hi *= 1.0 - 1e-12
-    # golden-section on the concave objective
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(200):
-        if b - a < 1e-13 * max(1.0, hi):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    theta_x = 0.5 * (a + b)
-    # Newton polish on Lambda'(theta) = x using finite differences
-    for _ in range(8):
-        h = max(1e-8, theta_x * 1e-8)
-        hi_t = theta_x + h
-        lo_t = max(theta_x - h, 0.0)
-        if math.isfinite(dual.theta_bar):
-            hi_t = min(hi_t, dual.theta_bar * (1.0 - 1e-12))
-        f_prime = (dual.lam(hi_t) - dual.lam(lo_t)) / (hi_t - lo_t)
-        f_second = (dual.lam(hi_t) - 2.0 * dual.lam(theta_x) + dual.lam(lo_t)) / ((0.5 * (hi_t - lo_t)) ** 2)
-        if not math.isfinite(f_second) or f_second <= 0.0:
-            break
-        step = (f_prime - x) / f_second
-        cand = theta_x - step
-        if not (lo < cand < hi):
-            break
-        if objective(cand) >= objective(theta_x):
-            theta_x = cand
-        else:
-            break
-    value = -objective(theta_x)
-    return min(value, 0.0), theta_x
+    theta_x = tilt._bracketed_root(lambda theta: dual.lam_prime(theta) - x, 0.0, -math.inf, dual.theta_bar)
+    if theta_x is None:
+        raise OutOfDualDomain(
+            f"x={x} beyond Lambda' below theta_bar={dual.theta_bar:.6g}"
+            + ("" if dual.steep else "; dual not steep")
+        )
+    return min(dual.lam(theta_x) - theta_x * x, 0.0), theta_x
 
 
 def mc_outperformance(
@@ -416,7 +339,7 @@ def mc_outperformance(
     dual = solve_dual(model)
     if constant_policy is None:
         target = x + 1.0 / policy_index
-        lam0_slope = _lam_prime(dual, 0.0)
+        lam0_slope = dual.lam_prime(0.0)
         if x <= lam0_slope:
             target = lam0_slope + 1.0 / policy_index
         _, theta_pol = dual_to_value(dual, target)

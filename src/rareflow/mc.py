@@ -209,11 +209,14 @@ def fit_ladder(scales: Sequence[float], results: Sequence[EstimatorResult]) -> D
     """Fit log-estimates against scales, leaving zero-hit rungs out with a warning.
 
     The fit carries every result in ladder order and the dropped scales.
+    With fewer than 3 rungs left there is no line to fit: slope, intercept
+    and r_squared are nan, and the rungs' results are kept all the same.
     """
     points, dropped = decay_points(scales, results)
     if dropped:  # attributed to the caller of the function that fits its ladder
         warnings.warn(f"dropped {dropped} zero-hit rungs from the decay fit", stacklevel=3)
-    return replace(fit_decay(points), results=tuple(results),
+    fit = fit_decay(points) if len(points) >= 3 else DecayFit(tuple(points), math.nan, math.nan, math.nan)
+    return replace(fit, results=tuple(results),
                    dropped=tuple(float(s) for s in zero_hit_rungs(scales, results)))
 
 

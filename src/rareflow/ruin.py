@@ -23,7 +23,6 @@ from .mc import DecayFit, EstimatorResult
 from .tilt import ClaimStep, Exponential, TiltableFamily
 
 MAX_PATH_STEPS = int(1e7)
-_ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ def _solve_exponent(model: RuinModel, offset: float, kind: str) -> ExponentSolut
 
     Equivalently h(theta) = cgf_Y(theta) - ln(1 + premium*theta/lam + offset)
     = 0, a convex-vs-concave crossing with a unique positive root for
-    light-tailed claims.  A sign probe along ``tilt.expansion_grid`` toward
-    the claim-domain edge brackets it; bisection refines to 1e-10 residual.
+    light-tailed claims.  The root is bracketed just past the trivial root
+    at 0, along ``tilt.expansion_grid`` toward the claim-domain edge.
     """
     if model.safety_loading <= 0.0:
         raise NetProfitViolated(
@@ -89,28 +88,9 @@ def _solve_exponent(model: RuinModel, offset: float, kind: str) -> ExponentSolut
     def h(theta):
         return _gamma_shifted(model, theta) - model.premium * theta / model.lam - offset
 
-    a = 1e-12
-    b = None
-    for t in tilt.expansion_grid(*model.claims.cgf_domain, toward_hi=True):
-        if h(t) > 0.0:
-            b = t
-            break
-        a = t
-    if b is None:
+    theta = tilt._bracketed_root(h, 1e-12, *model.claims.cgf_domain)
+    if theta is None:
         raise NoRoot(f"no positive solution for kind={kind}; claims may be too heavy")
-    # plain bisection: h is monotone on the bracket side we care about only
-    # after the dip, but sign separation is all bisection needs
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        hm = h(mid)
-        if abs(hm) <= _ROOT_TOL or (b - a) <= 1e-16 * max(1.0, b):
-            a = b = mid
-            break
-        if hm > 0.0:
-            b = mid
-        else:
-            a = mid
-    theta = 0.5 * (a + b)
     return ExponentSolution(value=theta, residual=h(theta), kind=kind)
 
 

@@ -14,10 +14,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError, NotAttained
 
-SADDLE_TOL = 1e-10
 BOUNDARY_PAD = 1e-9   # how far inside an open domain endpoint solvers may go
 
 
@@ -269,6 +269,9 @@ class Exponential(TiltableFamily):
 
     def cgf(self, theta):
         self._check_theta(theta)
+        # log1p keeps full relative accuracy near 0, the quotient near lam
+        if theta < 0.5 * self.lam:
+            return -math.log1p(-theta / self.lam)
         return math.log(self.lam / (self.lam - theta))
 
     def cgf_prime(self, theta):
@@ -365,19 +368,6 @@ class ClaimStep(TiltableFamily):
         return claims - self.premium * waits
 
 
-def cgf_eval(family: TiltableFamily, theta: float) -> float:
-    """Evaluate the cumulant generating function at theta.
-
-    Raises DomainError when theta falls outside the family's open domain.
-    """
-    return family.cgf(theta)
-
-
-def tilt(family: TiltableFamily, theta: float) -> TiltableFamily:
-    """Return the exponentially tilted family at parameter theta."""
-    return family.tilted(theta)
-
-
 def expansion_grid(lo: float, hi: float, toward_hi: bool):
     """Geometric probe sequence from 0 toward one open domain endpoint.
 
@@ -400,56 +390,45 @@ def expansion_grid(lo: float, hi: float, toward_hi: bool):
         yield endpoint - math.copysign(pad, endpoint)
 
 
-def _bracketed_saddle(family: TiltableFamily, x: float) -> float | None:
-    """Solve cgf'(theta) = x by bracketing + safeguarded Newton.
+def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = True) -> float | None:
+    """Root of ``f`` at the first sign change along ``expansion_grid``.
 
-    Returns None when the mean range never reaches x inside the domain
-    (supremum at a boundary).  cgf' is nondecreasing by convexity, so the
-    probe expands geometrically from 0 toward the relevant endpoint, stopping
-    just inside open boundaries where cgf' blows up.
+    The probe runs from ``start`` through ``expansion_grid(lo, hi,
+    toward_hi)``; the last point on start's side and the first one past it
+    bracket the root, which Brent's method refines to a few ulp.  Returns
+    None when f keeps its sign up to the last probe point, or when brentq
+    gives up on the bracket.
+    """
+    a, fa = start, f(start)
+    if fa == 0.0:
+        return start
+    for b in expansion_grid(lo, hi, toward_hi):
+        fb = f(b)
+        if fb == 0.0 or (fb > 0.0) != (fa > 0.0):
+            try:
+                # a negligible xtol leaves brentq's relative tolerance of 4 eps
+                return brentq(f, min(a, b), max(a, b), xtol=1e-300)
+            except (ValueError, RuntimeError):
+                return None
+        a, fa = b, fb
+    return None
+
+
+def _bracketed_saddle(family: TiltableFamily, x: float) -> float | None:
+    """Solve cgf'(theta) = x; None when the mean range never reaches x.
+
+    cgf' is nondecreasing by convexity, so the root lies on the side of 0
+    where cgf'(0) - x changes sign, and the probe runs toward that end of
+    the domain, stopping just inside open boundaries where cgf' blows up.
+    Raises NotAttained when rounding leaves a residual above 1e-10 (cgf'
+    too steep near the edge).
     """
     lo, hi = family.cgf_domain
-    f0 = family.cgf_prime(0.0) - x
-    if f0 == 0.0:
-        return 0.0
-    toward_hi = f0 < 0.0
-    a, fa = 0.0, f0
-    b = None
-    for theta in expansion_grid(lo, hi, toward_hi):
-        ft = family.cgf_prime(theta) - x
-        if (ft >= 0.0) != toward_hi and ft != 0.0:
-            # still on the same side: tighten the near end of the bracket
-            a, fa = theta, ft
-            continue
-        b = theta
-        break
-    if b is None:
-        return None
-    if a > b:
-        a, b = b, a
-    # safeguarded Newton on f(theta) = cgf'(theta) - x with bisection fallback
-    theta = 0.5 * (a + b)
-    for _ in range(200):
-        f = family.cgf_prime(theta) - x
-        if abs(f) <= SADDLE_TOL:
-            return theta
-        if f > 0.0:
-            b = theta
-        else:
-            a = theta
-        fpp = family.cgf_second(theta)
-        step_ok = False
-        if fpp > 0.0 and math.isfinite(fpp):
-            cand = theta - f / fpp
-            if a < cand < b:
-                theta = cand
-                step_ok = True
-        if not step_ok:
-            theta = 0.5 * (a + b)
-    f = family.cgf_prime(theta) - x
-    if abs(f) <= SADDLE_TOL:
-        return theta
-    raise NotAttained(f"saddle solver stalled at residual {f:.3e} for x={x}")
+    theta = _bracketed_root(lambda t: family.cgf_prime(t) - x, 0.0, lo, hi,
+                            toward_hi=family.cgf_prime(0.0) < x)
+    if theta is not None and abs(family.cgf_prime(theta) - x) > 1e-10:
+        raise NotAttained(f"saddle point for x={x} has residual {family.cgf_prime(theta) - x:.3e}")
+    return theta
 
 
 def saddle_theta(family: TiltableFamily, x: float) -> float:

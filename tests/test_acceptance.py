@@ -42,18 +42,18 @@ def test_criterion_1_tilting_catalog():
         theta = 0.6
         # closed forms match the catalog table exactly (same expressions)
         p = 0.3
-        tb = tilt.tilt(Bernoulli(p), theta)
+        tb = Bernoulli(p).tilted(theta)
         assert tb.p == p * math.exp(theta) / (1.0 - p + p * math.exp(theta))
-        tp = tilt.tilt(Poisson(1.7), theta)
+        tp = Poisson(1.7).tilted(theta)
         assert tp.lam == 1.7 * math.exp(theta)
-        tn = tilt.tilt(Normal(0.0, 4.0), theta)
+        tn = Normal(0.0, 4.0).tilted(theta)
         assert tn.m == theta * 4.0 and tn.var == 4.0
-        te = tilt.tilt(Exponential(1.3), theta)
+        te = Exponential(1.3).tilted(theta)
         assert te.lam == 1.3 - theta
         # tilted samples center on the c.g.f. slope, 4 SE at N = 1e6
         families = [Bernoulli(0.3), Poisson(1.7), Normal(0.0, 4.0), Exponential(1.3)]
         for i, family in enumerate(families):
-            tilted = tilt.tilt(family, theta)
+            tilted = family.tilted(theta)
             rng = np.random.default_rng(np.random.SeedSequence([101, i]))
             draws = tilted.sample(rng, 1_000_000)
             h = 1e-6

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rareflow import cli, ruin
 from rareflow.cli import ExperimentConfig, parse_config, run_experiment, serialize_config
-from rareflow.errors import BoundViolated, ParseError
+from rareflow.errors import BoundViolated, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError
 
 
 def write_config(tmp_path, name, doc):
@@ -147,6 +147,28 @@ class TestBadInput:
             parse_config(json.dumps(doc), sub)
         assert "expected float, got str" in str(err.value)
 
+    @pytest.mark.parametrize("sub, doc, error", [
+        # theta_L = 1 - 1e-10 lies past the last probe, a pad inside the claim domain
+        ("ruin", {"premium": 1e10}, NoRoot),
+        # theta* sits within 1e-12 of the claim rate for this drift
+        ("ruin-invest", {"b": 1e6}, NoRoot),
+        # p(0) > q: the factor threshold z_n is negative
+        ("credit", {"p": 0.6, "q": 0.65, "rho": 0.9}, NoRoot),
+        ("cramer", {"family": "exponential", "lam": 1.0, "x": -0.5}, NotAttained),
+        ("cramer", {"x": 1.5}, NotAttained),
+        # a = a0 and b = b0: Lambda' stays below b0^2 = 0.0025 up to theta_bar
+        ("longterm", {"a": 0.1, "a0": 0.1, "b": 0.05, "b0": 0.05, "x": 0.2}, OutOfDualDomain),
+        ("longterm", {"a": 0.1, "a0": 0.1, "b": 0.05, "b0": 0.05, "x": 0.2, "simulate": True,
+                      "ladder": [5.0, 10.0, 20.0]}, OutOfDualDomain),
+        ("longterm", {"b": 0.3, "theta": 0.95}, OutOfDomain),
+    ])
+    def test_solver_failure_exit_code_without_traceback(self, tmp_path, capsys, sub, doc, error):
+        path = write_config(tmp_path, f"{sub}.json", dict(MINIMAL[sub], replications=2_000, **doc))
+        assert cli.main([sub, "--config", path]) == cli.EXIT_CODES[error]
+        err = capsys.readouterr().err
+        assert err.startswith(f"rareflow: {error.__name__}:")
+        assert "Traceback" not in err
+
     def test_integer_beyond_float_range(self):
         doc = dict(MINIMAL["ruin"], premium=10**400)
         with pytest.raises(ParseError) as err:
@@ -269,6 +291,24 @@ class TestRunExperiment:
         assert code == 5
         assert "NetProfitViolated" in capsys.readouterr().err
 
+    def test_longterm_with_two_hit_horizons_reports_them(self, tmp_path):
+        # at 2,000 paths the horizon-100 rung (P ~ 3e-5) sees no hit: the two
+        # others are printed and the slope, which needs 3 points, is na
+        out = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
+            code = cli.main(["longterm", "--config", os.path.join(CONFIG_DIR, "longterm.json"),
+                             "--n", "2000", "--out", str(out)])
+        assert code == 0
+
+        def no_constant(name):
+            raise AssertionError(f"bare {name} in JSON output")
+
+        report = json.loads(out.read_text(), parse_constant=no_constant)
+        assert report["meta"]["mc_slope"] == "na"
+        assert report["meta"]["dropped_horizons"] == [100.0]
+        horizon = report["columns"].index("horizon")
+        assert [row[horizon] for row in report["rows"]] == ["25", "50"]
+
     def test_flag_overrides_win(self, tmp_path):
         path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], seed=1, replications=5_000))
         config = parse_config((tmp_path / "ruin.json").read_text(), "ruin")
@@ -326,13 +366,8 @@ class TestRunExperiment:
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-# At 2,000 paths the 100-year horizon of longterm.json (P ~ 2.8e-5) sees no
-# hit, two horizons are left for a three-point slope fit, and the run ends
-# with InsufficientData (exit 10) instead of reporting the two estimates.
-_LONGTERM_TOO_RARE = pytest.mark.xfail(
-    strict=True, reason="rarest horizon has no hit at 2,000 paths; the slope fit needs 3 horizons")
 CONFIGS = [
-    pytest.param(os.path.join(CONFIG_DIR, name), id=name, marks=[_LONGTERM_TOO_RARE] if name == "longterm.json" else [])
+    pytest.param(os.path.join(CONFIG_DIR, name), id=name)
     for name in sorted(os.listdir(CONFIG_DIR)) if name.endswith(".json")
 ]
 

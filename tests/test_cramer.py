@@ -68,7 +68,7 @@ class TestIsTail:
         # every sample value respects exp(-n (theta x - cgf(theta)))
         problem = EmpiricalMeanProblem(Bernoulli(0.25), 12, 0.5)
         theta = cramer.default_theta(problem)
-        family = tilt.tilt(Bernoulli(0.25), theta)
+        family = Bernoulli(0.25).tilted(theta)
         rng = np.random.default_rng(0)
         sums = family.sample_sum(rng, 12, 200_000)
         log_norm = 12 * Bernoulli(0.25).cgf(theta)

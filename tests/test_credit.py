@@ -6,6 +6,7 @@ import pytest
 from rareflow import credit, mc, tilt
 from rareflow.credit import LossSchedule, PortfolioModel
 from rareflow.errors import BoundViolated, RegimeError
+from rareflow.tilt import Bernoulli
 
 from oracles import credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar
 
@@ -115,7 +116,7 @@ class TestConditionalTwist:
         model = PortfolioModel(n=10, p=0.25, rho=0.0, threshold=0.5)
         theta = credit.conditional_twist(model, 0.0, 0.5)
         assert theta == pytest.approx(math.log(3.0), abs=1e-12)
-        assert theta == pytest.approx(credit.independent_twist_reference(0.25, 0.5), abs=1e-12)
+        assert theta == pytest.approx(tilt.saddle_theta(Bernoulli(0.25), 0.5), abs=1e-12)
 
     def test_twisted_probability_hits_threshold(self):
         model = PortfolioModel(n=10, p=0.05, rho=0.6, threshold=0.7)

@@ -150,6 +150,21 @@ class TestLqDual:
         assert estimate == pytest.approx(lam, rel=0.10)
 
 
+class TestLamPrime:
+    def test_ou_matches_central_difference(self):
+        model = ou_model()
+        bar, _ = longterm.theta_bar(model)
+        h = 1e-6
+        for theta in np.linspace(0.02, bar - 0.02, 12):
+            up = longterm.lq_dual(model, float(theta) + h)[2]
+            down = longterm.lq_dual(model, float(theta) - h)[2]
+            assert longterm.lam_prime(model, float(theta)) == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
+
+    def test_black_scholes_closed_form(self):
+        for theta in (0.0, 0.3, 0.9):
+            assert longterm.lam_prime(bs_model(0.2), theta) == pytest.approx(0.02 / (1.0 - theta) ** 2, rel=1e-14, abs=0.0)
+
+
 class TestThetaBar:
     def test_black_scholes_steep_at_one(self):
         bar, steep = longterm.theta_bar(bs_model())
@@ -161,6 +176,15 @@ class TestThetaBar:
                         beta5=0.0, delta0=0.0, delta1=2.0, delta2=0.0, k=1.0)
         bar, _ = longterm.theta_bar(model)
         assert bar <= 0.25 + 1e-12
+
+    def test_not_steep_when_q_vanishes_at_the_cap(self):
+        # a = a0 and b = b0: Lambda = theta^2 b0^2 / (2 k^2), with a finite
+        # slope b0^2 / k^2 at theta_bar = 1
+        model = LqModel.from_market(MarketSpec(a0=0.1, b0=0.05, a=0.1, b=0.05, sigma=1.0), 1.0)
+        bar, steep = longterm.theta_bar(model)
+        assert bar == 1.0 and not steep
+        with pytest.raises(OutOfDualDomain):
+            longterm.dual_to_value(longterm.solve_dual(model), 0.1)
 
     def test_ou_discriminant_boundary(self):
         model = ou_model()
@@ -224,8 +248,7 @@ class TestDualToValue:
         dual = DualSolution(
             theta_bar=math.inf,
             lam=lambda t: t * t,
-            coeff_a=lambda t: 0.0,
-            coeff_b=lambda t: 0.0,
+            lam_prime=lambda t: 2.0 * t,
             steep=True,
         )
         for x in (0.5, 1.0, 3.0):
@@ -241,6 +264,22 @@ class TestDualToValue:
             value, theta_x = longterm.dual_to_value(dual, float(x))
             assert value == pytest.approx(closed_v, abs=1e-8)
 
+    def test_black_scholes_theta_to_rounding(self):
+        # Lambda'(theta) = x_bar/(1 - theta)^2, so theta(x) = 1 - sqrt(x_bar/x)
+        dual = longterm.solve_dual(bs_model(0.2))
+        x_bar = 0.5 * 0.2**2
+        for x in np.linspace(x_bar, 5.0 * x_bar, 41)[1:]:
+            _, theta_x = longterm.dual_to_value(dual, float(x))
+            assert abs(theta_x - (1.0 - math.sqrt(x_bar / x))) <= 1e-12, x
+
+    def test_ou_theta_solves_lam_prime(self):
+        model = ou_model()
+        dual = longterm.solve_dual(model)
+        for x in (0.05, 0.1, 0.3, 1.0, 3.0):
+            _, theta_x = longterm.dual_to_value(dual, x)
+            assert 0.0 < theta_x < dual.theta_bar
+            assert abs(longterm.lam_prime(model, theta_x) - x) <= 1e-12, x
+
     def test_theta_monotone_in_target(self):
         dual = longterm.solve_dual(bs_model(0.2))
         thetas = [longterm.dual_to_value(dual, float(x))[1] for x in np.linspace(0.01, 0.4, 14)]
@@ -250,8 +289,7 @@ class TestDualToValue:
         dual = DualSolution(
             theta_bar=1.0,
             lam=lambda t: 0.1 * t,
-            coeff_a=lambda t: 0.0,
-            coeff_b=lambda t: 0.0,
+            lam_prime=lambda t: 0.1,
             steep=False,
         )
         with pytest.raises(OutOfDualDomain):

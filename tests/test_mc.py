@@ -184,6 +184,18 @@ class TestLadderDriver:
         assert fit.slope == pytest.approx(-math.log(2.0), rel=1e-12)
         assert mc.zero_hit_rungs(list(means), results) == [2.0]
 
+    def test_fewer_than_three_hit_rungs_keep_their_results(self):
+        means = {1.0: 0.5, 2.0: 0.25, 3.0: 0.0}
+        results = mc.run_ladder(
+            lambda scale, seed: mc.run_replications(constant_sampler(means[scale]), 100, seed), list(means), 0
+        )
+        with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
+            fit = mc.fit_ladder(list(means), results)
+        assert all(a is b for a, b in zip(fit.results, results))
+        assert fit.dropped == (3.0,)
+        assert [s for s, _ in fit.points] == [1.0, 2.0]
+        assert math.isnan(fit.slope) and math.isnan(fit.intercept) and math.isnan(fit.r_squared)
+
     def test_full_ladder_fits_silently(self, recwarn):
         results = mc.run_ladder(
             lambda scale, seed: mc.run_replications(bernoulli_indicator(0.5**scale), 4_000, seed), [1, 2, 3], 7

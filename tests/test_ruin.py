@@ -46,6 +46,22 @@ class TestAdjustmentCoefficient:
         assert abs(sol.residual) <= 1e-10
         assert sol.kind == "lundberg"
 
+    @pytest.mark.parametrize(
+        "claim_rate, lam, premium",
+        [(1.0, 1.0, 2.0), (2.0, 1.0, 1.0), (1.5, 0.7, 1.1), (3.0, 2.5, 1.0), (0.4, 0.3, 1.0)],
+    )
+    def test_exponential_root_to_rounding(self, claim_rate, lam, premium):
+        sol = ruin.adjustment_coefficient(exponential_model(claim_rate, lam, premium))
+        assert sol.value == pytest.approx(claim_rate - lam / premium, rel=1e-14, abs=0.0)
+
+    def test_small_safety_loading(self):
+        # loading 1e-4 puts theta_L = (p - 1)/p just past the trivial root at
+        # 0; there h has slope ~1e-4, so a rounding of h moves the root by
+        # ~1e-12 relative
+        premium = 1.0001
+        sol = ruin.adjustment_coefficient(exponential_model(1.0, 1.0, premium))
+        assert sol.value == pytest.approx((premium - 1.0) / premium, rel=1e-11, abs=0.0)
+
     def test_net_profit_violated(self):
         with pytest.raises(NetProfitViolated):
             ruin.adjustment_coefficient(exponential_model(1.0, 1.0, 1.0))
@@ -134,6 +150,20 @@ class TestInvestment:
         expected = (0.5 + math.sqrt(4.25)) / 4.0
         assert sol.value == pytest.approx(expected, abs=1e-10)
         assert sol.kind == "invest"
+
+    @pytest.mark.parametrize("claim_rate, lam, premium, b, sigma", [
+        (1.0, 1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 2.0, 0.3, 0.8), (2.0, 1.5, 1.0, 1.0, 0.5), (1.5, 0.7, 1.1, 0.2, 1.3),
+    ])
+    def test_invest_exponent_is_quadratic_root(self, claim_rate, lam, premium, b, sigma):
+        # t/(nu - t) = p t/lam + c with c = b^2/(2 sigma^2 lam) is the quadratic
+        # p t^2 + (lam - p nu + c lam) t - c lam nu = 0; its positive root is
+        # taken in the form that does not cancel
+        c = b * b / (2.0 * sigma * sigma * lam)
+        lin = lam - premium * claim_rate + c * lam
+        root_disc = math.sqrt(lin * lin + 4.0 * premium * c * lam * claim_rate)
+        expected = (root_disc - lin) / (2.0 * premium) if lin < 0.0 else 2.0 * c * lam * claim_rate / (lin + root_disc)
+        model = exponential_model(claim_rate, lam, premium, invest=Investment(b, sigma))
+        assert ruin.invest_exponent(model).value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_zero_drift_collapses_to_lundberg(self):
         model = exponential_model(invest=Investment(0.0, 1.0))

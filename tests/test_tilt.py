@@ -31,28 +31,28 @@ def interior_grid(family, count=9):
 
 class TestCgfEval:
     def test_poisson_at_zero(self):
-        assert tilt.cgf_eval(Poisson(1.0), 0.0) == 0.0
+        assert Poisson(1.0).cgf(0.0) == 0.0
 
     def test_normal_paper_value(self):
         # Normal(0, 4) at theta=1: theta^2 sigma^2 / 2 = 2
-        assert tilt.cgf_eval(Normal(0.0, 4.0), 1.0) == 2.0
+        assert Normal(0.0, 4.0).cgf(1.0) == 2.0
 
     def test_exponential_against_quadrature(self):
         lam = 2.0
-        value = tilt.cgf_eval(Exponential(lam), 1.0)
+        value = Exponential(lam).cgf(1.0)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
         quad = cgf_by_quadrature(lambda x: lam * math.exp(-lam * x), 1.0, 0.0, 60.0)
         assert value == pytest.approx(quad, abs=1e-9)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            tilt.cgf_eval(Exponential(2.0), 2.0)
+            Exponential(2.0).cgf(2.0)
         with pytest.raises(DomainError):
-            tilt.cgf_eval(ClaimStep(Exponential(1.0), 2.0, 1.0), -0.5)
+            ClaimStep(Exponential(1.0), 2.0, 1.0).cgf(-0.5)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
     def test_zero_at_origin(self, family):
-        assert tilt.cgf_eval(family, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert family.cgf(0.0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
     def test_convexity_on_grid(self, family):
@@ -71,28 +71,28 @@ class TestCgfEval:
 class TestTilt:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
     def test_zero_tilt_is_identity(self, family):
-        assert tilt.tilt(family, 0.0) == family
+        assert family.tilted(0.0) == family
 
     def test_poisson_scaling(self):
         # intensity multiplied by e^theta, bit-for-bit the formula's value
         theta = math.log(3.0)
-        assert tilt.tilt(Poisson(2.0), theta) == Poisson(2.0 * math.exp(theta))
-        assert tilt.tilt(Poisson(2.0), theta).lam == pytest.approx(6.0, rel=1e-15)
+        assert Poisson(2.0).tilted(theta) == Poisson(2.0 * math.exp(theta))
+        assert Poisson(2.0).tilted(theta).lam == pytest.approx(6.0, rel=1e-15)
 
     def test_exponential_shift(self):
-        assert tilt.tilt(Exponential(3.0), 1.0) == Exponential(2.0)
+        assert Exponential(3.0).tilted(1.0) == Exponential(2.0)
 
     def test_bernoulli_closed_form(self):
         p, theta = 0.3, 0.7
         expected = p * math.exp(theta) / (1.0 - p + p * math.exp(theta))
-        assert tilt.tilt(Bernoulli(p), theta) == Bernoulli(expected)
+        assert Bernoulli(p).tilted(theta) == Bernoulli(expected)
 
     def test_normal_mean_shift(self):
-        assert tilt.tilt(Normal(0.0, 4.0), 0.5) == Normal(2.0, 4.0)
+        assert Normal(0.0, 4.0).tilted(0.5) == Normal(2.0, 4.0)
 
     def test_claimstep_tilts_both_parts(self):
         family = ClaimStep(Exponential(1.0), 2.0, 1.0)
-        tilted = tilt.tilt(family, 0.25)
+        tilted = family.tilted(0.25)
         assert tilted.claim == Exponential(0.75)
         assert tilted.lam == 1.5  # lam + premium * theta
         assert tilted.premium == 2.0
@@ -102,7 +102,7 @@ class TestTilt:
         # sample mean of 1e6 tilted draws within 4 SE of the finite-difference slope
         lo, hi = family.cgf_domain
         theta = min(0.4, 0.5 * (hi if math.isfinite(hi) else 1.0))
-        tilted = tilt.tilt(family, theta)
+        tilted = family.tilted(theta)
         rng = np.random.default_rng(np.random.SeedSequence([2024, hash(type(family).__name__) % 2**32]))
         draws = tilted.sample(rng, 1_000_000)
         target = finite_diff(family.cgf, theta)
@@ -198,7 +198,7 @@ class TestSaddleTheta:
         x = family.mean + 0.37
         theta = tilt.saddle_theta(family, x)
         assert abs(family.cgf_prime(theta) - x) <= 1e-10
-        assert tilt.tilt(family, theta).mean == pytest.approx(x, abs=1e-9)
+        assert family.tilted(theta).mean == pytest.approx(x, abs=1e-9)
 
     def test_not_attained(self):
         with pytest.raises(NotAttained):
