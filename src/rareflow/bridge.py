@@ -118,6 +118,10 @@ def kill_prob(expo):
     return np.exp(np.maximum(expo, KILL_FLOOR))
 
 
+def _float_if_scalar(value: np.ndarray):
+    return float(value) if value.ndim == 0 else value
+
+
 def crossing_prob_single(x_i, x_next, upper, sigma_i, eps):
     """Exact bridge probability of touching the level ``upper`` within a step.
 
@@ -126,18 +130,16 @@ def crossing_prob_single(x_i, x_next, upper, sigma_i, eps):
     """
     gap_i = np.maximum(upper - np.asarray(x_i, dtype=float), 0.0)
     gap_next = np.maximum(upper - np.asarray(x_next, dtype=float), 0.0)
-    prob = np.exp(kill_exponent_single(gap_i, gap_next, sigma_i, eps))
-    if prob.ndim == 0:
-        return float(prob)
-    return prob
+    return _float_if_scalar(np.exp(kill_exponent_single(gap_i, gap_next, sigma_i, eps)))
 
 
-def crossing_rate_double(x_i, x_next, lower_i, upper_i, sigma_i):
-    """Action of the cheapest barrier excursion for a bridge in (L, U).
+def _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i):
+    """Action I and slope correction w of the cheaper corridor excursion.
 
-    Zero when an endpoint already sits outside the corridor.  The two branch
-    formulas coincide algebraically on the midline x_i + x_next = L + U; ties
-    evaluate the upper branch for determinism.
+    Upper branch: ``I = (2/sigma^2)(U - x_i)(U - x_next)``, ``w = (2/sigma^2)(U - x_i) U'``;
+    the lower branch mirrors them in L.  The actions coincide on the midline
+    x_i + x_next = L + U, where ties take the upper branch for determinism.
+    Both terms are zero when an endpoint already sits outside the corridor.
     """
     if lower_i >= upper_i:
         raise InvalidBarrier(f"need L < U, got L={lower_i}, U={upper_i}")
@@ -150,54 +152,47 @@ def crossing_rate_double(x_i, x_next, lower_i, upper_i, sigma_i):
     two_over_s2 = 2.0 / sigma_i**2
     rate_up = two_over_s2 * (upper_i - x_i) * (upper_i - x_next)
     rate_down = two_over_s2 * (x_i - lower_i) * (x_next - lower_i)
+    w_up = two_over_s2 * (upper_i - x_i) * upper_slope
+    w_down = two_over_s2 * (x_i - lower_i) * lower_slope
     rate = np.where(outside, 0.0, np.where(upper_branch, rate_up, rate_down))
-    if rate.ndim == 0:
-        return float(rate)
-    return rate
+    w = np.where(outside, 0.0, np.where(upper_branch, w_up, w_down))
+    return rate, w
+
+
+def crossing_rate_double(x_i, x_next, lower_i, upper_i, sigma_i):
+    """Action I of the cheapest barrier excursion for a bridge in (L, U); see _double_terms."""
+    return _float_if_scalar(_double_terms(x_i, x_next, lower_i, upper_i, 0.0, 0.0, sigma_i)[0])
 
 
 def sharp_correction_double(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i):
-    """First-order prefactor correction for moving barriers.
+    """First-order prefactor correction w for moving barriers.
 
-    On the upper branch ``(2/sigma^2)(U - x_i) U'``; an upward-moving upper
-    barrier (U' > 0) gives w > 0, depressing the crossing probability.
-    Branch selection matches crossing_rate_double; outside the corridor the
-    correction is zero (the crossing is already certain).
+    An upward-moving upper barrier (U' > 0) gives w > 0, depressing the
+    crossing probability.
     """
-    if lower_i >= upper_i:
-        raise InvalidBarrier(f"need L < U, got L={lower_i}, U={upper_i}")
-    x_i = np.asarray(x_i, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    outside = (
-        (x_i <= lower_i) | (x_i >= upper_i) | (x_next <= lower_i) | (x_next >= upper_i)
-    )
-    upper_branch = x_i + x_next >= lower_i + upper_i
-    two_over_s2 = 2.0 / sigma_i**2
-    w_up = two_over_s2 * (upper_i - x_i) * upper_slope
-    w_down = two_over_s2 * (x_i - lower_i) * lower_slope
-    w = np.where(outside, 0.0, np.where(upper_branch, w_up, w_down))
-    if w.ndim == 0:
-        return float(w)
-    return w
+    return _float_if_scalar(
+        _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i)[1])
+
+
+def kill_exponent_double(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i, eps):
+    """Log ``min(-I/eps - w, 0)`` of the dominant-action corridor kill probability.
+
+    The counterpart of ``kill_exponent_single`` for a double or moving
+    corridor, with the barriers and slopes frozen at the step's left end.
+    """
+    rate, w = _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i)
+    return np.minimum(-rate / eps - w, 0.0)
 
 
 def crossing_prob_double(x_i, x_next, spec: BarrierSpec, t_i, sigma_i, eps):
-    """Kill probability min(1, exp(-I/eps - w)), clamped to [0, 1].
+    """Kill probability min(1, exp(-I/eps - w)).
 
     Barriers are frozen at the left endpoint t_i of the step, matching the
     per-step exit event the estimate approximates.
     """
-    lower_i = spec.lower(t_i)
-    upper_i = spec.upper(t_i)
-    rate = crossing_rate_double(x_i, x_next, lower_i, upper_i, sigma_i)
-    w = sharp_correction_double(
-        x_i, x_next, lower_i, upper_i, spec.lower_slope(t_i), spec.upper_slope(t_i), sigma_i
-    )
-    prob = np.exp(np.minimum(-np.asarray(rate) / eps - w, 0.0))
-    prob = np.clip(prob, 0.0, 1.0)
-    if prob.ndim == 0:
-        return float(prob)
-    return prob
+    expo = kill_exponent_double(x_i, x_next, spec.lower(t_i), spec.upper(t_i),
+                                spec.lower_slope(t_i), spec.upper_slope(t_i), sigma_i, eps)
+    return _float_if_scalar(np.exp(expo))
 
 
 def price_knockout(
@@ -254,11 +249,8 @@ def price_knockout(
                     expo = kill_exponent_single(gap, gap_next, sigma_i, eps)
                     gap = gap_next
                 else:
-                    rate = crossing_rate_double(x, x_next, lowers[i], uppers[i], sigma_i)
-                    w = sharp_correction_double(
-                        x, x_next, lowers[i], uppers[i], lower_slopes[i], upper_slopes[i], sigma_i
-                    )
-                    expo = np.minimum(-rate / eps - w, 0.0)
+                    expo = kill_exponent_double(x, x_next, lowers[i], uppers[i],
+                                                lower_slopes[i], upper_slopes[i], sigma_i, eps)
                 alive &= uniforms >= kill_prob(expo)
             x = x_next
         return discount * payoff(x) * alive

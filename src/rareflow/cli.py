@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,7 +180,8 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
 # the field each ladder rung stands in for; longterm rungs are horizons
 _LADDER_FIELDS = {"cramer": "n", "ruin": "x", "ruin-invest": "x", "barrier": "steps",
                   "credit": "n", "longterm": "horizon"}
-_HORIZON_SPEC = FieldSpec(float, check=_positive("horizon"))
+_RUNG_SPECS = {sub: SCHEMAS[sub].get(name, FieldSpec(float, check=_positive("horizon")))
+               for sub, name in _LADDER_FIELDS.items()}
 
 
 @dataclass
@@ -285,7 +287,7 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
     elif ladder:
         for i, value in enumerate(ladder):
             found: list[str] = []
-            _field_value({field_name: value}, field_name, schema.get(field_name, _HORIZON_SPEC), found)
+            _field_value({field_name: value}, field_name, _RUNG_SPECS[sub], found)
             errors.extend(f"ladder[{i}]: {problem}" for problem in found)
     if errors:
         raise ParseError("config validation failed:\n  - " + "\n  - ".join(errors))
@@ -359,6 +361,14 @@ def _estimator_row(res: mc.EstimatorResult) -> list:
 _EST_COLS = ["n_rep", "mean", "std_error", "rel_error", "log_mean"]
 
 
+def _rungs(config: ExperimentConfig, fallback=None) -> list:
+    """The ladder cast to its field's type; else that field's value, or ``fallback`` if unset."""
+    if config.ladder:
+        return [_RUNG_SPECS[config.subcommand].type(v) for v in config.ladder]
+    value = config.params.get(_LADDER_FIELDS[config.subcommand])
+    return [fallback if value is None else value]
+
+
 def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     fam_name = p["family"]
@@ -378,7 +388,7 @@ def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
         theta = p["theta"] if p["theta"] is not None else cramer.default_theta(problem)
         return theta, cramer.is_tail(problem, theta, config.replications, seed, threads=threads)
 
-    sizes = [int(n) for n in config.ladder] if config.ladder else [p["n"]]
+    sizes = _rungs(config)
     runs = mc.run_ladder(estimate, sizes, config.seed)
     rows = []
     for n, (theta, res) in zip(sizes, runs):
@@ -403,7 +413,7 @@ def _run_ruin(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     model = ruin.RuinModel(p["premium"], p["lam"], tilt.Exponential(p["claim_rate"]))
     sol = ruin.adjustment_coefficient(model)
-    reserves = [float(x) for x in config.ladder] if config.ladder else [p["x"]]
+    reserves = _rungs(config)
     results = mc.run_ladder(lambda x, seed: ruin.simulate_ruin_is(model, x, config.replications, seed, threads=threads),
                             reserves, config.seed)
     rows = []
@@ -430,7 +440,7 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
     meta = {"theta_star": sol.value, "alpha_star": alpha}
     if p["simulate"]:
         horizon = p["horizon"] if p["horizon"] is not None else 200.0 / p["lam"]
-        reserves = [float(x) for x in config.ladder] if config.ladder else [p["x"] if p["x"] is not None else 4.0]
+        reserves = _rungs(config, 4.0)
         results = mc.run_ladder(lambda x, seed: ruin.simulate_wealth_ruin(
             model, x, alpha, horizon, config.replications, seed, threads=threads), reserves, config.seed)
         rows = [[x, theta_l, sol.value, alpha] + _estimator_row(res) for x, res in zip(reserves, results)]
@@ -457,7 +467,7 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
         barrier_level = p["barrier"]
         payoff = (lambda x: np.maximum(x - p["strike"], 0.0)) if p["payoff"] == "call" else (lambda x: np.ones_like(x))
     spec = bridge.BarrierSpec.single_up(barrier_level)
-    steps_ladder = [int(v) for v in config.ladder] if config.ladder else [p["steps"]]
+    steps_ladder = _rungs(config)
     methods = ("naive", "corrected") if p["method"] == "both" else (p["method"],)
     oracle_value = None
     if config.oracle:
@@ -518,7 +528,7 @@ def _run_credit(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     threshold = p["q"] if p["q"] is not None else credit.LossSchedule(p["schedule_a"], p["schedule_c"])
     model = credit.PortfolioModel(n=p["n"], p=p["p"], rho=p["rho"], threshold=threshold)
-    sizes = [int(v) for v in config.ladder] if config.ladder else [p["n"]]
+    sizes = _rungs(config)
     results = mc.run_ladder(lambda n, seed: credit.two_step_is(
         model, n, config.replications, seed, shift=p["shift"], threads=threads), sizes, config.seed)
     rows = []
@@ -548,7 +558,7 @@ def _run_longterm(config: ExperimentConfig, threads: int) -> Report:
     cols = ["x", "value", "theta_x", "alpha_star", "horizon"] + _EST_COLS
     rows = []
     if p["simulate"] and config.ladder:
-        horizons = [float(t) for t in config.ladder]
+        horizons = _rungs(config)
         fit = longterm.mc_outperformance(
             model, x_norm, horizons, config.replications, config.seed,
             policy_index=p["policy_index"], euler_step=p["euler_step"], threads=threads,
@@ -576,9 +586,15 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
-    """Dispatch a validated config and collect rows plus run metadata."""
+    """Dispatch a validated config and collect rows plus run metadata.
+
+    Every warning the run raises is listed, in order, under the ``warnings``
+    meta key, then raised again so the caller's warning filters apply.
+    """
     started = time.monotonic()
-    report = _RUNNERS[config.subcommand](config, threads)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = _RUNNERS[config.subcommand](config, threads)
     elapsed = time.monotonic() - started
     digest = hashlib.sha256(
         json.dumps(config.canonical(), sort_keys=True).encode()
@@ -591,7 +607,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
         "config_hash": digest,
         "wall_time_s": round(elapsed, 3),
         **report.meta,
+        "warnings": [str(w.message) for w in caught],
     }
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return report
 
 
@@ -642,16 +661,13 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(text, args.subcommand)
-        if args.seed is not None:
-            problem = _COMMON["seed"].check(args.seed, None)
-            if problem:
-                raise ParseError(f"--seed: {problem}")
-            config.seed = args.seed
-        if args.n is not None:
-            problem = _COMMON["replications"].check(args.n, None)
-            if problem:
-                raise ParseError(f"--n: {problem}")
-            config.replications = args.n
+        for flag, name in (("seed", "seed"), ("n", "replications")):
+            value = getattr(args, flag)
+            if value is not None:
+                problem = _COMMON[name].check(value, None)
+                if problem:
+                    raise ParseError(f"--{flag}: {problem}")
+                setattr(config, name, value)
         if args.oracle:
             config.oracle = True
         if args.out is not None:
@@ -679,3 +695,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mc, tilt
+from . import cramer, mc, tilt
 from .errors import BoundViolated, NoRoot, RegimeError
 from .gaussian import norm_cdf, norm_pdf, norm_ppf
 from .mc import DecayFit, EstimatorResult
@@ -81,7 +81,7 @@ def independent_decay(p: float, q: float) -> float:
         raise ValueError("p must lie in (0,1)")
     if q <= p or q >= 1.0:
         raise RegimeError(f"need p < q < 1, got p={p}, q={q}")
-    return q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
+    return float(tilt.bernoulli_entropy(p, q))
 
 
 def dependent_decay(a: float, rho: float) -> float:
@@ -112,13 +112,7 @@ def conditional_twist(model: PortfolioModel, z: float, q: float) -> float:
     pz = conditional_default_prob(model, z)
     if q <= pz:
         return 0.0
-    return math.log(q * (1.0 - pz) / ((1.0 - q) * pz))
-
-
-def _log_rate(q: float, pz) -> np.ndarray:
-    """Per-obligor rate q ln(q/p(z)) + (1-q) ln((1-q)/(1-p(z))), vectorized."""
-    pz = np.asarray(pz, dtype=float)
-    return q * np.log(q / pz) + (1.0 - q) * np.log((1.0 - q) / (1.0 - pz))
+    return float(tilt.bernoulli_twist(pz, q))
 
 
 def outer_exponent(model: PortfolioModel, n: int, z) -> np.ndarray:
@@ -129,7 +123,7 @@ def outer_exponent(model: PortfolioModel, n: int, z) -> np.ndarray:
     """
     q = model.q_at(n)
     pz = conditional_default_prob(model, np.asarray(z, dtype=float))
-    out = np.where(pz < q, -float(n) * _log_rate(q, np.minimum(pz, q - 1e-16)), 0.0)
+    out = np.where(pz < q, -float(n) * tilt.bernoulli_entropy(np.minimum(pz, q - 1e-16), q), 0.0)
     return float(out) if np.ndim(z) == 0 else out
 
 
@@ -195,11 +189,12 @@ def two_step_is(
     shift="mu_n",
     threads: int = 1,
 ) -> EstimatorResult:
-    """Two-step importance-sampling estimate of P[L_n >= n q_n].
+    """Two-step importance-sampling estimate of P[L_n >= k_n].
 
+    The threshold k_n = ceil(n q_n - 1e-9) is ``cramer.lattice_threshold``.
     Per replication: draw the factor Z ~ N(mu, 1); twist the conditional
-    default probability to the threshold; draw the loss Binomial under the
-    twist; weight by both likelihood ratios.  Unbiased for any mu, including
+    default probability to q_n; draw the loss Binomial under the twist;
+    weight by both likelihood ratios.  Unbiased for any mu, including
     mu = 0 (conditional twist only) and the rho = 0 independent case.
     """
     q = model.q_at(n)
@@ -209,7 +204,7 @@ def two_step_is(
         mu = 0.0  # the factor is irrelevant; a mean shift would only add noise
     else:
         mu = _resolve_shift(model, n, shift)
-    loss_threshold = float(n) * q
+    loss_threshold = cramer.lattice_threshold(n, q)
     log_one_minus_q = math.log1p(-q)
 
     def sampler(ss, size):
@@ -220,17 +215,13 @@ def two_step_is(
         with np.errstate(divide="ignore", invalid="ignore"):
             # twisted default probability is exactly q on rare lanes; the
             # normalizer collapses to 1 - p(z) + p(z) e^theta = (1-p(z))/(1-q)
-            theta = np.where(
-                rare,
-                math.log(q) + np.log1p(-pz) - log_one_minus_q - np.log(pz),
-                0.0,
-            )
+            theta = np.where(rare, tilt.bernoulli_twist(pz, q), 0.0)
             log_mgf = np.where(rare, float(n) * (np.log1p(-pz) - log_one_minus_q), 0.0)
             p_twist = np.where(rare, q, pz)
             losses = rng.binomial(n, p_twist, size)
             log_conditional = -theta * losses + log_mgf
             hit = losses >= loss_threshold
-            # conditional Chebyshev bound: weight <= exp(-n (theta q - cgf))
+            # conditional Chebyshev bound: weight <= exp(-(theta k_n - n cgf))
             log_bound = -(theta * loss_threshold - log_mgf)
             _check_conditional_bound(hit, log_conditional, log_bound)
             log_factor = -mu * z + 0.5 * mu * mu
@@ -249,9 +240,8 @@ def _check_conditional_bound(hit: np.ndarray, log_weight: np.ndarray, log_bound:
 def plain_loss_tail(
     model: PortfolioModel, n: int, N: int, seed: int, threads: int = 1
 ) -> EstimatorResult:
-    """Naive Monte Carlo frequency of {L_n >= n q_n} (no change of measure)."""
-    q = model.q_at(n)
-    loss_threshold = float(n) * q
+    """Naive Monte Carlo frequency of {L_n >= k_n} (no change of measure)."""
+    loss_threshold = cramer.lattice_threshold(n, model.q_at(n))
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
@@ -271,7 +261,7 @@ def measure_loss_decay(
     shift="mu_n",
     threads: int = 1,
 ) -> DecayFit:
-    """Fit ln P[L_n >= n q_n] against ln n over a portfolio-size ladder.
+    """Fit ln P[L_n >= k_n] against ln n over a portfolio-size ladder.
 
     The slope estimates -dependent_decay(a, rho); convergence in ln n is
     slow, so tolerances downstream are generous.

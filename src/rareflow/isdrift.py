@@ -305,8 +305,8 @@ def fw_distance_bs(s: float, barrier: float, sigma: float) -> float:
     return abs(math.log(s / barrier)) / sigma
 
 
-def fw_drift_bs(t: float, s: float, barrier: float, sigma: float, maturity: float) -> float:
-    """Girsanov drift weight ln(s/K) / (sigma (T - t)).
+def fw_drift_bs(t: float, log_s, log_barrier: float, sigma: float, maturity: float):
+    """Girsanov drift weight (ln s - ln K) / (sigma (T - t)), vectorised in ln s.
 
     Negative below the barrier; the measure change subtracts sigma*phi from
     the log-price drift, so the sign pushes simulated paths toward K.  Blows
@@ -314,7 +314,7 @@ def fw_drift_bs(t: float, s: float, barrier: float, sigma: float, maturity: floa
     """
     if t >= maturity:
         raise AtMaturity(f"t={t} >= maturity {maturity}")
-    return math.log(s / barrier) / (sigma * (maturity - t))
+    return (log_s - log_barrier) / (sigma * (maturity - t))
 
 
 def price_up_in_bond(
@@ -357,11 +357,8 @@ def price_up_in_bond(
         for i in range(steps):
             t = i * dt
             if use_fw_drift:
-                phi = np.where(
-                    hit | (log_s >= log_barrier),
-                    0.0,
-                    (log_s - log_barrier) / (sigma * (maturity - t)),
-                )
+                phi = np.where(hit | (log_s >= log_barrier), 0.0,
+                               fw_drift_bs(t, log_s, log_barrier, sigma, maturity))
             else:
                 phi = np.zeros(size)
             gauss = rng.standard_normal(size)

@@ -148,6 +148,15 @@ def bs_outperformance(a: float, a0: float, sigma: float, x: float) -> tuple[floa
     return value, theta_x, math.sqrt(2.0 * x)
 
 
+def _position_coeffs(model: LqModel, theta: float) -> tuple[float, float]:
+    """P = beta2 + theta delta0 delta1 and Q = beta4 + theta delta1 delta2.
+
+    The optimal position is (P y + Q) / (1 - theta delta1^2).
+    """
+    return (model.beta2 + theta * model.delta0 * model.delta1,
+            model.beta4 + theta * model.delta1 * model.delta2)
+
+
 def _quadratic_pieces(model: LqModel, theta: float):
     """Coefficient-matching terms shared by lq_dual, lam_prime and theta_bar.
 
@@ -157,12 +166,10 @@ def _quadratic_pieces(model: LqModel, theta: float):
              + theta^2 delta0^2/2 + T P^2 / 2
       y^1:  B (A - k) + theta beta3 + theta^2 delta0 delta2 + T P Q = 0
       y^0:  Lambda = A/2 + B^2/2 + theta^2 delta2^2/2 + T Q^2 / 2
-    with T = theta/(1 - theta delta1^2), P = beta2 + theta delta0 delta1,
-    Q = beta4 + theta delta1 delta2.
+    with T = theta/(1 - theta delta1^2) and P, Q from _position_coeffs.
     """
     t_factor = theta / (1.0 - theta * model.delta1**2)
-    p_lin = model.beta2 + theta * model.delta0 * model.delta1
-    q_lin = model.beta4 + theta * model.delta1 * model.delta2
+    p_lin, q_lin = _position_coeffs(model, theta)
     c2 = theta * model.beta0 + 0.5 * theta**2 * model.delta0**2 + 0.5 * t_factor * p_lin**2
     return t_factor, p_lin, q_lin, c2
 
@@ -259,15 +266,15 @@ def theta_bar(model: LqModel) -> tuple[float, bool]:
         return bar, True
     if math.isinf(cap):
         return math.inf, True
-    return cap, model.beta4 + cap * model.delta1 * model.delta2 != 0.0
+    return cap, _position_coeffs(model, cap)[1] != 0.0
 
 
 def feedback_policy(model: LqModel, theta: float, y: float) -> float:
-    """Optimal position ((beta2 + theta d0 d1) y + beta4 + theta d1 d2)/(1 - theta d1^2)."""
+    """Optimal position (P y + Q) / (1 - theta delta1^2), P and Q from _position_coeffs."""
     if model.delta1 != 0.0 and theta >= 1.0 / model.delta1**2:
         raise OutOfDomain(f"theta={theta} outside [0, 1/delta1^2)")
-    return ((model.beta2 + theta * model.delta0 * model.delta1) * y
-            + model.beta4 + theta * model.delta1 * model.delta2) / (1.0 - theta * model.delta1**2)
+    p_lin, q_lin = _position_coeffs(model, theta)
+    return (p_lin * y + q_lin) / (1.0 - theta * model.delta1**2)
 
 
 def hamiltonian_term(model: LqModel, theta: float, y: float, a: float) -> float:

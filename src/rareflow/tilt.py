@@ -125,9 +125,7 @@ class Bernoulli(TiltableFamily):
         return m * (1.0 - m)
 
     def tilted(self, theta):
-        self._check_theta(theta)
-        e = self.p * math.exp(theta)
-        return Bernoulli(e / (1.0 - self.p + e))
+        return Bernoulli(self.cgf_prime(theta))
 
     @property
     def mean(self):
@@ -151,9 +149,24 @@ class Bernoulli(TiltableFamily):
             return LegendreResult(x, math.nan, -math.log1p(-p), attained=False)
         if x == 1.0:
             return LegendreResult(x, math.nan, -math.log(p), attained=False)
-        theta = math.log(x * (1.0 - p) / (p * (1.0 - x)))
-        rate = x * math.log(x / p) + (1.0 - x) * math.log((1.0 - x) / (1.0 - p))
-        return LegendreResult(x, theta, max(rate, 0.0), attained=True)
+        rate = float(bernoulli_entropy(p, x))
+        return LegendreResult(x, float(bernoulli_twist(p, x)), max(rate, 0.0), attained=True)
+
+
+def bernoulli_twist(p, x):
+    """Saddle point ln(x (1-p) / (p (1-x))) of Bernoulli(p) at mean x, vectorised.
+
+    Summed as logs, it stays finite where the quotient overflows (p (1-x) subnormal).
+    """
+    return np.log(x) + np.log1p(-p) - np.log1p(-x) - np.log(p)
+
+
+def bernoulli_entropy(p, x):
+    """Relative entropy x ln(x/p) + (1-x) ln((1-x)/(1-p)), the Bernoulli(p) rate at x.
+
+    Vectorised; the log1p difference keeps the second term accurate for tiny p and x.
+    """
+    return x * np.log(x / p) + (1.0 - x) * (np.log1p(-x) - np.log1p(-p))
 
 
 @dataclass(frozen=True)
@@ -180,8 +193,7 @@ class Poisson(TiltableFamily):
         return self.cgf_prime(theta)
 
     def tilted(self, theta):
-        self._check_theta(theta)
-        return Poisson(self.lam * math.exp(theta))
+        return Poisson(self.cgf_prime(theta))
 
     @property
     def mean(self):
@@ -232,8 +244,7 @@ class Normal(TiltableFamily):
         return self.var
 
     def tilted(self, theta):
-        self._check_theta(theta)
-        return Normal(self.m + theta * self.var, self.var)
+        return Normal(self.cgf_prime(theta), self.var)
 
     @property
     def mean(self):
@@ -414,23 +425,6 @@ def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = Tru
     return None
 
 
-def _bracketed_saddle(family: TiltableFamily, x: float) -> float | None:
-    """Solve cgf'(theta) = x; None when the mean range never reaches x.
-
-    cgf' is nondecreasing by convexity, so the root lies on the side of 0
-    where cgf'(0) - x changes sign, and the probe runs toward that end of
-    the domain, stopping just inside open boundaries where cgf' blows up.
-    Raises NotAttained when rounding leaves a residual above 1e-10 (cgf'
-    too steep near the edge).
-    """
-    lo, hi = family.cgf_domain
-    theta = _bracketed_root(lambda t: family.cgf_prime(t) - x, 0.0, lo, hi,
-                            toward_hi=family.cgf_prime(0.0) < x)
-    if theta is not None and abs(family.cgf_prime(theta) - x) > 1e-10:
-        raise NotAttained(f"saddle point for x={x} has residual {family.cgf_prime(theta) - x:.3e}")
-    return theta
-
-
 def saddle_theta(family: TiltableFamily, x: float) -> float:
     """Solve the saddle-point equation cgf'(theta) = x.
 
@@ -438,35 +432,34 @@ def saddle_theta(family: TiltableFamily, x: float) -> float:
     tilted family at theta has mean x.  Raises NotAttained when x is at or
     beyond the boundary of attainable means.
     """
-    closed = family._legendre_closed(x)
-    if closed is not None:
-        if not closed.attained:
-            raise NotAttained(f"x={x} not an interior mean for {family!r}")
-        return closed.theta_star
-    theta = _bracketed_saddle(family, x)
-    if theta is None:
+    result = legendre(family, x)
+    if not result.attained:
         raise NotAttained(f"x={x} not an interior mean for {family!r}")
-    return theta
+    return result.theta_star
 
 
 def legendre(family: TiltableFamily, x: float) -> LegendreResult:
     """Fenchel-Legendre transform sup_theta [theta*x - cgf(theta)].
 
-    Closed forms are used for the four catalog families; the compound step
-    family is handled by the numeric saddle solver.  Outside the support hull
-    the rate is infinite, flagged via ``finite=False``.
+    Closed forms are used for the four catalog families.  For the compound
+    step family the saddle cgf'(theta) = x is bracketed on the side of 0
+    where cgf'(0) - x changes sign (cgf' is nondecreasing by convexity),
+    stopping just inside open boundaries where cgf' blows up; NotAttained is
+    raised when rounding leaves a residual above 1e-10.  Outside the support
+    hull the rate is infinite, flagged via ``finite=False``.
     """
     closed = family._legendre_closed(x)
     if closed is not None:
         return closed
-    theta = _bracketed_saddle(family, x)
+    lo, hi = family.cgf_domain
+    toward_hi = family.cgf_prime(0.0) < x
+    theta = _bracketed_root(lambda t: family.cgf_prime(t) - x, 0.0, lo, hi, toward_hi)
     if theta is not None:
-        rate = theta * x - family.cgf(theta)
-        return LegendreResult(x, theta, max(rate, 0.0), attained=True)
+        if abs(family.cgf_prime(theta) - x) > 1e-10:
+            raise NotAttained(f"saddle point for x={x} has residual {family.cgf_prime(theta) - x:.3e}")
+        return LegendreResult(x, theta, max(theta * x - family.cgf(theta), 0.0), attained=True)
     # supremum at a domain boundary: classify finite limit vs divergence by
     # tracking the objective along the geometric expansion
-    lo, hi = family.cgf_domain
-    toward_hi = x > family.mean
     best = 0.0
     for theta in expansion_grid(lo, hi, toward_hi):
         val = theta * x - family.cgf(theta)

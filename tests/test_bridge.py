@@ -262,6 +262,45 @@ class TestPriceKnockout:
         numeric = fortet_survival(lambda t: a + b * t, 1.0, 4000)
         assert numeric == pytest.approx(exact, abs=1e-7)
 
+    def test_sloped_barrier_knockout_matches_corridor_loop(self):
+        # the corridor loop as written before kill_exponent_double, with the
+        # action and slope term spelled out: same draws, same kills, same bits
+        a, slope = 0.8, 0.5
+        spec = BarrierSpec(upper=lambda t: a + slope * t, upper_slope=lambda t: slope)
+        model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.ones_like(x),
+                           maturity=1.0, steps=8, x0=0.0, rate=0.0)
+        payoff = lambda x: np.ones_like(x)
+        eps, sqrt_eps = model.eps, math.sqrt(model.eps)
+        times = [i * eps for i in range(model.steps + 1)]
+
+        def corridor_sampler(ss, size):
+            path_ss, kill_ss = ss.spawn(2)
+            rng = np.random.default_rng(path_ss)
+            kill_rng = np.random.default_rng(kill_ss)
+            x = np.full(size, model.x0)
+            alive = np.full(size, spec.lower(0.0) < model.x0 < spec.upper(0.0))
+            for t in times[:-1]:
+                gauss = rng.standard_normal(size)
+                sigma_i = model.vol(x)
+                x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
+                uniforms = kill_rng.random(size)
+                lower, upper = spec.lower(t), spec.upper(t)
+                outside = (x <= lower) | (x >= upper) | (x_next <= lower) | (x_next >= upper)
+                upper_branch = x + x_next >= lower + upper
+                two_over_s2 = 2.0 / sigma_i**2
+                rate = np.where(outside, 0.0, np.where(
+                    upper_branch, two_over_s2 * (upper - x) * (upper - x_next),
+                    two_over_s2 * (x - lower) * (x_next - lower)))
+                w = np.where(outside, 0.0, np.where(
+                    upper_branch, two_over_s2 * (upper - x) * spec.upper_slope(t),
+                    two_over_s2 * (x - lower) * spec.lower_slope(t)))
+                alive &= uniforms >= np.exp(np.minimum(-rate / eps - w, 0.0))
+                x = x_next
+            return payoff(x) * alive
+
+        expected = mc.run_replications(corridor_sampler, 20_000, seed=6)
+        assert bridge.price_knockout(model, payoff, spec, 20_000, seed=6) == expected
+
     def test_sloped_barrier_corrected_unbiased(self):
         # linear barrier + constant vol: exp(-I/eps - w) is the exact bridge
         # crossing probability, so corrected is unbiased even at 8 steps

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -387,3 +389,30 @@ def test_committed_config_runs(tmp_path, config_path):
     for row in rows:
         assert len(row.split(",")) == len(header.split(","))
     assert sections[0] == sections[1]
+
+
+def test_warnings_recorded_in_metadata(tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
+        assert cli.main(["longterm", "--config", os.path.join(CONFIG_DIR, "longterm.json"),
+                         "--n", "2000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["warnings"] == ["dropped 1 zero-hit rungs from the decay fit"]
+    doc = dict(MINIMAL["longterm"], x=0.18, simulate=True, ladder=[5.0, 10.0, 20.0],
+               euler_step=0.5, policy_index=50, replications=2_000, seed=5)
+    out = tmp_path / "all_hit.json"
+    assert cli.main(["longterm", "--config", write_config(tmp_path, "lt.json", doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["warnings"] == []
+
+
+def test_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "rareflow.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("ruin", "--config", os.path.join(CONFIG_DIR, "ruin.json"), "--n", "2000")
+    assert done.returncode == 0
+    assert data_section(done.stdout)[0] == "x,theta_l,lundberg_bound,n_rep,mean,std_error,rel_error,log_mean,oracle"
+    assert run("--bogus").returncode == 2

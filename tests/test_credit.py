@@ -6,6 +6,7 @@ import pytest
 from rareflow import credit, mc, tilt
 from rareflow.credit import LossSchedule, PortfolioModel
 from rareflow.errors import BoundViolated, RegimeError
+from rareflow.oracles import credit_tail_quadrature
 from rareflow.tilt import Bernoulli
 
 from oracles import credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar
@@ -222,6 +223,15 @@ class TestTwoStepIs:
         assert exact == pytest.approx(credit_tail_windowed_quad(20, 0.1, 0.4, 0.5), rel=1e-8)
         est = credit.two_step_is(model, 20, 100_000, seed=4, shift="mu_n")
         assert abs(est.mean - exact) < 4.0 * est.std_error
+
+    def test_lattice_threshold_when_n_q_is_a_hair_above_an_integer(self):
+        # 25 * 0.28 = 7.000000000000001: the event is {L >= 7}, the lattice
+        # rule of cramer.lattice_threshold, not {L >= 8}
+        model = PortfolioModel(n=25, p=0.1, rho=0.4, threshold=0.28)
+        exact = credit_tail_quadrature(25, 0.1, 0.4, 0.28)
+        for est in (credit.two_step_is(model, 25, 20_000, seed=8),
+                    credit.plain_loss_tail(model, 25, 20_000, seed=8)):
+            assert abs(est.mean - exact) < 4.0 * est.std_error
 
     def test_variance_beats_plain_mc(self):
         model = PortfolioModel(n=20, p=0.1, rho=0.4, threshold=0.5)

@@ -194,21 +194,21 @@ class TestFwClosedForms:
         assert a == b
 
     def test_drift_at_barrier(self):
-        assert isdrift.fw_drift_bs(0.0, 100.0, 100.0, 0.2, 1.0) == 0.0
+        assert isdrift.fw_drift_bs(0.0, math.log(100.0), math.log(100.0), 0.2, 1.0) == 0.0
 
     def test_drift_value(self):
-        value = isdrift.fw_drift_bs(0.0, 80.0, 100.0, 0.2, 1.0)
+        value = isdrift.fw_drift_bs(0.0, math.log(80.0), math.log(100.0), 0.2, 1.0)
         assert value == pytest.approx(math.log(0.8) / 0.2, abs=1e-9)
         assert value == pytest.approx(-1.11572, abs=1e-5)
 
     def test_drift_time_scaling(self):
-        half = isdrift.fw_drift_bs(0.5, 80.0, 100.0, 0.2, 1.0)
-        full = isdrift.fw_drift_bs(0.0, 80.0, 100.0, 0.2, 1.0)
+        half = isdrift.fw_drift_bs(0.5, math.log(80.0), math.log(100.0), 0.2, 1.0)
+        full = isdrift.fw_drift_bs(0.0, math.log(80.0), math.log(100.0), 0.2, 1.0)
         assert half == pytest.approx(2.0 * full, rel=1e-12)
 
     def test_at_maturity(self):
         with pytest.raises(AtMaturity):
-            isdrift.fw_drift_bs(1.0, 80.0, 100.0, 0.2, 1.0)
+            isdrift.fw_drift_bs(1.0, math.log(80.0), math.log(100.0), 0.2, 1.0)
 
 
 class TestUpInBond:

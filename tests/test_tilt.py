@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -207,6 +208,56 @@ class TestSaddleTheta:
             tilt.saddle_theta(Bernoulli(0.25), 1.5)
         with pytest.raises(NotAttained):
             tilt.saddle_theta(Exponential(1.0), -0.5)
+
+
+class TestBernoulliHelpers:
+    """The vectorised twist and relative entropy against 50-digit mpmath."""
+
+    EPS = 2.0**-52
+
+    @staticmethod
+    def grid():
+        ps, qs = [], []
+        for p in (1e-300, 1e-200, 1e-100, 1e-30, 1e-8, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12):
+            candidates = [p + frac * (1.0 - p) for frac in (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6)]
+            candidates += [2.0 * p, p * (1.0 + 1e-6), 1.0 - 2.0**-53]
+            for q in candidates:
+                if p < q < 1.0:
+                    ps.append(p)
+                    qs.append(q)
+        return np.array(ps), np.array(qs)
+
+    @staticmethod
+    def exact_terms(p, q):
+        with mpmath.workdps(50):
+            p, q = mpmath.mpf(p), mpmath.mpf(q)
+            twist = [mpmath.log(q), -mpmath.log1p(-q), mpmath.log1p(-p), -mpmath.log(p)]
+            entropy = [q * mpmath.log(q / p), (1 - q) * (mpmath.log1p(-q) - mpmath.log1p(-p))]
+            # what rounding each input term contributes to the float result
+            scale = [q * (1 + abs(mpmath.log(q / p))),
+                     (1 - q) * (abs(mpmath.log1p(-q)) + abs(mpmath.log1p(-p)))]
+            return (float(mpmath.fsum(twist)), float(sum(abs(t) for t in twist)),
+                    float(mpmath.fsum(entropy)), float(mpmath.fsum(scale)))
+
+    def test_twist_against_mpmath(self):
+        ps, qs = self.grid()
+        got = tilt.bernoulli_twist(ps, qs)
+        for p, q, value in zip(ps, qs, got):
+            exact, scale, _, _ = self.exact_terms(p, q)
+            assert math.isfinite(value) and value > 0.0
+            assert abs(value - exact) <= 8.0 * self.EPS * scale, (p, q)
+
+    def test_entropy_against_mpmath(self):
+        ps, qs = self.grid()
+        got = tilt.bernoulli_entropy(ps, qs)
+        for p, q, value in zip(ps, qs, got):
+            _, _, exact, scale = self.exact_terms(p, q)
+            assert abs(value - exact) <= 8.0 * self.EPS * scale, (p, q)
+
+    def test_log_form_stays_finite_where_the_quotient_overflows(self):
+        p, q = 1e-300, 1.0 - 2.0**-53
+        assert q * (1.0 - p) / (p * (1.0 - q)) == math.inf
+        assert tilt.bernoulli_twist(p, q) == pytest.approx(self.exact_terms(p, q)[0], rel=1e-15)
 
 
 class TestClaimStep:
