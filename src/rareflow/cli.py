@@ -280,8 +280,8 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
             errors.append(f"missing required key {name!r} for subcommand {sub!r}")
         params[name] = _field_value(raw, name, spec, errors)
 
-    _validate_cross_fields(sub, params, errors)
     ladder, field_name = common_values["ladder"], _LADDER_FIELDS.get(sub)
+    _validate_cross_fields(sub, params, ladder, errors)
     if ladder is not None and field_name is None:
         errors.append(f"ladder: subcommand {sub!r} takes no ladder")
     elif ladder:
@@ -302,7 +302,13 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
     )
 
 
-def _validate_cross_fields(sub: str, params: dict, errors: list) -> None:
+def _validate_cross_fields(sub: str, params: dict, ladder: list | None, errors: list) -> None:
+    if sub in ("longterm", "ruin-invest"):
+        # a mistyped simulate or ladder reads as None here, next to its listed type error
+        if ladder is not None and params.get("simulate") is False:
+            errors.append(f"ladder: subcommand {sub!r} uses a ladder only with \"simulate\": true")
+        if sub == "longterm" and params.get("simulate") is True and not ladder:
+            errors.append("ladder: longterm with \"simulate\": true needs a ladder of horizons")
     if sub == "cramer":
         fam = params.get("family")
         if fam == "bernoulli" and (params.get("p") is None or not 0.0 < params["p"] < 1.0):

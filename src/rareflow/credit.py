@@ -70,9 +70,13 @@ def conditional_default_prob(model: PortfolioModel, z) -> float | np.ndarray:
 
     Strictly increasing in z for rho > 0; constant p when rho = 0.
     """
-    root = math.sqrt(1.0 - model.rho**2)
-    out = norm_cdf((model.rho * np.asarray(z, dtype=float) + norm_ppf(model.p)) / root)
+    out = norm_cdf(_probit_arg(model, np.asarray(z, dtype=float)))
     return float(out) if np.ndim(z) == 0 else out
+
+
+def _probit_arg(model: PortfolioModel, z: np.ndarray) -> np.ndarray:
+    """(rho z + Phi^-1(p)) / sqrt(1 - rho^2), the standard-normal quantile of p(z)."""
+    return (model.rho * z + norm_ppf(model.p)) / math.sqrt(1.0 - model.rho**2)
 
 
 def independent_decay(p: float, q: float) -> float:
@@ -135,15 +139,14 @@ def outer_exponent_prime(model: PortfolioModel, n: int, z) -> np.ndarray:
     """
     q = model.q_at(n)
     z = np.asarray(z, dtype=float)
-    root = math.sqrt(1.0 - model.rho**2)
-    arg = (model.rho * z + norm_ppf(model.p)) / root
+    arg = _probit_arg(model, z)
     pz = norm_cdf(arg)
     grad = (
         float(n)
         * (q / pz - (1.0 - q) / (1.0 - pz))
         * norm_pdf(arg)
         * model.rho
-        / root
+        / math.sqrt(1.0 - model.rho**2)
     )
     out = np.where(pz < q, grad, 0.0)
     return float(out) if z.ndim == 0 else out

@@ -1,13 +1,16 @@
 """Long-term outperformance probability via its risk-sensitive dual.
 
-The growth rate of log-wealth in the one-factor linear-quadratic market
-follows dX = (b0 y^2 + b1 a^2 + b2 y a + b3 y + b4 a + b5) dt
-+ (d0 y + d1 a + d2) dW with an Ornstein-Uhlenbeck factor dY = -k Y dt + dB.
-The dual cumulant Lambda(theta) solves an ergodic risk-sensitive control
-problem whose quadratic ansatz phi(y) = A y^2 / 2 + B y reduces to scalar
-algebra: a quadratic for A, a linear solve for B, and Lambda from the
-constant term.  The outperformance decay rate is then
-v(x) = -sup_theta [theta x - Lambda(theta)].
+In the one-factor market of MarketSpec (bond rate a0 + b0 y, stock drift
+a + b y, volatility sigma, Ornstein-Uhlenbeck factor dY = -k Y dt + dB) an
+investor holding a = sigma * (stock fraction) grows log-wealth net of a0 t
+as dX = (-a^2/2 + beta2 y a + beta3 y + beta4 a) dt + a dW, with
+beta2 = (b - b0)/sigma, beta3 = b0, beta4 = (a - a0)/sigma and W independent
+of B.  The dual cumulant Lambda(theta), theta in [0, 1), solves an ergodic
+risk-sensitive control problem whose quadratic ansatz phi(y) = A y^2/2 + B y
+reduces to scalar algebra: a quadratic for A, a linear solve for B, and
+Lambda from the constant term.  The outperformance decay rate is then
+v(x) = -sup_theta [theta x - Lambda(theta)].  With b = b0 = 0 (Black-Scholes)
+both have closed forms: bs_dual_cgf and bs_outperformance.
 """
 
 from __future__ import annotations
@@ -19,12 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mc, tilt
-from .errors import (
-    DomainError,
-    NegativeTarget,
-    OutOfDomain,
-    OutOfDualDomain,
-)
+from .errors import DomainError, NegativeTarget, OutOfDomain, OutOfDualDomain
 from .mc import DecayFit
 
 RATE_INF = math.inf
@@ -47,23 +45,16 @@ class MarketSpec:
 
 @dataclass(frozen=True)
 class LqModel:
-    """Normalized linear-quadratic growth model.
+    """The normalized growth model dX = (-a^2/2 + beta2 y a + beta3 y + beta4 a) dt + a dW.
 
-    The normalization sigma = 1 (position rescaled to alpha*sigma) and
-    beta5 = 0 (riskless base rate shifted into the target) is applied when
-    building from a MarketSpec; ``alpha_scale`` and ``x_shift`` record the
-    inverse map so answers can be reported in market units.
+    ``alpha_scale`` and ``x_shift`` record the inverse of the normalization
+    of LqModel.from_market (position a = alpha * sigma, growth net of the
+    base bond rate a0) so answers can be reported in market units.
     """
 
-    beta0: float
-    beta1: float
     beta2: float
     beta3: float
     beta4: float
-    beta5: float
-    delta0: float
-    delta1: float
-    delta2: float
     k: float
     alpha_scale: float = 1.0
     x_shift: float = 0.0
@@ -74,17 +65,11 @@ class LqModel:
 
     @staticmethod
     def from_market(spec: MarketSpec, k: float) -> "LqModel":
-        """Map market coefficients to the normalized quadratic form."""
+        """Map market coefficients to the normalized model."""
         return LqModel(
-            beta0=0.0,
-            beta1=-0.5,
             beta2=(spec.b - spec.b0) / spec.sigma,
             beta3=spec.b0,
             beta4=(spec.a - spec.a0) / spec.sigma,
-            beta5=0.0,
-            delta0=0.0,
-            delta1=1.0,
-            delta2=0.0,
             k=k,
             alpha_scale=1.0 / spec.sigma,
             x_shift=spec.a0,
@@ -116,62 +101,55 @@ def static_rate(x: float, alpha: float, mu: float, sigma: float) -> float:
 
 
 def bs_dual_cgf(a: float, a0: float, sigma: float, theta: float) -> float:
-    """Black-Scholes dual cumulant theta/(1-theta) * ((a-a0)/sigma^2)^2 / 2.
+    """Black-Scholes dual cumulant theta/(1-theta) * ((a-a0)/sigma)^2 / 2.
 
-    Stated in the sigma-normalized units of LqModel.from_market (where the
-    printed sigma^2 and sigma coincide); diverges as theta -> 1.
+    The cumulant of the growth in excess of the bond rate a0, which is what
+    lq_dual returns for LqModel.from_market(MarketSpec(a0, 0, a, 0, sigma), k)
+    at any k; diverges as theta -> 1.
     """
     if theta >= 1.0:
         raise DomainError(f"theta={theta} >= 1 is outside the dual domain")
-    ratio = (a - a0) / (sigma * sigma)
-    return 0.5 * theta / (1.0 - theta) * ratio * ratio
+    ratio = (a - a0) / sigma
+    return 0.5 * (theta / (1.0 - theta)) * ratio**2
 
 
 def bs_outperformance(a: float, a0: float, sigma: float, x: float) -> tuple[float, float, float]:
-    """Closed-form (v(x), theta(x), alpha*) for the Black-Scholes market.
+    """Closed-form (v(x), theta(x), alpha*) for the Black-Scholes market, in market units.
 
-    x_bar = ((a-a0)/sigma^2)^2 / 2 splits the regimes: below it the
-    Merton-type fraction (a-a0)/sigma^2 already outperforms (v = 0), above it
-    v(x) = -(sqrt(x) - sqrt(x_bar))^2 with theta(x) = 1 - sqrt(x_bar/x) and
-    the growing position alpha* = sqrt(2x).
+    With m = ((a-a0)/sigma)^2 / 2 and the excess target g = x - a0: for
+    g <= m the Merton fraction (a-a0)/sigma^2 already outperforms (v = 0,
+    theta = 0); above it v(x) = -(sqrt(g) - sqrt(m))^2, theta(x) =
+    1 - sqrt(m/g) and the stock fraction is sqrt(2g)/sigma, signed as a - a0.
     """
     if x < 0.0:
         raise NegativeTarget(f"target must be nonnegative, got {x}")
-    ratio = (a - a0) / (sigma * sigma)
-    x_bar = 0.5 * ratio * ratio
-    if x < x_bar:
-        return 0.0, 0.0, ratio
-    if x == 0.0:  # x_bar must be 0 too; degenerate flat market
-        return 0.0, 0.0, ratio
-    value = -((math.sqrt(x) - math.sqrt(x_bar)) ** 2)
-    theta_x = 1.0 - math.sqrt(x_bar / x)
-    return value, theta_x, math.sqrt(2.0 * x)
+    m = 0.5 * ((a - a0) / sigma) ** 2
+    g = x - a0
+    if g <= m:
+        return 0.0, 0.0, (a - a0) / (sigma * sigma)
+    value = -((math.sqrt(g) - math.sqrt(m)) ** 2)
+    theta_x = 1.0 - math.sqrt(m / g)
+    return value, theta_x, math.copysign(math.sqrt(2.0 * g), a - a0) / sigma
 
 
-def _position_coeffs(model: LqModel, theta: float) -> tuple[float, float]:
-    """P = beta2 + theta delta0 delta1 and Q = beta4 + theta delta1 delta2.
-
-    The optimal position is (P y + Q) / (1 - theta delta1^2).
-    """
-    return (model.beta2 + theta * model.delta0 * model.delta1,
-            model.beta4 + theta * model.delta1 * model.delta2)
+def _check_theta(theta: float) -> None:
+    """The dual domain is [0, 1): the optimal position carries 1/(1 - theta)."""
+    if not 0.0 <= theta < 1.0:
+        raise OutOfDomain(f"theta={theta} outside the dual domain [0, 1)")
 
 
 def _quadratic_pieces(model: LqModel, theta: float):
-    """Coefficient-matching terms shared by lq_dual, lam_prime and theta_bar.
+    """Coefficient-matching terms shared by lq_dual, hjb_residual and theta_bar.
 
     Substituting phi = A y^2/2 + B y into the ergodic equation and matching
     powers of y gives
-      y^2:  A^2/2 - k A + C2 = 0,          C2 = theta beta0
-             + theta^2 delta0^2/2 + T P^2 / 2
-      y^1:  B (A - k) + theta beta3 + theta^2 delta0 delta2 + T P Q = 0
-      y^0:  Lambda = A/2 + B^2/2 + theta^2 delta2^2/2 + T Q^2 / 2
-    with T = theta/(1 - theta delta1^2) and P, Q from _position_coeffs.
+      y^2:  A^2/2 - k A + C2 = 0,          C2 = T beta2^2 / 2
+      y^1:  B (A - k) + theta beta3 + T beta2 beta4 = 0
+      y^0:  Lambda = A/2 + B^2/2 + T beta4^2 / 2
+    with T = theta/(1 - theta).
     """
-    t_factor = theta / (1.0 - theta * model.delta1**2)
-    p_lin, q_lin = _position_coeffs(model, theta)
-    c2 = theta * model.beta0 + 0.5 * theta**2 * model.delta0**2 + 0.5 * t_factor * p_lin**2
-    return t_factor, p_lin, q_lin, c2
+    t_factor = theta / (1.0 - theta)
+    return t_factor, 0.5 * t_factor * model.beta2**2
 
 
 def lq_dual(model: LqModel, theta: float) -> tuple[float, float, float]:
@@ -179,52 +157,40 @@ def lq_dual(model: LqModel, theta: float) -> tuple[float, float, float]:
 
     The A-quadratic has two roots; the branch continuous in theta with
     A(0) = 0 is A = k - sqrt(k^2 - 2 C2), the one that keeps the
-    theta-adjusted factor drift mean-reverting.  Raises OutOfDomain at
-    theta >= 1/delta1^2 or when the discriminant goes negative.
+    theta-adjusted factor drift mean-reverting.  Raises OutOfDomain outside
+    [0, 1) or when the discriminant goes negative.
     """
-    if theta < 0.0:
-        raise OutOfDomain("theta must be nonnegative")
-    if model.delta1 != 0.0 and theta >= 1.0 / model.delta1**2:
-        raise OutOfDomain(
-            f"theta={theta} >= 1/delta1^2 = {1.0 / model.delta1**2:.6g}"
-        )
-    t_factor, p_lin, q_lin, c2 = _quadratic_pieces(model, theta)
+    _check_theta(theta)
+    t_factor, c2 = _quadratic_pieces(model, theta)
     disc = model.k**2 - 2.0 * c2
     if disc < 0.0:
         raise OutOfDomain(f"discriminant {disc:.6g} < 0 at theta={theta}")
     coeff_a = model.k - math.sqrt(disc)
     denom = model.k - coeff_a  # = sqrt(disc) > 0 on the ergodic branch
-    rhs = theta * model.beta3 + theta**2 * model.delta0 * model.delta2 + t_factor * p_lin * q_lin
+    rhs = theta * model.beta3 + t_factor * model.beta2 * model.beta4
     if denom == 0.0:
         raise OutOfDomain(f"degenerate linear solve at theta={theta}")
     coeff_b = rhs / denom
-    lam = 0.5 * coeff_a + 0.5 * coeff_b**2 + 0.5 * theta**2 * model.delta2**2 + 0.5 * t_factor * q_lin**2
+    lam = 0.5 * coeff_a + 0.5 * coeff_b**2 + 0.5 * t_factor * model.beta4**2
     return coeff_a, coeff_b, lam
 
 
 def lam_prime(model: LqModel, theta: float) -> float:
     """Closed-form Lambda'(theta), by the chain rule through _quadratic_pieces.
 
-    With s = sqrt(disc) = k - A and primes for d/dtheta:
-      A' = C2'/s,  B' = (rhs' + B C2'/s)/s,
-      Lambda' = A'/2 + B B' + theta delta2^2 + T' Q^2/2 + T Q Q',
-    where T' = 1/(1 - theta delta1^2)^2, P' = delta0 delta1, Q' = delta1 delta2,
-    C2' = beta0 + theta delta0^2 + T' P^2/2 + T P P' and
-    rhs' = beta3 + 2 theta delta0 delta2 + T' P Q + T (P' Q + P Q').
-    Raises OutOfDomain where lq_dual does.
+    With s = sqrt(disc) = k - A, T' = 1/(1 - theta)^2 and primes for
+    d/dtheta: C2' = T' beta2^2/2, rhs' = beta3 + T' beta2 beta4,
+    A' = C2'/s, B' = (rhs' + B C2'/s)/s and
+    Lambda' = A'/2 + B B' + T' beta4^2/2.  Raises OutOfDomain where lq_dual does.
     """
     coeff_a, coeff_b, _ = lq_dual(model, theta)
-    t_factor, p_lin, q_lin, _ = _quadratic_pieces(model, theta)
     root = model.k - coeff_a
-    t_prime = 1.0 / (1.0 - theta * model.delta1**2) ** 2
-    dp, dq = model.delta0 * model.delta1, model.delta1 * model.delta2
-    c2_prime = model.beta0 + theta * model.delta0**2 + 0.5 * t_prime * p_lin**2 + t_factor * p_lin * dp
-    rhs_prime = (model.beta3 + 2.0 * theta * model.delta0 * model.delta2 + t_prime * p_lin * q_lin
-                 + t_factor * (dp * q_lin + p_lin * dq))
+    t_prime = 1.0 / (1.0 - theta) ** 2
+    c2_prime = 0.5 * t_prime * model.beta2**2
+    rhs_prime = model.beta3 + t_prime * model.beta2 * model.beta4
     a_prime = c2_prime / root
     b_prime = (rhs_prime + coeff_b * c2_prime / root) / root
-    return (0.5 * a_prime + coeff_b * b_prime + theta * model.delta2**2
-            + 0.5 * t_prime * q_lin**2 + t_factor * q_lin * dq)
+    return 0.5 * a_prime + coeff_b * b_prime + 0.5 * t_prime * model.beta4**2
 
 
 def hjb_residual(model: LqModel, theta: float, y: float) -> float:
@@ -233,16 +199,14 @@ def hjb_residual(model: LqModel, theta: float, y: float) -> float:
     Zero up to rounding by construction; the unit tests pin 1e-9 on a grid.
     """
     coeff_a, coeff_b, lam = lq_dual(model, theta)
-    t_factor, p_lin, q_lin, _ = _quadratic_pieces(model, theta)
+    t_factor, _ = _quadratic_pieces(model, theta)
     phi_p = coeff_a * y + coeff_b
     rhs = (
         0.5 * coeff_a
         - model.k * y * phi_p
         + 0.5 * phi_p**2
-        + theta * (model.beta0 + 0.5 * theta * model.delta0**2) * y**2
-        + theta * (model.beta3 + theta * model.delta0 * model.delta2) * y
-        + 0.5 * theta**2 * model.delta2**2
-        + 0.5 * t_factor * (p_lin * y + q_lin) ** 2
+        + theta * model.beta3 * y
+        + 0.5 * t_factor * (model.beta2 * y + model.beta4) ** 2
     )
     return rhs - lam
 
@@ -250,38 +214,31 @@ def hjb_residual(model: LqModel, theta: float, y: float) -> float:
 def theta_bar(model: LqModel) -> tuple[float, bool]:
     """Right endpoint of the dual domain and whether Lambda is steep there.
 
-    The endpoint is the first zero of the A-discriminant on the way to
-    1/delta1^2, or 1/delta1^2 itself when the discriminant stays positive.
-    Steepness follows from the term of lam_prime that diverges there: at a
-    discriminant zero A' = C2'/sqrt(disc) does; at 1/delta1^2, T' Q^2/2
-    does unless Q vanishes there; an infinite endpoint counts as steep.
+    The endpoint is the first zero of the A-discriminant on the way to 1,
+    or 1 itself when the discriminant stays positive.  Steepness follows
+    from the term of lam_prime that diverges there: at a discriminant zero
+    A' = C2'/sqrt(disc) does; at 1, T' beta4^2/2 does unless beta4 = 0.
     """
-    cap = math.inf if model.delta1 == 0.0 else 1.0 / model.delta1**2
 
     def disc(theta: float) -> float:
-        return model.k**2 - 2.0 * _quadratic_pieces(model, theta)[3]
+        return model.k**2 - 2.0 * _quadratic_pieces(model, theta)[1]
 
-    bar = tilt._bracketed_root(disc, 0.0, -math.inf, cap)
+    bar = tilt._bracketed_root(disc, 0.0, -math.inf, 1.0)
     if bar is not None:
         return bar, True
-    if math.isinf(cap):
-        return math.inf, True
-    return cap, _position_coeffs(model, cap)[1] != 0.0
+    return 1.0, model.beta4 != 0.0
 
 
 def feedback_policy(model: LqModel, theta: float, y: float) -> float:
-    """Optimal position (P y + Q) / (1 - theta delta1^2), P and Q from _position_coeffs."""
-    if model.delta1 != 0.0 and theta >= 1.0 / model.delta1**2:
-        raise OutOfDomain(f"theta={theta} outside [0, 1/delta1^2)")
-    p_lin, q_lin = _position_coeffs(model, theta)
-    return (p_lin * y + q_lin) / (1.0 - theta * model.delta1**2)
+    """Optimal position (beta2 y + beta4) / (1 - theta)."""
+    _check_theta(theta)
+    return (model.beta2 * y + model.beta4) / (1.0 - theta)
 
 
 def hamiltonian_term(model: LqModel, theta: float, y: float, a: float) -> float:
     """The a-dependent part of the ergodic equation's sup, for optimality checks."""
-    drift_part = model.beta1 * a * a + model.beta2 * y * a + model.beta4 * a
-    vol = model.delta0 * y + model.delta1 * a + model.delta2
-    return theta * drift_part + 0.5 * theta * theta * vol * vol
+    drift_part = -0.5 * a * a + model.beta2 * y * a + model.beta4 * a
+    return theta * drift_part + 0.5 * theta * theta * a * a
 
 
 def solve_dual(model: LqModel) -> DualSolution:
@@ -354,13 +311,11 @@ def mc_outperformance(
         p = feedback_policy(model, theta_pol, 1.0) - q
     else:
         p, q = 0.0, constant_policy
-    c2 = model.beta0 + model.beta1 * p * p + model.beta2 * p
-    c1 = 2.0 * model.beta1 * p * q + model.beta2 * q + model.beta3 + model.beta4 * p
-    c0 = model.beta1 * q * q + model.beta4 * q + model.beta5
-    v1 = model.delta0 + model.delta1 * p
-    v0 = model.delta1 * q + model.delta2
+    c2 = -0.5 * p * p + model.beta2 * p
+    c1 = -p * q + model.beta2 * q + model.beta3 + model.beta4 * p
+    c0 = -0.5 * q * q + model.beta4 * q
+    v1, v0 = p, q
     factor_free = c2 == 0.0 and c1 == 0.0 and v1 == 0.0
-
 
     def estimate(horizon, rung_seed):
         n_steps = max(int(round(horizon / euler_step)), 1)

@@ -55,10 +55,6 @@ class TiltableFamily(ABC):
         """Derivative of the c.g.f.; the mean under the theta-tilted law."""
 
     @abstractmethod
-    def cgf_second(self, theta: float) -> float:
-        """Second derivative; the variance under the theta-tilted law."""
-
-    @abstractmethod
     def tilted(self, theta: float) -> "TiltableFamily":
         ...
 
@@ -76,16 +72,9 @@ class TiltableFamily(ABC):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         ...
 
+    @abstractmethod
     def sample_sum(self, rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-        """Draw ``size`` copies of a sum of ``n`` i.i.d. variates.
-
-        Subclasses override with the exact convolution law where one exists;
-        the fallback sums n individual draws.
-        """
-        total = np.zeros(size)
-        for _ in range(n):
-            total += self.sample(rng, size)
-        return total
+        """Draw ``size`` copies of a sum of ``n`` i.i.d. variates from its exact law."""
 
     def _check_theta(self, theta: float) -> None:
         lo, hi = self.cgf_domain
@@ -119,10 +108,6 @@ class Bernoulli(TiltableFamily):
         self._check_theta(theta)
         e = self.p * math.exp(theta)
         return e / (1.0 - self.p + e)
-
-    def cgf_second(self, theta):
-        m = self.cgf_prime(theta)
-        return m * (1.0 - m)
 
     def tilted(self, theta):
         return Bernoulli(self.cgf_prime(theta))
@@ -189,9 +174,6 @@ class Poisson(TiltableFamily):
         self._check_theta(theta)
         return self.lam * math.exp(theta)
 
-    def cgf_second(self, theta):
-        return self.cgf_prime(theta)
-
     def tilted(self, theta):
         return Poisson(self.cgf_prime(theta))
 
@@ -240,9 +222,6 @@ class Normal(TiltableFamily):
         self._check_theta(theta)
         return self.m + theta * self.var
 
-    def cgf_second(self, theta):
-        return self.var
-
     def tilted(self, theta):
         return Normal(self.cgf_prime(theta), self.var)
 
@@ -288,10 +267,6 @@ class Exponential(TiltableFamily):
     def cgf_prime(self, theta):
         self._check_theta(theta)
         return 1.0 / (self.lam - theta)
-
-    def cgf_second(self, theta):
-        self._check_theta(theta)
-        return 1.0 / (self.lam - theta) ** 2
 
     def tilted(self, theta):
         self._check_theta(theta)
@@ -351,10 +326,6 @@ class ClaimStep(TiltableFamily):
     def cgf_prime(self, theta):
         self._check_theta(theta)
         return self.claim.cgf_prime(theta) - self.premium / (self.lam + self.premium * theta)
-
-    def cgf_second(self, theta):
-        self._check_theta(theta)
-        return self.claim.cgf_second(theta) + (self.premium / (self.lam + self.premium * theta)) ** 2
 
     def tilted(self, theta):
         self._check_theta(theta)

@@ -285,8 +285,7 @@ def test_criterion_9_longterm():
         for theta in np.arange(0.05, 1.0, 0.05):
             _, _, lam = longterm.lq_dual(model, float(theta))
             assert abs(lam - longterm.bs_dual_cgf(0.2, 0.0, 1.0, float(theta))) <= 1e-10
-        ou = longterm.LqModel(beta0=0.0, beta1=-0.5, beta2=0.3, beta3=0.0, beta4=0.1,
-                              beta5=0.0, delta0=0.0, delta1=1.0, delta2=0.0, k=1.0)
+        ou = longterm.LqModel.from_market(longterm.MarketSpec(a0=0.0, b0=0.0, a=0.1, b=0.3, sigma=1.0), 1.0)
         for m in (model, ou):
             bar, _ = longterm.theta_bar(m)
             for theta in np.linspace(0.05, min(bar, 1.0) - 0.05, 9):

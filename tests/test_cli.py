@@ -131,6 +131,10 @@ class TestBadInput:
         ([], {"subcommand": "credit", "ladder": [2.7]}),
         ([], {"subcommand": "fw-bond", "ladder": [8]}),
         ([], {"subcommand": "ghs", "ladder": [8]}),
+        # a ladder or simulate flag the run would ignore
+        ([], {"subcommand": "longterm", "simulate": True}),
+        ([], {"subcommand": "longterm", "ladder": [5.0, 10.0]}),
+        ([], {"subcommand": "ruin-invest", "ladder": [2.0, 4.0]}),
     ])
     def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
         sub = doc.get("subcommand", "ruin")

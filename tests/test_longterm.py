@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rareflow import longterm, mc
+from rareflow import cli, longterm, mc
 from rareflow.errors import (
     DomainError,
     NegativeTarget,
@@ -19,8 +20,7 @@ def bs_model(ratio=0.2, k=1.0):
 
 
 def ou_model():
-    return LqModel(beta0=0.0, beta1=-0.5, beta2=0.3, beta3=0.0, beta4=0.1,
-                   beta5=0.0, delta0=0.0, delta1=1.0, delta2=0.0, k=1.0)
+    return LqModel.from_market(MarketSpec(a0=0.0, b0=0.0, a=0.1, b=0.3, sigma=1.0), 1.0)
 
 
 class TestStaticRate:
@@ -55,6 +55,12 @@ class TestBsDualCgf:
         with pytest.raises(DomainError):
             longterm.bs_dual_cgf(0.2, 0.0, 1.0, 1.0)
 
+    def test_equals_solver_off_unit_market(self):
+        model = LqModel.from_market(MarketSpec(a0=0.03, b0=0.0, a=0.13, b=0.0, sigma=0.5), 1.3)
+        for theta in (0.0, 0.25, 0.5, 0.9):
+            assert longterm.bs_dual_cgf(0.13, 0.03, 0.5, theta) == longterm.lq_dual(model, theta)[2]
+        assert longterm.bs_dual_cgf(0.13, 0.03, 0.5, 0.5) == pytest.approx(0.02, rel=1e-12)
+
 
 class TestBsOutperformance:
     def test_worked_triple(self):
@@ -80,6 +86,29 @@ class TestBsOutperformance:
     def test_negative_target(self):
         with pytest.raises(NegativeTarget):
             longterm.bs_outperformance(0.2, 0.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("x", [0.04, 0.5])
+    def test_market_units_match_cli(self, tmp_path, x):
+        # a0 = 0.03 and sigma = 0.5: m = ((a - a0)/sigma)^2/2 = 0.02 against
+        # the excess target g = x - a0, so x = 0.04 holds the Merton fraction
+        a, a0, sigma = 0.13, 0.03, 0.5
+        m, g = 0.5 * ((a - a0) / sigma) ** 2, x - a0
+        if g <= m:
+            expected = (0.0, 0.0, (a - a0) / sigma**2)
+        else:
+            expected = (-((math.sqrt(g) - math.sqrt(m)) ** 2), 1.0 - math.sqrt(m / g),
+                        math.sqrt(2.0 * g) / sigma)
+        assert longterm.bs_outperformance(a, a0, sigma, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        if x == 0.5:  # the LQ solver's triple, to 7 digits
+            assert expected == pytest.approx((-0.2960928, 0.7937158, 1.9390719), abs=1e-7)
+        path = tmp_path / "longterm.json"
+        path.write_text(json.dumps({"a": a, "a0": a0, "sigma": sigma, "x": x}))
+        out = tmp_path / "report.json"
+        assert cli.main(["longterm", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        row = dict(zip(report["columns"], report["rows"][0]))
+        printed = tuple(float(row[name]) for name in ("value", "theta_x", "alpha_star"))
+        assert printed == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_against_numeric_dual_sup(self):
         # brute-force sup of theta x - cgf(theta) over a dense [0, 1) grid
@@ -142,7 +171,7 @@ class TestLqDual:
         ys = np.zeros(n_paths)
         for _ in range(n_steps):
             alpha = (model.beta2 * ys + model.beta4) / (1.0 - theta)
-            drift = model.beta1 * alpha**2 + model.beta2 * ys * alpha + model.beta4 * alpha
+            drift = -0.5 * alpha**2 + model.beta2 * ys * alpha + model.beta4 * alpha
             xs += drift * step + alpha * math.sqrt(step) * rng.normal(size=n_paths)
             ys = ys * decay + sd * rng.normal(size=n_paths)
         shift = float(np.max(theta * xs))
@@ -171,12 +200,6 @@ class TestThetaBar:
         assert bar == pytest.approx(1.0, abs=1e-10)
         assert steep
 
-    def test_vol_loading_cap(self):
-        model = LqModel(beta0=0.0, beta1=-0.5, beta2=0.0, beta3=0.0, beta4=0.1,
-                        beta5=0.0, delta0=0.0, delta1=2.0, delta2=0.0, k=1.0)
-        bar, _ = longterm.theta_bar(model)
-        assert bar <= 0.25 + 1e-12
-
     def test_not_steep_when_q_vanishes_at_the_cap(self):
         # a = a0 and b = b0: Lambda = theta^2 b0^2 / (2 k^2), with a finite
         # slope b0^2 / k^2 at theta_bar = 1
@@ -192,9 +215,9 @@ class TestThetaBar:
         assert 0.0 < bar < 1.0
         # discriminant residual: nonnegative just inside, negative just outside
         t_in = bar - 1e-6
-        assert model.k**2 - 2.0 * longterm._quadratic_pieces(model, t_in)[3] >= -1e-8
+        assert model.k**2 - 2.0 * longterm._quadratic_pieces(model, t_in)[1] >= -1e-8
         t_out = bar + 1e-6
-        assert model.k**2 - 2.0 * longterm._quadratic_pieces(model, t_out)[3] < 0.0
+        assert model.k**2 - 2.0 * longterm._quadratic_pieces(model, t_out)[1] < 0.0
 
 
 class TestFeedbackPolicy:
@@ -388,11 +411,9 @@ class TestMcOutperformance:
                 ys = np.zeros(size)
                 for _ in range(n_steps):
                     alpha = policy(ys)
-                    drift = (model.beta0 * ys * ys + model.beta1 * alpha * alpha
-                             + model.beta2 * ys * alpha + model.beta3 * ys
-                             + model.beta4 * alpha + model.beta5)
-                    vol = model.delta0 * ys + model.delta1 * alpha + model.delta2
-                    xs += drift * dt + vol * math.sqrt(dt) * rng.standard_normal(size)
+                    drift = (-0.5 * alpha * alpha + model.beta2 * ys * alpha
+                             + model.beta3 * ys + model.beta4 * alpha)
+                    xs += drift * dt + alpha * math.sqrt(dt) * rng.standard_normal(size)
                     ys = ys * decay + sd * rng.standard_normal(size)
                 return (xs / horizon >= x).astype(float)
 
@@ -407,6 +428,5 @@ class TestNormalization:
         spec = MarketSpec(a0=0.03, b0=0.0, a=0.13, b=0.0, sigma=0.5)
         model = LqModel.from_market(spec, 1.0)
         assert model.beta4 == pytest.approx((0.13 - 0.03) / 0.5, abs=1e-15)
-        assert model.delta1 == 1.0
         assert model.alpha_scale == pytest.approx(2.0, abs=1e-15)
         assert model.x_shift == 0.03
