@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "n": FieldSpec(int, required=True, check=_positive("n")),
         "x": FieldSpec(float, required=True),
         "theta": FieldSpec(float, default=None),
-        "estimator": FieldSpec(str, default="is", choices=("is", "naive")),
     },
     "ruin": {
         "premium": FieldSpec(float, required=True, check=_positive("premium")),
@@ -193,7 +192,6 @@ class ExperimentConfig:
     ladder: list | None
     output: str
     oracle: bool
-    meta: dict = field(default_factory=dict)
 
     def canonical(self) -> dict:
         # unset optionals are omitted: their defaults regenerate on reparse
@@ -375,6 +373,11 @@ def _rungs(config: ExperimentConfig, fallback=None) -> list:
     return [fallback if value is None else value]
 
 
+def _ladder_meta(rungs: list, fit: mc.DecayFit) -> dict:
+    """The fitted decay slope, nan below 3 hit rungs, and the rungs that saw no hit."""
+    return {"mc_slope": fit.slope, "zero_hit_rungs": mc.zero_hit_rungs(rungs, fit.results)}
+
+
 def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     fam_name = p["family"]
@@ -387,24 +390,17 @@ def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
     else:
         family = tilt.Normal(p["mean"], p["var"])
 
-    def estimate(n: int, seed: int):
-        problem = cramer.EmpiricalMeanProblem(family, n, p["x"])
-        if p["estimator"] == "naive":
-            return 0.0, cramer.naive_tail(problem, config.replications, seed, threads=threads)
-        theta = p["theta"] if p["theta"] is not None else cramer.default_theta(problem)
-        return theta, cramer.is_tail(problem, theta, config.replications, seed, threads=threads)
-
+    theta = p["theta"] if p["theta"] is not None else tilt.saddle_theta(family, p["x"])
     sizes = _rungs(config)
-    runs = mc.run_ladder(estimate, sizes, config.seed)
+    fit = cramer.verify_rate(family, p["x"], sizes, config.replications, config.seed, theta=theta, threads=threads)
     rows = []
-    for n, (theta, res) in zip(sizes, runs):
+    for n, res in zip(sizes, fit.results):
         row = [n, p["x"], theta] + _estimator_row(res)
         if config.oracle:
             row.append(_cramer_oracle(fam_name, p, family, n))
         rows.append(row)
     cols = ["n", "x", "theta"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    meta = {"zero_hit_rungs": mc.zero_hit_rungs(sizes, [res for _, res in runs])}
-    return Report(meta=meta, columns=cols, rows=rows)
+    return Report(meta=_ladder_meta(sizes, fit), columns=cols, rows=rows)
 
 
 def _cramer_oracle(fam_name, p, family, n):
@@ -420,16 +416,15 @@ def _run_ruin(config: ExperimentConfig, threads: int) -> Report:
     model = ruin.RuinModel(p["premium"], p["lam"], tilt.Exponential(p["claim_rate"]))
     sol = ruin.adjustment_coefficient(model)
     reserves = _rungs(config)
-    results = mc.run_ladder(lambda x, seed: ruin.simulate_ruin_is(model, x, config.replications, seed, threads=threads),
-                            reserves, config.seed)
+    fit = ruin.ruin_decay_fit(model, reserves, config.replications, config.seed, threads=threads)
     rows = []
-    for x, res in zip(reserves, results):
+    for x, res in zip(reserves, fit.results):
         row = [x, sol.value, math.exp(-sol.value * x)] + _estimator_row(res)
         if config.oracle:
             row.append(oracles.ruin_probability_exponential(p["premium"], p["lam"], p["claim_rate"], x))
         rows.append(row)
     cols = ["x", "theta_l", "lundberg_bound"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    meta = {"theta_l": sol.value, "residual": sol.residual, "zero_hit_rungs": mc.zero_hit_rungs(reserves, results)}
+    meta = {"theta_l": sol.value, "residual": sol.residual, **_ladder_meta(reserves, fit)}
     return Report(meta=meta, columns=cols, rows=rows)
 
 
@@ -447,10 +442,10 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
     if p["simulate"]:
         horizon = p["horizon"] if p["horizon"] is not None else 200.0 / p["lam"]
         reserves = _rungs(config, 4.0)
-        results = mc.run_ladder(lambda x, seed: ruin.simulate_wealth_ruin(
-            model, x, alpha, horizon, config.replications, seed, threads=threads), reserves, config.seed)
-        rows = [[x, theta_l, sol.value, alpha] + _estimator_row(res) for x, res in zip(reserves, results)]
-        meta["zero_hit_rungs"] = mc.zero_hit_rungs(reserves, results)
+        fit = mc.fit_ladder(reserves, mc.run_ladder(lambda x, seed: ruin.simulate_wealth_ruin(
+            model, x, alpha, horizon, config.replications, seed, threads=threads), reserves, config.seed))
+        rows = [[x, theta_l, sol.value, alpha] + _estimator_row(res) for x, res in zip(reserves, fit.results)]
+        meta.update(_ladder_meta(reserves, fit))
     else:
         rows = [[p["x"] if p["x"] is not None else 0.0, theta_l, sol.value, alpha, 0, None, None, None, None]]
     return Report(meta=meta, columns=cols, rows=rows)
@@ -535,16 +530,15 @@ def _run_credit(config: ExperimentConfig, threads: int) -> Report:
     threshold = p["q"] if p["q"] is not None else credit.LossSchedule(p["schedule_a"], p["schedule_c"])
     model = credit.PortfolioModel(n=p["n"], p=p["p"], rho=p["rho"], threshold=threshold)
     sizes = _rungs(config)
-    results = mc.run_ladder(lambda n, seed: credit.two_step_is(
-        model, n, config.replications, seed, shift=p["shift"], threads=threads), sizes, config.seed)
+    fit = credit.measure_loss_decay(model, sizes, config.replications, config.seed, shift=p["shift"], threads=threads)
     rows = []
-    for n, res in zip(sizes, results):
+    for n, res in zip(sizes, fit.results):
         row = [n, model.q_at(n)] + _estimator_row(res)
         if config.oracle:
             row.append(oracles.credit_tail_quadrature(n, p["p"], p["rho"], model.q_at(n)) if n <= 20000 else None)
         rows.append(row)
     cols = ["n", "q_n"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    return Report(meta={"zero_hit_rungs": mc.zero_hit_rungs(sizes, results)}, columns=cols, rows=rows)
+    return Report(meta=_ladder_meta(sizes, fit), columns=cols, rows=rows)
 
 
 def _run_longterm(config: ExperimentConfig, threads: int) -> Report:
@@ -562,20 +556,17 @@ def _run_longterm(config: ExperimentConfig, threads: int) -> Report:
     alpha = longterm.feedback_policy(model, theta_x, 0.0) * model.alpha_scale
     meta = {"theta_bar": dual.theta_bar, "steep": dual.steep}
     cols = ["x", "value", "theta_x", "alpha_star", "horizon"] + _EST_COLS
-    rows = []
     if p["simulate"] and config.ladder:
         horizons = _rungs(config)
         fit = longterm.mc_outperformance(
             model, x_norm, horizons, config.replications, config.seed,
             policy_index=p["policy_index"], euler_step=p["euler_step"], threads=threads,
         )
-        meta["mc_slope"] = fit.slope
-        meta["dropped_horizons"] = list(fit.dropped)
-        for horizon, res in zip(horizons, fit.results):
-            if math.isfinite(res.log_mean):
-                rows.append([p["x"], value, theta_x, alpha, horizon] + _estimator_row(res))
+        meta.update(_ladder_meta(horizons, fit))
+        rows = [[p["x"], value, theta_x, alpha, horizon] + _estimator_row(res)
+                for horizon, res in zip(horizons, fit.results)]
     else:
-        rows.append([p["x"], value, theta_x, alpha, None, None, None, None, None, None])
+        rows = [[p["x"], value, theta_x, alpha, None, None, None, None, None, None]]
     return Report(meta=meta, columns=cols, rows=rows)
 
 

@@ -1,9 +1,10 @@
-"""Tail probabilities of i.i.d. empirical means: naive and tilted estimators.
+"""Tail probabilities of i.i.d. empirical means by the tilted estimator.
 
-Estimates P[S_n/n >= x] either directly or by sampling under the tilted law
-and reweighting with exp(-theta*S_n + n*cgf(theta)).  At the saddle-point tilt
-the estimator is asymptotically optimal: its second moment decays at twice
-the rate of the probability.
+Estimates P[S_n/n >= x] by sampling under the theta-tilted law and
+reweighting with exp(-theta*S_n + n*cgf(theta)).  Theta = 0 is the naive
+estimator: the tilted law is the original one and every weight is 1.  At the
+saddle-point tilt the estimator is asymptotically optimal: its second moment
+decays at twice the rate of the probability.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ _LATTICE_FAMILIES = (tilt.Bernoulli, tilt.Poisson)
 class EmpiricalMeanProblem:
     """The event {S_n/n >= x} for n i.i.d. draws from ``family``.
 
-    ``rare`` flags whether x sits at or above the mean; sub-mean thresholds
-    are allowed (oracle tests use them) but the estimators are then pointless.
+    Sub-mean thresholds are allowed (oracle tests use them), though the
+    estimators are then pointless.
     """
 
     family: TiltableFamily
@@ -38,10 +39,6 @@ class EmpiricalMeanProblem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-    @property
-    def rare(self) -> bool:
-        return self.x >= self.family.mean
 
 
 def lattice_threshold(n: int, x: float) -> float:
@@ -60,19 +57,6 @@ def _sum_threshold(problem: EmpiricalMeanProblem) -> float:
     return problem.n * problem.x
 
 
-def naive_tail(problem: EmpiricalMeanProblem, N: int, seed: int, threads: int = 1) -> EstimatorResult:
-    """Direct Monte Carlo estimate of P[S_n/n >= x]."""
-    threshold = _sum_threshold(problem)
-    family, n = problem.family, problem.n
-
-    def sampler(ss, size):
-        rng = np.random.default_rng(ss)
-        sums = family.sample_sum(rng, n, size)
-        return (sums >= threshold).astype(float)
-
-    return mc.run_replications(sampler, N, seed, threads=threads)
-
-
 def is_tail(
     problem: EmpiricalMeanProblem,
     theta: float | None = None,
@@ -85,9 +69,9 @@ def is_tail(
     Samples S_n under the tilted law and averages
     ``exp(-theta*S_n + n*cgf(theta)) * 1{S_n >= n*x}``; unbiased for every
     admissible theta.  The default tilt is the saddle point, the
-    variance-optimal choice.  Each sample is bounded by
-    exp(-(theta*k - n*cgf(theta))) at the event's sum threshold k >= n*x - 1e-9
-    (the Chebyshev bound), checked per draw.
+    variance-optimal choice; theta = 0 is plain Monte Carlo.  Each sample
+    is bounded by exp(-(theta*k - n*cgf(theta))) at the event's sum
+    threshold k >= n*x - 1e-9 (the Chebyshev bound), checked per draw.
     """
     if theta is None:
         theta = default_theta(problem)
@@ -131,16 +115,15 @@ def verify_rate(
 ) -> DecayFit:
     """Fit ln P[S_n/n >= x] against n; the slope estimates -legendre(x).rate.
 
-    Each rung is estimated by importance sampling at the saddle tilt (or the
-    supplied theta).  Zero-hit rungs are dropped with a warning.
+    Each rung is estimated by importance sampling at the saddle tilt, which
+    does not depend on n, or at the supplied theta.  Zero-hit rungs are
+    dropped from the fit with a warning.
     """
-
-    def estimate(n, rung_seed):
-        problem = EmpiricalMeanProblem(family, int(n), x)
-        use_theta = default_theta(problem) if theta is None else theta
-        return is_tail(problem, use_theta, N, rung_seed, threads=threads)
-
-    return mc.fit_ladder(ladder, mc.run_ladder(estimate, ladder, seed))
+    if theta is None:
+        theta = tilt.saddle_theta(family, x)
+    results = mc.run_ladder(lambda n, s: is_tail(EmpiricalMeanProblem(family, int(n), x), theta, N, s, threads=threads),
+                            ladder, seed)
+    return mc.fit_ladder(ladder, results)
 
 
 # -- exact oracles for lattice families ------------------------------------

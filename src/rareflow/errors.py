@@ -65,10 +65,6 @@ class OutOfDualDomain(RareflowError):
     """Target level beyond the reach of the dual transform (non-steep case)."""
 
 
-class NegativeTarget(RareflowError):
-    """Outperformance target must be nonnegative."""
-
-
 class AtMaturity(RareflowError):
     """Drift evaluation requested at or after maturity."""
 

@@ -317,6 +317,18 @@ def fw_drift_bs(t: float, log_s, log_barrier: float, sigma: float, maturity: flo
     return (log_s - log_barrier) / (sigma * (maturity - t))
 
 
+def _girsanov_step(log_s, log_weight, phi, gauss, sigma: float, dt: float) -> np.ndarray:
+    """One left-endpoint step of the log price under the drift shift -sigma*phi.
+
+    Returns the next log price and adds the step's log-likelihood term
+    phi dW - phi^2 dt / 2 to ``log_weight`` in place.
+    """
+    sqrt_dt = math.sqrt(dt)
+    log_next = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
+    log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+    return log_next
+
+
 def price_up_in_bond(
     s0: float,
     barrier: float,
@@ -342,9 +354,7 @@ def price_up_in_bond(
     if s0 <= 0.0 or barrier <= 0.0:
         raise ValueError("prices must be positive")
     dt = maturity / steps
-    sqrt_dt = math.sqrt(dt)
     log_barrier = math.log(barrier)
-    base_drift = -0.5 * sigma * sigma
 
     def sampler(ss, size):
         path_ss, kill_ss = ss.spawn(2)
@@ -362,8 +372,7 @@ def price_up_in_bond(
             else:
                 phi = np.zeros(size)
             gauss = rng.standard_normal(size)
-            log_next = log_s + (base_drift - sigma * phi) * dt + sigma * sqrt_dt * gauss
-            log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+            log_next = _girsanov_step(log_s, log_weight, phi, gauss, sigma, dt)
             new_hit = log_next >= log_barrier
             if bridge_hits:
                 uniforms = hit_rng.random(size)
@@ -393,8 +402,6 @@ def likelihood_mean(
     direct check of that normalization.
     """
     dt = maturity / steps
-    sqrt_dt = math.sqrt(dt)
-    base_drift = -0.5 * sigma * sigma
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
@@ -403,8 +410,7 @@ def likelihood_mean(
         for i in range(steps):
             phi = np.asarray(phi_fn(i * dt, np.exp(log_s)), dtype=float)
             gauss = rng.standard_normal(size)
-            log_s = log_s + (base_drift - sigma * phi) * dt + sigma * sqrt_dt * gauss
-            log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+            log_s = _girsanov_step(log_s, log_weight, phi, gauss, sigma, dt)
         return np.exp(log_weight)
 
     return mc.run_replications(sampler, N, seed, threads=threads)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mc, tilt
-from .errors import DomainError, NegativeTarget, OutOfDomain, OutOfDualDomain
+from .errors import DomainError, OutOfDomain, OutOfDualDomain
 from .mc import DecayFit
 
 RATE_INF = math.inf
@@ -121,8 +121,6 @@ def bs_outperformance(a: float, a0: float, sigma: float, x: float) -> tuple[floa
     theta = 0); above it v(x) = -(sqrt(g) - sqrt(m))^2, theta(x) =
     1 - sqrt(m/g) and the stock fraction is sqrt(2g)/sigma, signed as a - a0.
     """
-    if x < 0.0:
-        raise NegativeTarget(f"target must be nonnegative, got {x}")
     m = 0.5 * ((a - a0) / sigma) ** 2
     g = x - a0
     if g <= m:
@@ -139,7 +137,7 @@ def _check_theta(theta: float) -> None:
 
 
 def _quadratic_pieces(model: LqModel, theta: float):
-    """Coefficient-matching terms shared by lq_dual, hjb_residual and theta_bar.
+    """Coefficient-matching terms shared by lq_dual and hjb_residual.
 
     Substituting phi = A y^2/2 + B y into the ergodic equation and matching
     powers of y gives
@@ -214,18 +212,15 @@ def hjb_residual(model: LqModel, theta: float, y: float) -> float:
 def theta_bar(model: LqModel) -> tuple[float, bool]:
     """Right endpoint of the dual domain and whether Lambda is steep there.
 
-    The endpoint is the first zero of the A-discriminant on the way to 1,
-    or 1 itself when the discriminant stays positive.  Steepness follows
-    from the term of lam_prime that diverges there: at a discriminant zero
-    A' = C2'/sqrt(disc) does; at 1, T' beta4^2/2 does unless beta4 = 0.
+    The A-discriminant k^2 - T beta2^2, with T = theta/(1 - theta), falls
+    from k^2 to -inf on [0, 1) when beta2 != 0 and vanishes at
+    k^2/(k^2 + beta2^2); with beta2 = 0 it stays positive and the endpoint
+    is 1.  Steepness follows from the term of lam_prime that diverges there:
+    at a discriminant zero A' = C2'/sqrt(disc) does; at 1, T' beta4^2/2 does
+    unless beta4 = 0.
     """
-
-    def disc(theta: float) -> float:
-        return model.k**2 - 2.0 * _quadratic_pieces(model, theta)[1]
-
-    bar = tilt._bracketed_root(disc, 0.0, -math.inf, 1.0)
-    if bar is not None:
-        return bar, True
+    if model.beta2 != 0.0:
+        return model.k**2 / (model.k**2 + model.beta2**2), True
     return 1.0, model.beta4 != 0.0
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rareflow import cli, ruin
+from rareflow import cli, cramer, credit, ruin, tilt
 from rareflow.cli import ExperimentConfig, parse_config, run_experiment, serialize_config
 from rareflow.errors import BoundViolated, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError
 
@@ -45,7 +45,7 @@ class TestParseConfig:
         assert config.seed == 0
         assert config.output == "csv"
         assert config.oracle is False
-        assert config.params["estimator"] == "is"
+        assert config.params["theta"] is None
 
     def test_credit_regime_error_names_field(self):
         doc = dict(MINIMAL["credit"], q=0.05)
@@ -135,6 +135,8 @@ class TestBadInput:
         ([], {"subcommand": "longterm", "simulate": True}),
         ([], {"subcommand": "longterm", "ladder": [5.0, 10.0]}),
         ([], {"subcommand": "ruin-invest", "ladder": [2.0, 4.0]}),
+        # theta 0 is the naive estimator; there is no estimator key
+        ([], {"subcommand": "cramer", "estimator": "naive"}),
     ])
     def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
         sub = doc.get("subcommand", "ruin")
@@ -254,9 +256,10 @@ class TestRunExperiment:
         with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
             assert cli.main(["longterm", "--config", path, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["meta"]["dropped_horizons"] == [400.0]
-        horizon = report["columns"].index("horizon")
-        assert [row[horizon] for row in report["rows"]] == ["5", "10", "20"]
+        assert report["meta"]["zero_hit_rungs"] == [400.0]
+        rows = [dict(zip(report["columns"], cells)) for cells in report["rows"]]
+        assert [row["horizon"] for row in rows] == ["5", "10", "20", "400"]
+        assert (rows[-1]["mean"], rows[-1]["log_mean"]) == ("0", "na")
 
     def test_longterm_rows_carry_estimator_columns(self, tmp_path):
         doc = dict(MINIMAL["longterm"], x=0.18, simulate=True, ladder=[5.0, 10.0, 20.0],
@@ -276,10 +279,11 @@ class TestRunExperiment:
 
     def test_zero_hit_run_listed_in_metadata(self, tmp_path):
         # P[Bin(200, 0.25) >= 100] ~ 1e-14: 20,000 naive draws see no hit
-        doc = dict(MINIMAL["cramer"], n=200, estimator="naive", replications=20_000, seed=1)
+        doc = dict(MINIMAL["cramer"], n=200, theta=0.0, replications=20_000, seed=1)
         path = write_config(tmp_path, "naive.json", doc)
         out = tmp_path / "naive.json.out.json"
-        assert cli.main(["cramer", "--config", path, "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
+            assert cli.main(["cramer", "--config", path, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["meta"]["zero_hit_rungs"] == [200]
         assert report["rows"] == [["200", "0.5", "0", "20000", "0", "0", "na", "na"]]
@@ -298,8 +302,8 @@ class TestRunExperiment:
         assert "NetProfitViolated" in capsys.readouterr().err
 
     def test_longterm_with_two_hit_horizons_reports_them(self, tmp_path):
-        # at 2,000 paths the horizon-100 rung (P ~ 3e-5) sees no hit: the two
-        # others are printed and the slope, which needs 3 points, is na
+        # at 2,000 paths the horizon-100 rung (P ~ 3e-5) sees no hit: it is
+        # printed as mean 0 and the slope, which needs 3 hit rungs, is na
         out = tmp_path / "report.json"
         with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
             code = cli.main(["longterm", "--config", os.path.join(CONFIG_DIR, "longterm.json"),
@@ -311,9 +315,10 @@ class TestRunExperiment:
 
         report = json.loads(out.read_text(), parse_constant=no_constant)
         assert report["meta"]["mc_slope"] == "na"
-        assert report["meta"]["dropped_horizons"] == [100.0]
-        horizon = report["columns"].index("horizon")
-        assert [row[horizon] for row in report["rows"]] == ["25", "50"]
+        assert report["meta"]["zero_hit_rungs"] == [100.0]
+        rows = [dict(zip(report["columns"], cells)) for cells in report["rows"]]
+        assert [row["horizon"] for row in rows] == ["25", "50", "100"]
+        assert (rows[-1]["mean"], rows[-1]["log_mean"]) == ("0", "na")
 
     def test_flag_overrides_win(self, tmp_path):
         path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], seed=1, replications=5_000))
@@ -378,6 +383,10 @@ CONFIGS = [
 ]
 
 
+# subcommands whose committed configs run a decay ladder
+DECAY_LADDERS = ("cramer", "ruin", "ruin-invest", "credit", "longterm")
+
+
 @pytest.mark.parametrize("config_path", CONFIGS)
 def test_committed_config_runs(tmp_path, config_path):
     with open(config_path) as handle:
@@ -387,12 +396,35 @@ def test_committed_config_runs(tmp_path, config_path):
         out = tmp_path / f"t{threads}.csv"
         code = cli.main([subcommand, "--config", config_path, "--n", "2000", "--threads", str(threads), "--out", str(out)])
         assert code == 0
-        sections.append(data_section(out.read_text()))
+        text = out.read_text()
+        sections.append(data_section(text))
     header, rows = sections[0][0], sections[0][1:]
     assert rows
     for row in rows:
         assert len(row.split(",")) == len(header.split(","))
     assert sections[0] == sections[1]
+    if subcommand in DECAY_LADDERS:
+        meta_keys = {line[2:].split(":")[0] for line in text.splitlines() if line.startswith("# ")}
+        assert {"mc_slope", "zero_hit_rungs"} <= meta_keys
+
+
+@pytest.mark.parametrize("sub, doc, library_fit", [
+    ("cramer", dict(MINIMAL["cramer"], ladder=[10, 20, 40]),
+     lambda N, seed: cramer.verify_rate(tilt.Bernoulli(0.25), 0.5, [10, 20, 40], N, seed)),
+    ("ruin", dict(MINIMAL["ruin"], ladder=[2.0, 4.0, 8.0]),
+     lambda N, seed: ruin.ruin_decay_fit(ruin.RuinModel(2.0, 1.0, tilt.Exponential(1.0)), [2.0, 4.0, 8.0], N, seed)),
+    ("credit", dict(MINIMAL["credit"], ladder=[20, 40, 80]),
+     lambda N, seed: credit.measure_loss_decay(credit.PortfolioModel(20, 0.1, 0.4, 0.5), [20, 40, 80], N, seed)),
+], ids=["cramer", "ruin", "credit"])
+def test_cli_and_library_share_one_ladder_path(tmp_path, sub, doc, library_fit):
+    path = write_config(tmp_path, f"{sub}.json", dict(doc, replications=2_000, seed=7))
+    out = tmp_path / "report.json"
+    assert cli.main([sub, "--config", path, "--threads", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    fit = library_fit(2_000, 7)
+    assert report["meta"]["mc_slope"] == fit.slope
+    means = [float(dict(zip(report["columns"], cells))["mean"]) for cells in report["rows"]]
+    assert means == [res.mean for res in fit.results]
 
 
 def test_warnings_recorded_in_metadata(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from rareflow import cramer, mc, tilt
 from rareflow.cramer import EmpiricalMeanProblem
 from rareflow.errors import BoundViolated, DomainError
-from rareflow.tilt import Bernoulli, Normal
+from rareflow.tilt import Bernoulli, Exponential, Normal, Poisson
 
 from oracles import bernoulli_sum_enumeration, binomial_tail_sum, phi_bar
 
@@ -15,27 +15,41 @@ from oracles import bernoulli_sum_enumeration, binomial_tail_sum, phi_bar
 class TestNaiveTail:
     def test_certain_event(self):
         problem = EmpiricalMeanProblem(Bernoulli(0.3), 7, 0.0)
-        res = cramer.naive_tail(problem, 1000, seed=0)
+        res = cramer.is_tail(problem, 0.0, 1000, seed=0)
         assert res.mean == 1.0
 
     def test_binomial_oracle(self):
         problem = EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.5)
         exact = binomial_tail_sum(10, 0.25, 5)
         assert exact == pytest.approx(0.0781269, abs=1e-7)
-        res = cramer.naive_tail(problem, 1_000_000, seed=11)
+        res = cramer.is_tail(problem, 0.0, 1_000_000, seed=11)
         assert abs(res.mean - exact) < 4.0 * res.std_error
 
     def test_normal_oracle(self):
         problem = EmpiricalMeanProblem(Normal(0.0, 1.0), 4, 1.0)
         exact = float(phi_bar(2.0))  # S_n/n ~ N(0, 1/4)
-        res = cramer.naive_tail(problem, 1_000_000, seed=5)
+        res = cramer.is_tail(problem, 0.0, 1_000_000, seed=5)
         assert abs(res.mean - exact) < 4.0 * res.std_error
 
 
 class TestIsTail:
-    def test_zero_tilt_equals_naive_bitwise(self):
-        problem = EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.5)
-        naive = cramer.naive_tail(problem, 50_000, seed=3)
+    @pytest.mark.parametrize("family, n, x", [
+        (Bernoulli(0.25), 10, 0.5),
+        (Poisson(1.3), 5, 2.0),
+        (Normal(0.0, 1.0), 4, 1.0),
+        (Exponential(1.0), 5, 1.8),
+    ], ids=["Bernoulli", "Poisson", "Normal", "Exponential"])
+    def test_zero_tilt_equals_naive_bitwise(self, family, n, x):
+        # the plain Monte Carlo sampler, written out: the indicator of the
+        # sum threshold on draws from the untilted law
+        problem = EmpiricalMeanProblem(family, n, x)
+        threshold = cramer._sum_threshold(problem)
+
+        def naive_sampler(ss, size):
+            sums = family.sample_sum(np.random.default_rng(ss), n, size)
+            return (sums >= threshold).astype(float)
+
+        naive = mc.run_replications(naive_sampler, 50_000, seed=3)
         tilted = cramer.is_tail(problem, 0.0, 50_000, seed=3)
         assert naive == tilted
 
@@ -47,7 +61,7 @@ class TestIsTail:
         exact = binomial_tail_sum(10, 0.25, 5)
         assert abs(res.mean - exact) < 4.0 * res.std_error
         # variance reduction is the point: much tighter than naive at same N
-        naive = cramer.naive_tail(problem, 100_000, seed=21)
+        naive = cramer.is_tail(problem, 0.0, 100_000, seed=21)
         assert res.std_error < 0.5 * naive.std_error
 
     def test_deep_gaussian_tail(self):
@@ -56,7 +70,7 @@ class TestIsTail:
         res = cramer.is_tail(problem, 1.0, 100_000, seed=17)
         assert abs(res.mean - exact) < 4.0 * res.std_error
         # the motivating failure: naive gets no hits at this N and seed
-        naive = cramer.naive_tail(problem, 100_000, seed=17)
+        naive = cramer.is_tail(problem, 0.0, 100_000, seed=17)
         assert naive.mean == 0.0
 
     def test_negative_theta_rejected(self):

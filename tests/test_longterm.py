@@ -7,7 +7,6 @@ import pytest
 from rareflow import cli, longterm, mc
 from rareflow.errors import (
     DomainError,
-    NegativeTarget,
     OutOfDomain,
     OutOfDualDomain,
 )
@@ -83,14 +82,11 @@ class TestBsOutperformance:
         assert value == 0.0 and theta_x == 0.0
         assert alpha == pytest.approx(0.2, abs=1e-15)
 
-    def test_negative_target(self):
-        with pytest.raises(NegativeTarget):
-            longterm.bs_outperformance(0.2, 0.0, 1.0, -0.1)
-
-    @pytest.mark.parametrize("x", [0.04, 0.5])
+    @pytest.mark.parametrize("x", [-0.1, 0.04, 0.5])
     def test_market_units_match_cli(self, tmp_path, x):
         # a0 = 0.03 and sigma = 0.5: m = ((a - a0)/sigma)^2/2 = 0.02 against
         # the excess target g = x - a0, so x = 0.04 holds the Merton fraction
+        # and so does a negative target, which is no error
         a, a0, sigma = 0.13, 0.03, 0.5
         m, g = 0.5 * ((a - a0) / sigma) ** 2, x - a0
         if g <= m:
