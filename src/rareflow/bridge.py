@@ -3,21 +3,22 @@
 Between two grid values the Euler scheme is a Brownian bridge, so the chance
 of touching a single constant barrier U is exact: ``exp(e)`` with the kill
 exponent ``e = -2 (U - x_i)^+ (U - x_{i+1})^+ / (sigma^2 eps)``
-(``kill_exponent_single``).  For a double or moving corridor the exact law is
-unavailable; the dominant-action approximation ``exp(-I/eps - w)`` keeps the
-cheaper of the two barrier excursions plus a first-order slope correction
-(Baldi, 1995).  The knock-out pricer uses these per-step kill probabilities to
-remove the sqrt(eps) bias of testing the barrier at grid times only: a spec
-with one constant upper level and no lower one runs the exact single-barrier
-kernel, every other spec the dominant-action code.
+(``kill_exponent_single``).  Barriers are affine in time, U(t) = U + U' t and
+L(t) = L + L' t.  For a corridor or a sloped side the dominant-action law
+``exp(-I/eps - w)`` (``kill_exponent_double``) keeps the cheaper of the two
+barrier excursions plus a first-order slope correction (Baldi, 1995); for one
+linear side and constant volatility it is the exact crossing law.  The
+knock-out pricer uses these per-step kill probabilities to remove the
+sqrt(eps) bias of testing the barrier at grid times only: a spec with one
+constant upper level and no lower one runs the exact single-barrier kernel,
+every other spec the dominant-action code.
 
 A path is killed when a uniform u falls below ``exp(max(e, KILL_FLOOR))``.
 The floor is exact for the decision: exp(-40) < 2**-53, the smallest positive
 draw of ``Generator.random``, so no u > 0 lies below either side, and only a
 draw of exactly 0.0 (probability 2**-53) can tell them apart.  It keeps
 ``np.exp`` out of its slow subnormal range, which deep exponents otherwise
-hit on a large share of steps.  The public ``crossing_prob_*`` functions
-return the unfloored probabilities.
+hit on a large share of steps.
 """
 
 from __future__ import annotations
@@ -40,40 +41,20 @@ NO_LOWER = -1e18
 KILL_FLOOR = -40.0
 
 
-def _const(level: float) -> Callable[[float], float]:
-    return lambda t: level
-
-
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Single-up or double barrier, as time functions with derivatives.
+    """Two affine barriers U(t) = upper + upper_slope t and L(t) = lower + lower_slope t.
 
-    One-sided specs encode the missing barrier with a huge sentinel level so
-    the double-barrier functions serve both cases; ``price_knockout`` spots a
-    constant upper level with no lower one and runs the exact kernel instead.
+    A missing side keeps its sentinel level (``NO_LOWER``, or ``NO_UPPER``
+    for no barrier at all), so the corridor code serves every spec;
+    ``price_knockout`` spots a constant upper level with no lower one and
+    runs the exact kernel instead.
     """
 
-    upper: Callable[[float], float]
-    upper_slope: Callable[[float], float]
-    lower: Callable[[float], float] = _const(NO_LOWER)
-    lower_slope: Callable[[float], float] = _const(0.0)
-
-    @staticmethod
-    def single_up(level: float) -> "BarrierSpec":
-        return BarrierSpec(upper=_const(level), upper_slope=_const(0.0))
-
-    @staticmethod
-    def double_const(lower: float, upper: float) -> "BarrierSpec":
-        return BarrierSpec(
-            upper=_const(upper),
-            upper_slope=_const(0.0),
-            lower=_const(lower),
-            lower_slope=_const(0.0),
-        )
-
-    @staticmethod
-    def none() -> "BarrierSpec":
-        return BarrierSpec(upper=_const(NO_UPPER), upper_slope=_const(0.0))
+    upper: float
+    upper_slope: float = 0.0
+    lower: float = NO_LOWER
+    lower_slope: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -118,21 +99,6 @@ def kill_prob(expo):
     return np.exp(np.maximum(expo, KILL_FLOOR))
 
 
-def _float_if_scalar(value: np.ndarray):
-    return float(value) if value.ndim == 0 else value
-
-
-def crossing_prob_single(x_i, x_next, upper, sigma_i, eps):
-    """Exact bridge probability of touching the level ``upper`` within a step.
-
-    Returns 1 when either endpoint is already at or above the barrier.
-    The formula is symmetric in the endpoints.
-    """
-    gap_i = np.maximum(upper - np.asarray(x_i, dtype=float), 0.0)
-    gap_next = np.maximum(upper - np.asarray(x_next, dtype=float), 0.0)
-    return _float_if_scalar(np.exp(kill_exponent_single(gap_i, gap_next, sigma_i, eps)))
-
-
 def _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i):
     """Action I and slope correction w of the cheaper corridor excursion.
 
@@ -159,21 +125,6 @@ def _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma
     return rate, w
 
 
-def crossing_rate_double(x_i, x_next, lower_i, upper_i, sigma_i):
-    """Action I of the cheapest barrier excursion for a bridge in (L, U); see _double_terms."""
-    return _float_if_scalar(_double_terms(x_i, x_next, lower_i, upper_i, 0.0, 0.0, sigma_i)[0])
-
-
-def sharp_correction_double(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i):
-    """First-order prefactor correction w for moving barriers.
-
-    An upward-moving upper barrier (U' > 0) gives w > 0, depressing the
-    crossing probability.
-    """
-    return _float_if_scalar(
-        _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i)[1])
-
-
 def kill_exponent_double(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i, eps):
     """Log ``min(-I/eps - w, 0)`` of the dominant-action corridor kill probability.
 
@@ -182,17 +133,6 @@ def kill_exponent_double(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope
     """
     rate, w = _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i)
     return np.minimum(-rate / eps - w, 0.0)
-
-
-def crossing_prob_double(x_i, x_next, spec: BarrierSpec, t_i, sigma_i, eps):
-    """Kill probability min(1, exp(-I/eps - w)).
-
-    Barriers are frozen at the left endpoint t_i of the step, matching the
-    per-step exit event the estimate approximates.
-    """
-    expo = kill_exponent_double(x_i, x_next, spec.lower(t_i), spec.upper(t_i),
-                                spec.lower_slope(t_i), spec.upper_slope(t_i), sigma_i, eps)
-    return _float_if_scalar(np.exp(expo))
 
 
 def price_knockout(
@@ -218,15 +158,12 @@ def price_knockout(
     eps = model.eps
     sqrt_eps = math.sqrt(eps)
     n_steps = model.steps
-    times = [i * eps for i in range(n_steps + 1)]
-    lowers = np.array([spec.lower(t) for t in times])
-    uppers = np.array([spec.upper(t) for t in times])
-    lower_slopes = np.array([spec.lower_slope(t) for t in times])
-    upper_slopes = np.array([spec.upper_slope(t) for t in times])
+    times = eps * np.arange(n_steps + 1)
+    lowers = spec.lower + spec.lower_slope * times
+    uppers = spec.upper + spec.upper_slope * times
     # one constant upper level: the exact law, with no branch or slope term
-    single_up = bool(np.all(lowers <= NO_LOWER) and np.all(uppers == uppers[0])
-                     and not (np.any(lower_slopes) or np.any(upper_slopes)))
-    level = uppers[0]
+    single_up = spec.lower <= NO_LOWER and spec.upper_slope == 0.0 and spec.lower_slope == 0.0
+    level = spec.upper
     discount = math.exp(-model.rate * model.maturity)
 
     def sampler(ss, size):
@@ -250,7 +187,7 @@ def price_knockout(
                     gap = gap_next
                 else:
                     expo = kill_exponent_double(x, x_next, lowers[i], uppers[i],
-                                                lower_slopes[i], upper_slopes[i], sigma_i, eps)
+                                                spec.lower_slope, spec.upper_slope, sigma_i, eps)
                 alive &= uniforms >= kill_prob(expo)
             x = x_next
         return discount * payoff(x) * alive

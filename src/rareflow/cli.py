@@ -157,8 +157,10 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
                          check=lambda v, _p: None if 0.0 <= v < 1.0 else f"rho must lie in [0,1), got {v}"),
         "q": FieldSpec(float, default=None),
         "schedule_a": FieldSpec(float, default=None),
-        "schedule_c": FieldSpec(float, default=0.5),
-        "shift": FieldSpec((str, float), default="mu_n"),
+        "schedule_c": FieldSpec(float, default=0.5, check=_positive("schedule_c")),
+        "shift": FieldSpec((str, float), default="mu_n",
+                           check=lambda v, _p: None if isinstance(v, float) or v in ("mu_n", "z_n")
+                           else f"shift must be a number, 'mu_n' or 'z_n', got {v!r}"),
     },
     "longterm": {
         "a": FieldSpec(float, required=True),
@@ -467,7 +469,7 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
         vol = lambda x: sigma * x
         barrier_level = p["barrier"]
         payoff = (lambda x: np.maximum(x - p["strike"], 0.0)) if p["payoff"] == "call" else (lambda x: np.ones_like(x))
-    spec = bridge.BarrierSpec.single_up(barrier_level)
+    spec = bridge.BarrierSpec(barrier_level)
     steps_ladder = _rungs(config)
     methods = ("naive", "corrected") if p["method"] == "both" else (p["method"],)
     oracle_value = None

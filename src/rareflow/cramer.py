@@ -74,7 +74,7 @@ def is_tail(
     threshold k >= n*x - 1e-9 (the Chebyshev bound), checked per draw.
     """
     if theta is None:
-        theta = default_theta(problem)
+        theta = tilt.saddle_theta(problem.family, problem.x)
     if theta < 0.0:
         raise DomainError(f"tilt parameter must be >= 0, got {theta}")
     family, n = problem.family, problem.n
@@ -97,11 +97,6 @@ def is_tail(
 def _check_chebyshev(values: np.ndarray, bound: float) -> None:
     if not np.all(values <= bound * (1.0 + 1e-12)):
         raise BoundViolated("per-draw Chebyshev bound violated")
-
-
-def default_theta(problem: EmpiricalMeanProblem) -> float:
-    """The saddle-point tilt, the variance-optimal default."""
-    return tilt.saddle_theta(problem.family, problem.x)
 
 
 def verify_rate(

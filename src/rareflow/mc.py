@@ -48,7 +48,7 @@ class DecayFit:
     """Ordinary least squares fit of log-probability against a scale.
 
     A fit made by ``fit_ladder`` also carries every rung's result in ladder
-    order and the scales of the zero-hit rungs it left out.
+    order.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -56,7 +56,6 @@ class DecayFit:
     intercept: float
     r_squared: float
     results: tuple[EstimatorResult, ...] = ()
-    dropped: tuple[float, ...] = ()
 
 
 def _merge(stats_a, stats_b):
@@ -208,7 +207,7 @@ def run_ladder(estimate: Callable[[object, int], object], rungs: Sequence, seed:
 def fit_ladder(scales: Sequence[float], results: Sequence[EstimatorResult]) -> DecayFit:
     """Fit log-estimates against scales, leaving zero-hit rungs out with a warning.
 
-    The fit carries every result in ladder order and the dropped scales.
+    The fit carries every result in ladder order.
     With fewer than 3 rungs left there is no line to fit: slope, intercept
     and r_squared are nan, and the rungs' results are kept all the same.
     """
@@ -216,8 +215,7 @@ def fit_ladder(scales: Sequence[float], results: Sequence[EstimatorResult]) -> D
     if dropped:  # attributed to the caller of the function that fits its ladder
         warnings.warn(f"dropped {dropped} zero-hit rungs from the decay fit", stacklevel=3)
     fit = fit_decay(points) if len(points) >= 3 else DecayFit(tuple(points), math.nan, math.nan, math.nan)
-    return replace(fit, results=tuple(results),
-                   dropped=tuple(float(s) for s in zero_hit_rungs(scales, results)))
+    return replace(fit, results=tuple(results))
 
 
 def optimality_gap(second_moment_fit: DecayFit, prob_fit: DecayFit) -> float:

@@ -175,35 +175,6 @@ def _check_lundberg(samples: np.ndarray, bound: float) -> None:
         raise BoundViolated("sample above the Lundberg bound")
 
 
-def simulate_ruin_naive_finite(
-    model: RuinModel, x: float, horizon: float, N: int, seed: int, threads: int = 1
-) -> EstimatorResult:
-    """Plain Monte Carlo frequency of ruin before ``horizon`` (no tilting).
-
-    Exact in distribution (claims at exact arrival times); used as an oracle
-    for small reserves where ruin is not rare.
-    """
-    step = model.step_family()
-    # enough arrivals to cover the horizon except with negligible probability
-    lam_t = model.lam * horizon
-    max_claims = int(lam_t + 12.0 * math.sqrt(lam_t) + 25.0)
-
-    def sampler(ss, size):
-        rng = np.random.default_rng(ss)
-        ruined = np.zeros(size, dtype=bool)
-        walks = np.zeros(size)
-        times = np.zeros(size)
-        for _ in range(max_claims):
-            waits = rng.exponential(1.0 / model.lam, size)
-            claims = model.claims.sample(rng, size)
-            times += waits
-            walks += claims - model.premium * waits
-            ruined |= (walks > x) & (times <= horizon)
-        return ruined.astype(float)
-
-    return mc.run_replications(sampler, N, seed, threads=threads)
-
-
 def ruin_decay_fit(
     model: RuinModel, reserves: Sequence[float], N: int, seed: int, threads: int = 1
 ) -> DecayFit:
@@ -229,7 +200,8 @@ def simulate_wealth_ruin(
     the horizon) and the exact Gaussian endpoint, kills with the bridge law
     of touching 0 in between (certain when the endpoint is below 0), then
     subtracts the claim.  There is no grid bias, but ruin after ``horizon``
-    is missed, so this underestimates; only decay-slope tests consume it.
+    is missed, so this underestimates the infinite-horizon probability.  At
+    alpha = 0 it is plain Monte Carlo of the classical risk process.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")

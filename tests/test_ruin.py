@@ -112,7 +112,7 @@ class TestSimulateRuinIs:
         # anchor the closed-form oracle itself at small reserves
         model = exponential_model()
         for i, x in enumerate((0.5, 1.0)):
-            naive = ruin.simulate_ruin_naive_finite(model, x, horizon=200.0, N=40_000, seed=60 + i)
+            naive = ruin.simulate_wealth_ruin(model, x, 0.0, horizon=200.0, N=40_000, seed=60 + i)
             assert abs(naive.mean - exact_ruin_probability(model, x)) < 4.0 * naive.std_error
 
     def test_decay_slope(self):
@@ -208,14 +208,6 @@ class TestWealthSimulation:
             horizon=50.0, N=10_000, seed=8,
         )
         assert est.mean < 1e-3
-
-    def test_no_investment_matches_embedded_walk(self):
-        model = exponential_model(invest=Investment(0.0, 1.0))
-        x, horizon = 2.0, 60.0
-        wealth = ruin.simulate_wealth_ruin(model, x, alpha=0.0, horizon=horizon, N=30_000, seed=9)
-        walk = ruin.simulate_ruin_naive_finite(model, x, horizon, 30_000, seed=10)
-        joint_se = math.hypot(wealth.std_error, walk.std_error)
-        assert abs(wealth.mean - walk.mean) < 4.0 * joint_se
 
     @pytest.mark.parametrize("x, premium, b, sigma, alpha, horizon", [
         (1.0, 0.2, 0.5, 1.0, 1.0, 2.0),
