@@ -143,17 +143,21 @@ def price_knockout(
     seed: int,
     method: str = "corrected",
     threads: int = 1,
-) -> EstimatorResult:
+) -> EstimatorResult | tuple[EstimatorResult, EstimatorResult]:
     """Discounted knock-out expectation E[exp(-rT) g(X_T) 1{alive}].
 
     ``naive`` kills a path only when a grid value leaves the corridor;
     ``corrected`` kills between grid points with the bridge probability,
     consuming one uniform per step from a stream separate from the path
-    noise (so naive/corrected/vanilla comparisons can share paths).  A spec
-    with one constant upper level kills with the exact single-barrier law;
-    any other spec with the dominant action plus its slope correction.
+    noise.  ``both`` prices the two methods from one pass over the same
+    paths and returns ``(naive, corrected)``, each equal to its own
+    method's run.  A spec with one constant upper level kills with the
+    exact single-barrier law; any other spec with the dominant action plus
+    its slope correction.  A corridor with L >= U at t = 0 or at the last
+    grid time raises ``InvalidBarrier`` before any path is drawn, whatever
+    the method; affine sides that are apart at both ends are apart between.
     """
-    if method not in ("naive", "corrected"):
+    if method not in ("naive", "corrected", "both"):
         raise ValueError(f"unknown method {method!r}")
     eps = model.eps
     sqrt_eps = math.sqrt(eps)
@@ -161,6 +165,11 @@ def price_knockout(
     times = eps * np.arange(n_steps + 1)
     lowers = spec.lower + spec.lower_slope * times
     uppers = spec.upper + spec.upper_slope * times
+    if not (lowers[0] < uppers[0] and lowers[-1] < uppers[-1]):
+        raise InvalidBarrier(f"need L < U on [0, T], got L={lowers[0]}, U={uppers[0]} at t=0 "
+                             f"and L={lowers[-1]}, U={uppers[-1]} at t={times[-1]}")
+    naive = method != "corrected"
+    corrected = method != "naive"
     # one constant upper level: the exact law, with no branch or slope term
     single_up = spec.lower <= NO_LOWER and spec.upper_slope == 0.0 and spec.lower_slope == 0.0
     level = spec.upper
@@ -171,15 +180,16 @@ def price_knockout(
         rng = np.random.default_rng(path_ss)
         kill_rng = np.random.default_rng(kill_ss)
         x = np.full(size, model.x0)
-        alive = np.full(size, lowers[0] < model.x0 < uppers[0])
+        on_grid = np.full(size, lowers[0] < model.x0 < uppers[0])  # naive survivors
+        bridged = on_grid.copy()  # corrected survivors
         gap = np.maximum(level - x, 0.0)
         for i in range(n_steps):
             gauss = rng.standard_normal(size)
             sigma_i = model.vol(x)
             x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
-            if method == "naive":
-                alive &= (x_next > lowers[i + 1]) & (x_next < uppers[i + 1])
-            else:
+            if naive:
+                on_grid &= (x_next > lowers[i + 1]) & (x_next < uppers[i + 1])
+            if corrected:
                 uniforms = kill_rng.random(size)
                 if single_up:
                     gap_next = np.maximum(level - x_next, 0.0)
@@ -188,8 +198,11 @@ def price_knockout(
                 else:
                     expo = kill_exponent_double(x, x_next, lowers[i], uppers[i],
                                                 spec.lower_slope, spec.upper_slope, sigma_i, eps)
-                alive &= uniforms >= kill_prob(expo)
+                bridged &= uniforms >= kill_prob(expo)
             x = x_next
-        return discount * payoff(x) * alive
+        value = discount * payoff(x)
+        if method == "both":
+            return np.stack([value * on_grid, value * bridged])
+        return value * (on_grid if naive else bridged)
 
     return mc.run_replications(sampler, N, seed, threads=threads)

@@ -487,8 +487,8 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
     def one_row(steps: int, seed: int) -> list:
         model = bridge.EulerModel(drift=drift, vol=vol, maturity=p["maturity"], steps=steps, x0=x0, rate=rate)
         row = [steps, model.eps]
-        for method in methods:
-            res = bridge.price_knockout(model, payoff, spec, config.replications, seed, method=method, threads=threads)
+        results = bridge.price_knockout(model, payoff, spec, config.replications, seed, method=p["method"], threads=threads)
+        for res in results if p["method"] == "both" else (results,):
             row.extend([res.mean, res.std_error])
         if config.oracle:
             row.append(oracle_value)

@@ -5,7 +5,9 @@ seed ``s`` draws from ``SeedSequence([s, b])``, so the stream layout depends
 only on ``(sampler, n, seed)`` — never on thread count — and batch statistics
 are merged in batch-index order.  Samplers receive the batch SeedSequence and
 may spawn independent sub-streams from it (path noise vs. kill decisions,
-say) without perturbing each other.  Every ladder of runs goes through
+say) without perturbing each other.  A sampler may return k rows, k
+estimators of the same replications, and gets k results from one pass, each
+the one its row alone would give.  Every ladder of runs goes through
 ``run_ladder`` and, when its rates are fitted, ``fit_ladder``.
 """
 
@@ -84,18 +86,42 @@ def _batch_stats(values: np.ndarray):
     return (n, mean, m2)
 
 
+def _estimate(stats) -> EstimatorResult:
+    """The ``EstimatorResult`` of merged (count, mean, M2) statistics."""
+    count, mean, m2 = stats
+    variance = m2 / (count - 1) if count > 1 else 0.0
+    variance = max(variance, 0.0)
+    std_error = math.sqrt(variance / count)
+    relative_error = std_error / mean if mean > 0.0 else math.nan
+    second_moment = (m2 + count * mean * mean) / count
+    log_mean = math.log(mean) if mean > 0.0 else LOG_ZERO
+    return EstimatorResult(
+        n=count,
+        mean=mean,
+        variance=variance,
+        std_error=std_error,
+        relative_error=relative_error,
+        second_moment=second_moment,
+        log_mean=log_mean,
+    )
+
+
 def run_replications(
     sampler: Sampler,
     n: int,
     seed: int,
     threads: int = 1,
-) -> EstimatorResult:
-    """Average ``n`` replications of a scalar sampler.
+) -> EstimatorResult | tuple[EstimatorResult, ...]:
+    """Average ``n`` replications of a sampler of one or more estimators.
 
-    ``sampler(seed_seq, size)`` must return ``size`` values drawn from
-    generators derived from ``seed_seq`` only.  The result is bit-identical
-    for fixed ``(sampler, n, seed)`` whatever ``threads`` is.  A batch holding
-    a NaN or inf sample raises ``NonFiniteInput`` naming the batch index.
+    ``sampler(seed_seq, size)`` must return values drawn from generators
+    derived from ``seed_seq`` only: ``size`` values, or a ``(k, size)``
+    array whose k rows are k estimators of the same replications (common
+    random numbers).  A 1-D sampler gives one ``EstimatorResult``; a
+    ``(k, size)`` one a tuple of k, each bit-identical to a run of a sampler
+    returning that row alone.  The result is bit-identical for fixed
+    ``(sampler, n, seed)`` whatever ``threads`` is.  A batch holding a NaN or
+    inf sample raises ``NonFiniteInput`` naming the batch index.
     """
     if n < 2:
         raise ValueError("need at least 2 replications")
@@ -112,12 +138,17 @@ def run_replications(
         idx, size = batch
         ss = np.random.SeedSequence([seed, idx])
         values = np.asarray(sampler(ss, size), dtype=float)
-        if values.shape != (size,):
-            raise ValueError(f"sampler returned shape {values.shape}, wanted ({size},)")
-        stats = _batch_stats(values)
-        if not (math.isfinite(stats[1]) and math.isfinite(stats[2])):
-            raise NonFiniteInput(f"batch {idx}: non-finite samples (mean {stats[1]}, M2 {stats[2]})")
-        return stats
+        if values.shape != (size,) and not (values.ndim == 2 and values.shape[0] >= 1 and values.shape[1] == size):
+            raise ValueError(f"sampler returned shape {values.shape}, wanted ({size},) or (k, {size})")
+        rows = values if values.ndim == 2 else (values,)
+        per_row = []
+        for j, row in enumerate(rows):
+            stats = _batch_stats(row)
+            if not (math.isfinite(stats[1]) and math.isfinite(stats[2])):
+                where = f"batch {idx}" if values.ndim == 1 else f"batch {idx}, row {j}"
+                raise NonFiniteInput(f"{where}: non-finite samples (mean {stats[1]}, M2 {stats[2]})")
+            per_row.append(stats)
+        return values.ndim, per_row
 
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -125,25 +156,14 @@ def run_replications(
     else:
         per_batch = [one_batch(b) for b in batches]
 
-    total = per_batch[0]
-    for stats in per_batch[1:]:
-        total = _merge(total, stats)
-    count, mean, m2 = total
-    variance = m2 / (count - 1) if count > 1 else 0.0
-    variance = max(variance, 0.0)
-    std_error = math.sqrt(variance / count)
-    relative_error = std_error / mean if mean > 0.0 else math.nan
-    second_moment = (m2 + count * mean * mean) / count
-    log_mean = math.log(mean) if mean > 0.0 else LOG_ZERO
-    return EstimatorResult(
-        n=count,
-        mean=mean,
-        variance=variance,
-        std_error=std_error,
-        relative_error=relative_error,
-        second_moment=second_moment,
-        log_mean=log_mean,
-    )
+    layout = {(ndim, len(per_row)) for ndim, per_row in per_batch}
+    if len(layout) > 1:
+        raise ValueError(f"sampler changed its output layout between batches: {sorted(layout)}")
+    totals = per_batch[0][1]
+    for _, per_row in per_batch[1:]:
+        totals = [_merge(total, stats) for total, stats in zip(totals, per_row)]
+    results = tuple(_estimate(total) for total in totals)
+    return results if per_batch[0][0] == 2 else results[0]
 
 
 def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:

@@ -215,8 +215,7 @@ class TestPriceKnockout:
                            maturity=1.0, steps=16, x0=100.0, rate=0.02)
         payoff = lambda x: np.maximum(x - 95.0, 0.0)
         spec = BarrierSpec(bridge.NO_UPPER)
-        vanilla = bridge.price_knockout(model, payoff, spec, 40_000, seed=3, method="naive")
-        corrected = bridge.price_knockout(model, payoff, spec, 40_000, seed=3, method="corrected")
+        vanilla, corrected = bridge.price_knockout(model, payoff, spec, 40_000, seed=3, method="both")
         assert vanilla == corrected
 
     def test_corrected_below_naive_for_nonnegative_payoff(self):
@@ -225,8 +224,7 @@ class TestPriceKnockout:
                            maturity=1.0, steps=32, x0=100.0, rate=0.0)
         payoff = lambda x: np.maximum(x - 90.0, 0.0)
         spec = BarrierSpec(120.0)
-        naive = bridge.price_knockout(model, payoff, spec, 100_000, seed=4, method="naive")
-        corrected = bridge.price_knockout(model, payoff, spec, 100_000, seed=4, method="corrected")
+        naive, corrected = bridge.price_knockout(model, payoff, spec, 100_000, seed=4, method="both")
         joint = math.hypot(naive.std_error, corrected.std_error)
         assert corrected.mean < naive.mean + 2.0 * joint
 
@@ -242,11 +240,34 @@ class TestPriceKnockout:
         )
         payoff = lambda x: np.maximum(np.exp(x) - strike, 0.0)
         spec = BarrierSpec(math.log(barrier_level))
-        est = bridge.price_knockout(model, payoff, spec, 200_000, seed=5, method="corrected")
+        naive, est = bridge.price_knockout(model, payoff, spec, 200_000, seed=5, method="both")
         assert abs(est.mean - exact) < 4.0 * est.std_error
         # the naive estimator misses within-step crossings and over-prices
-        naive = bridge.price_knockout(model, payoff, spec, 200_000, seed=5, method="naive")
         assert naive.mean - exact > 6.0 * naive.std_error
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spec", [BarrierSpec(130.0), BarrierSpec(130.0, lower=80.0)], ids=["single", "corridor"])
+    def test_both_is_the_two_single_method_runs(self, spec, threads):
+        # one path pass, two rows: each equals its own method's run bit for bit
+        model = EulerModel(drift=lambda x: 0.05 * x, vol=lambda x: 0.3 * x,
+                           maturity=1.0, steps=12, x0=100.0, rate=0.05)
+        payoff = lambda x: np.maximum(x - 95.0, 0.0)
+        n = 2 * mc.BATCH_SIZE + 9
+        both = bridge.price_knockout(model, payoff, spec, n, seed=8, method="both", threads=threads)
+        naive = bridge.price_knockout(model, payoff, spec, n, seed=8, method="naive", threads=threads)
+        corrected = bridge.price_knockout(model, payoff, spec, n, seed=8, method="corrected", threads=threads)
+        assert both == (naive, corrected)
+
+    @pytest.mark.parametrize("method", ["naive", "corrected", "both"])
+    @pytest.mark.parametrize("spec", [BarrierSpec(0.5, lower=1.0),
+                                      BarrierSpec(0.5, upper_slope=-1.0, lower=-0.2, lower_slope=0.5)],
+                             ids=["inverted", "crossing"])
+    def test_inverted_corridor_raises_for_every_method(self, spec, method):
+        # L >= U at t = 0, or only at t = T: no method prices it
+        model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.ones_like(x),
+                           maturity=1.0, steps=4, x0=0.0, rate=0.0)
+        with pytest.raises(InvalidBarrier):
+            bridge.price_knockout(model, lambda x: np.ones_like(x), spec, 1_000, seed=1, method=method)
 
     def test_fortet_oracle_agrees_with_linear_boundary_closed_form(self):
         a, b = 0.8, 0.5

@@ -241,6 +241,19 @@ class TestRunExperiment:
         assert "naive_mean" in header and "corrected_mean" in header
         assert [row.split(",")[0] for row in rows] == ["8", "16", "32"]
 
+    @pytest.mark.parametrize("method", ["naive", "corrected"])
+    def test_barrier_single_method_columns_match_both(self, tmp_path, method):
+        tables = {}
+        for m in (method, "both"):
+            doc = dict(MINIMAL["barrier"], ladder=[8, 16], replications=5_000, method=m)
+            out = tmp_path / f"{m}.csv"
+            assert cli.main(["barrier", "--config", write_config(tmp_path, f"{m}.json", doc),
+                             "--out", str(out)]) == 0
+            lines = [line.split(",") for line in data_section(out.read_text()) if line]
+            tables[m] = [dict(zip(lines[0], row)) for row in lines[1:]]
+        cols = ["steps", "eps", f"{method}_mean", f"{method}_std_error"]
+        assert [[row[c] for c in cols] for row in tables[method]] == [[row[c] for c in cols] for row in tables["both"]]
+
     def test_invalid_domain_nonzero_exit_no_partial_output(self, tmp_path, capsys):
         doc = dict(MINIMAL["longterm"], theta=1.2)
         path = write_config(tmp_path, "longterm.json", doc)

@@ -58,6 +58,51 @@ class TestRunReplications:
         with pytest.raises(ValueError):
             mc.run_replications(bad, 100, seed=0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_row_sampler_matches_single_row_runs(self, threads):
+        # three estimators of the same replications, over three batches
+        def rows(ss, size):
+            u = np.random.default_rng(ss).random(size)
+            return np.stack([u < 0.3, u * u, np.exp(-u) * 1e-9])
+
+        def row(j):
+            return lambda ss, size: rows(ss, size)[j]
+
+        n = 2 * mc.BATCH_SIZE + 17
+        together = mc.run_replications(rows, n, seed=4, threads=threads)
+        assert isinstance(together, tuple) and len(together) == 3
+        for j, res in enumerate(together):
+            alone = mc.run_replications(row(j), n, seed=4, threads=threads)
+            assert res == alone
+            assert res.n == n
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_row_names_its_batch(self):
+        def sampler(ss, size):
+            values = np.ones((2, size))
+            if ss.entropy[1] == 1:  # the second batch, second row only
+                values[1, 3] = math.nan
+            return values
+
+        with pytest.raises(NonFiniteInput, match="batch 1"):
+            mc.run_replications(sampler, 2 * mc.BATCH_SIZE + 5, seed=0, threads=2)
+
+    @pytest.mark.parametrize("shape", [lambda size: (size, 2), lambda size: (2, size + 1),
+                                       lambda size: (2, 1, size)], ids=["transposed", "long-rows", "3-D"])
+    def test_rejects_misshapen_row_sampler(self, shape):
+        def bad(ss, size):
+            return np.zeros(shape(size))
+
+        with pytest.raises(ValueError):
+            mc.run_replications(bad, 100, seed=0)
+
+    def test_rejects_row_count_changing_between_batches(self):
+        def shifting(ss, size):
+            return np.zeros(size) if ss.entropy[1] == 0 else np.zeros((2, size))
+
+        with pytest.raises(ValueError, match="layout"):
+            mc.run_replications(shifting, mc.BATCH_SIZE + 10, seed=0)
+
     # a RuntimeWarning from the batch statistics becomes the raised error
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
