@@ -456,19 +456,19 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
 def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     sigma, rate = p["sigma"], p["rate"]
-    spec_levels = []
     if p["space"] == "log":
         x0 = math.log(p["s0"])
         drift = lambda x: rate - 0.5 * sigma * sigma
         vol = lambda x: sigma
         barrier_level = math.log(p["barrier"])
-        payoff = (lambda x: np.maximum(np.exp(x) - p["strike"], 0.0)) if p["payoff"] == "call" else (lambda x: np.ones_like(x))
+        price = np.exp
     else:
         x0 = p["s0"]
         drift = lambda x: rate * x
         vol = lambda x: sigma * x
         barrier_level = p["barrier"]
-        payoff = (lambda x: np.maximum(x - p["strike"], 0.0)) if p["payoff"] == "call" else (lambda x: np.ones_like(x))
+        price = lambda x: x
+    payoff = (lambda x: np.maximum(price(x) - p["strike"], 0.0)) if p["payoff"] == "call" else np.ones_like
     spec = bridge.BarrierSpec(barrier_level)
     steps_ladder = _rungs(config)
     methods = ("naive", "corrected") if p["method"] == "both" else (p["method"],)
@@ -477,9 +477,9 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
         if p["payoff"] == "call":
             oracle_value = oracles.up_out_call_price(p["s0"], p["strike"], p["barrier"], rate, sigma, p["maturity"])
         else:
-            oracle_value = math.exp(-rate * p["maturity"]) * (
-                1.0 - oracles.up_in_bond_probability(p["s0"], p["barrier"], sigma, p["maturity"])
-            ) if rate == 0.0 and p["space"] == "log" else None
+            # the touch law is the driftless-price one, so only rate 0 has an oracle
+            oracle_value = 1.0 - oracles.up_in_bond_probability(
+                p["s0"], p["barrier"], sigma, p["maturity"]) if rate == 0.0 else None
     cols = ["steps", "eps"] + [f"{m}_{c}" for m in methods for c in ("mean", "std_error")]
     if config.oracle:
         cols.append("oracle")
@@ -537,7 +537,7 @@ def _run_credit(config: ExperimentConfig, threads: int) -> Report:
     for n, res in zip(sizes, fit.results):
         row = [n, model.q_at(n)] + _estimator_row(res)
         if config.oracle:
-            row.append(oracles.credit_tail_quadrature(n, p["p"], p["rho"], model.q_at(n)) if n <= 20000 else None)
+            row.append(oracles.credit_tail_quadrature(n, p["p"], p["rho"], model.q_at(n)))
         rows.append(row)
     cols = ["n", "q_n"] + _EST_COLS + (["oracle"] if config.oracle else [])
     return Report(meta=_ladder_meta(sizes, fit), columns=cols, rows=rows)

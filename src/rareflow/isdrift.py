@@ -25,19 +25,21 @@ from .mc import DecayFit, EstimatorResult
 class PathPayoff:
     """Nonnegative payoff G of a standard-normal vector of length dim.
 
-    ``log_payoff`` F = ln G is finite exactly on {G > 0}; a closed-form
-    gradient may be supplied, otherwise central differences (step 1e-5) are
-    used, gated by a domain probe.  ``evaluate_batch`` takes an (N, dim)
-    array for the Monte Carlo paths.
+    ``evaluate`` is the one formula: it maps an (..., dim) array to the payoff
+    of each row along the last axis, so a single point and the (N, dim)
+    Monte Carlo paths run the same code.  Row-wise reductions (``np.sum``,
+    ``np.mean`` with ``axis=-1``) give each row the bits it gets alone; a
+    matrix product does not.  ``log_payoff`` F = ln G is
+    finite exactly on {G > 0}; a closed-form gradient may be supplied,
+    otherwise central differences (step 1e-5) are used, gated by a domain
+    probe.
     """
 
-    def __init__(self, dim: int, evaluate: Callable[[np.ndarray], float],
-                 evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None,
+    def __init__(self, dim: int, evaluate: Callable[[np.ndarray], np.ndarray],
                  gradient: Callable[[np.ndarray], np.ndarray] | None = None,
                  growth_c2: float | None = None):
         self.dim = dim
         self._evaluate = evaluate
-        self._evaluate_batch = evaluate_batch
         self._gradient = gradient
         self.growth_c2 = growth_c2
 
@@ -45,10 +47,7 @@ class PathPayoff:
         return float(self._evaluate(np.asarray(z, dtype=float)))
 
     def evaluate_batch(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self._evaluate_batch is not None:
-            return np.asarray(self._evaluate_batch(z), dtype=float)
-        return np.array([self._evaluate(row) for row in z])
+        return np.asarray(self._evaluate(np.asarray(z, dtype=float)), dtype=float)
 
     def in_domain(self, z: np.ndarray) -> bool:
         return self.evaluate(z) > 0.0
@@ -227,14 +226,9 @@ def varadhan_limit_linear(c, mu) -> float:
 def linear_payoff(c, offset: float = 0.0) -> PathPayoff:
     """G(z) = exp(c'z + offset): the zero-variance showcase for mu = c."""
     c = np.asarray(c, dtype=float)
-
-    def batch(z):
-        return np.exp(z @ c + offset)
-
     return PathPayoff(
         dim=c.size,
-        evaluate=lambda z: math.exp(float(z @ c) + offset),
-        evaluate_batch=batch,
+        evaluate=lambda z: np.exp(np.sum(z * c, axis=-1) + offset),
         gradient=lambda z: c.copy(),
         growth_c2=0.0,
     )
@@ -242,14 +236,9 @@ def linear_payoff(c, offset: float = 0.0) -> PathPayoff:
 
 def quadratic_payoff(dim: int, curvature: float) -> PathPayoff:
     """G(z) = exp(-curvature * z'z), with gradient -2*curvature*z."""
-
-    def batch(z):
-        return np.exp(-curvature * np.sum(z * z, axis=1))
-
     return PathPayoff(
         dim=dim,
-        evaluate=lambda z: math.exp(-curvature * float(z @ z)),
-        evaluate_batch=batch,
+        evaluate=lambda z: np.exp(-curvature * np.sum(z * z, axis=-1)),
         gradient=lambda z: -2.0 * curvature * np.asarray(z, dtype=float),
         growth_c2=max(-curvature, 0.0),
     )
@@ -271,25 +260,18 @@ def asian_call_payoff(steps: int, spot: float, strike: float, sigma: float, matu
         return spot * np.exp(np.cumsum(log_increments, axis=-1))
 
     def evaluate(z):
-        s = prices(z)
-        return max(float(np.mean(s)) - strike, 0.0)
-
-    def batch(z):
-        s = prices(z)
-        return np.maximum(np.mean(s, axis=1) - strike, 0.0)
+        return np.maximum(np.mean(prices(z), axis=-1) - strike, 0.0)
 
     def gradient(z):
         s = prices(z)
-        avg = float(np.mean(s))
-        g = avg - strike
+        g = float(np.mean(s)) - strike
         if g <= 0.0:
             raise DomainEscape("gradient requested outside {G > 0}")
         # d mean(S) / dz_j = (vol_step / m) * sum_{i >= j} S_i
         tail_sums = np.cumsum(s[::-1])[::-1]
         return (vol_step / steps) * tail_sums / g
 
-    return PathPayoff(dim=steps, evaluate=evaluate, evaluate_batch=batch,
-                      gradient=gradient, growth_c2=0.0)
+    return PathPayoff(dim=steps, evaluate=evaluate, gradient=gradient, growth_c2=0.0)
 
 
 # -- barrier-style feedback drift ------------------------------------------

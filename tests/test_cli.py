@@ -377,6 +377,32 @@ class TestRunExperiment:
         mean, se, oracle = float(row["mean"]), float(row["std_error"]), float(row["oracle"])
         assert abs(mean - oracle) < 4.0 * se
 
+    def test_credit_oracle_at_every_size(self, tmp_path):
+        # the large-loss schedule of configs/credit-ladder.json, past n = 20000
+        doc = {"n": 100, "p": 0.4, "rho": 1.0 / math.sqrt(2.0), "schedule_a": 1.0,
+               "ladder": [100_000, 1_000_000], "replications": 20_000, "seed": 801}
+        out = tmp_path / "credit.json.out.json"
+        assert cli.main(["credit", "--config", write_config(tmp_path, "credit.json", doc),
+                         "--oracle", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        rows = [dict(zip(result["columns"], map(float, row))) for row in result["rows"]]
+        assert [row["n"] for row in rows] == [100_000, 1_000_000]
+        for row in rows:
+            assert 0.0 < row["oracle"] < 1.0
+            assert abs(row["mean"] - row["oracle"]) < 4.0 * row["std_error"]
+
+    def test_bond_oracle_in_both_spaces(self, tmp_path):
+        oracles = {}
+        for space in ("log", "price"):
+            doc = dict(MINIMAL["barrier"], payoff="bond", space=space, replications=2_000)
+            out = tmp_path / f"{space}.csv"
+            assert cli.main(["barrier", "--config", write_config(tmp_path, f"{space}.json", doc),
+                             "--oracle", "--out", str(out)]) == 0
+            lines = [line.split(",") for line in data_section(out.read_text()) if line]
+            oracles[space] = dict(zip(lines[0], lines[1]))["oracle"]
+        assert oracles["log"] != "na"
+        assert oracles["price"] == oracles["log"]
+
     @pytest.mark.parametrize("subcommand", sorted(MINIMAL))
     def test_every_subcommand_runs_clean(self, tmp_path, subcommand):
         doc = dict(MINIMAL[subcommand], replications=2_000, seed=13)

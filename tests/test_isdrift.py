@@ -45,6 +45,21 @@ class TestPathPayoff:
         z = np.array([0.4, 0.1])
         assert np.allclose(bare.log_gradient(z), [0.3, -0.2], atol=1e-8)
 
+    @pytest.mark.parametrize("payoff", [
+        isdrift.linear_payoff(np.array([0.7, -0.4, 0.1]), offset=-0.5),
+        isdrift.quadratic_payoff(5, 0.25),
+        asian_payoff(),
+        isdrift.asian_call_payoff(12, 100.0, 95.0, 0.2, 0.5),
+    ], ids=["linear", "quadratic", "asian", "asian-12"])
+    def test_point_and_batch_share_one_formula(self, payoff):
+        # the fixed point is found with single-point calls and the estimate
+        # averages batch calls, so the two must agree bit for bit
+        z = np.random.default_rng(5).standard_normal((64, payoff.dim)) + 1.5
+        batch = payoff.evaluate_batch(z)
+        assert batch.shape == (64,)
+        assert np.count_nonzero(batch) > 0
+        assert [payoff.evaluate(row) for row in z] == batch.tolist()
+
 
 class TestGhsDrift:
     def test_linear_payoff_single_exact_step(self):

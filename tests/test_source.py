@@ -12,3 +12,22 @@ def test_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert list(PACKAGE.glob("*.py"))
     assert found == []
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_no_scipy_stats_import():
+    # importing scipy.stats costs about half a second; scipy.special has
+    # every distribution function the package needs
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if any(name == "scipy.stats" or name.startswith("scipy.stats.")
+                    for name in _imported_modules(node))]
+    assert found == []
