@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.special import bdtrc, gammaln
 
 from .gaussian import norm_cdf, norm_pdf, norm_ppf, norm_sf
@@ -77,6 +76,7 @@ def up_out_call_price(s0: float, strike: float, barrier: float, rate: float,
 
     if lo >= b:
         return 0.0
+    from scipy import integrate  # on demand: with the scipy.optimize it loads, about 0.3 s of cold start
     value, _ = integrate.quad(integrand, lo, b, limit=200)
     return math.exp(-rate * maturity) * max(value, 0.0)
 
@@ -114,5 +114,6 @@ def credit_tail_quadrature(n: int, p: float, rho: float, q: float) -> float:
 
     lo = min(z_n - 8.0, -8.0)
     hi = max(z_n + 8.0, 8.0)
+    from scipy import integrate  # loaded on demand, as in up_out_call_price
     value, _ = integrate.quad(integrand, lo, hi, limit=800, epsabs=1e-300, epsrel=1e-10)
     return value

@@ -150,19 +150,21 @@ def simulate_ruin_is(
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
-        walks = np.zeros(size)
         out = np.empty(size)
+        # walks[i] is the position of path active[i]; both shrink only when a path crosses
         active = np.arange(size)
+        walks = np.zeros(size)
         steps = 0
         while active.size:
             steps += 1
             if steps > MAX_PATH_STEPS:
                 raise MaxStepsExceeded("tilted walk did not cross; check the model")
-            walks[active] += tilted_step.sample(rng, active.size)
-            crossed = walks[active] > x
-            done = active[crossed]
-            out[done] = np.exp(-theta_l * walks[done])
-            active = active[~crossed]
+            walks += tilted_step.sample(rng, active.size)
+            crossed = walks > x
+            if crossed.any():
+                out[active[crossed]] = np.exp(-theta_l * walks[crossed])
+                live = ~crossed
+                active, walks = active[live], walks[live]
         _check_lundberg(out, bound)
         return out
 

@@ -14,11 +14,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NotAttained
 
 BOUNDARY_PAD = 1e-9   # how far inside an open domain endpoint solvers may go
+# Brent's stopping rule: a negligible absolute tolerance leaves the relative one of 4 eps
+BRENT_XTOL = 1e-300
+BRENT_RTOL = 4.0 * 2.0**-52
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -350,12 +353,15 @@ class ClaimStep(TiltableFamily):
         return claims - self.premium * waits
 
 
-def expansion_grid(lo: float, hi: float, toward_hi: bool):
+def expansion_grid(lo: float, hi: float, toward_hi: bool, to_edge: bool = False):
     """Geometric probe sequence from 0 toward one open domain endpoint.
 
     The domain contains 0, so hi > 0 and lo < 0.  Finite endpoints are
     approached by halving the remaining gap, stopping a pad inside (the
-    c.g.f. derivative blows up there); infinite ones by doubling.
+    c.g.f. derivative blows up there); infinite ones by doubling.  With
+    ``to_edge`` the probe goes on past the pad, halving it until the next
+    point would round to the endpoint, for functions that stay accurate up
+    to the edge.
     """
     endpoint = hi if toward_hi else lo
     if math.isinf(endpoint):
@@ -370,28 +376,93 @@ def expansion_grid(lo: float, hi: float, toward_hi: bool):
             yield endpoint * (1.0 - frac)
             frac *= 0.5
         yield endpoint - math.copysign(pad, endpoint)
+        while to_edge and endpoint - math.copysign(pad * 0.5, endpoint) != endpoint:
+            pad *= 0.5
+            yield endpoint - math.copysign(pad, endpoint)
 
 
-def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = True) -> float | None:
+def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float | None:
+    """Brent's root of ``f`` on [xa, xb], given fa = f(xa) and fb = f(xb).
+
+    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``; Brent,
+    *Algorithms for Minimization Without Derivatives*, 1973, ch. 4) called
+    with ``xtol=1e-300`` and its default ``rtol`` and ``maxiter``: the same
+    float operations in the same order, so the same root to the bit.
+    A division by zero, which C turns into inf or nan, takes the bisection
+    step as the failed comparison does there.  Returns None on a same-sign
+    bracket, a nan value of f, or no convergence in 100 iterations, the
+    cases where brentq raises.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if math.isnan(fpre) or math.isnan(fcur):
+        return None
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        return None
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            return None
+    return None
+
+
+def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = True,
+                    to_edge: bool = False) -> float | None:
     """Root of ``f`` at the first sign change along ``expansion_grid``.
 
     The probe runs from ``start`` through ``expansion_grid(lo, hi,
-    toward_hi)``; the last point on start's side and the first one past it
-    bracket the root, which Brent's method refines to a few ulp.  Returns
-    None when f keeps its sign up to the last probe point, or when brentq
-    gives up on the bracket.
+    toward_hi, to_edge)``; the last point on start's side and the first one past it
+    bracket the root, which ``_brent`` refines to a few ulp.  Returns None
+    when f keeps its sign up to the last probe point, when it returns nan
+    at a probe point or Brent iterate, or when Brent's method does not
+    converge.
     """
-    a, fa = start, f(start)
+    a, fa = float(start), float(f(start))
     if fa == 0.0:
-        return start
-    for b in expansion_grid(lo, hi, toward_hi):
-        fb = f(b)
+        return a
+    for b in expansion_grid(lo, hi, toward_hi, to_edge):
+        fb = float(f(b))
         if fb == 0.0 or (fb > 0.0) != (fa > 0.0):
-            try:
-                # a negligible xtol leaves brentq's relative tolerance of 4 eps
-                return brentq(f, min(a, b), max(a, b), xtol=1e-300)
-            except (ValueError, RuntimeError):
-                return None
+            return _brent(f, a, b, fa, fb) if a < b else _brent(f, b, a, fb, fa)
         a, fa = b, fb
     return None
 

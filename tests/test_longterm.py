@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rareflow import cli, longterm, mc
+from rareflow import cli, longterm, mc, tilt
 from rareflow.errors import (
     DomainError,
     OutOfDomain,
@@ -290,6 +290,16 @@ class TestDualToValue:
         for x in np.linspace(x_bar, 5.0 * x_bar, 41)[1:]:
             _, theta_x = longterm.dual_to_value(dual, float(x))
             assert abs(theta_x - (1.0 - math.sqrt(x_bar / x))) <= 1e-12, x
+
+    def test_black_scholes_theta_inside_the_pad_of_the_edge(self):
+        # theta(1e17) = 1 - sqrt(0.02/1e17) = 1 - 4.47e-10 lies closer to
+        # theta_bar = 1 than BOUNDARY_PAD, where the probe used to stop
+        dual = longterm.solve_dual(bs_model(0.2))
+        x = 1e17
+        _, theta_x = longterm.dual_to_value(dual, x)
+        assert 0.0 < 1.0 - theta_x < tilt.BOUNDARY_PAD
+        assert abs(dual.lam_prime(theta_x) / x - 1.0) < 1e-6
+        assert abs(theta_x - (1.0 - math.sqrt(0.02 / x))) <= 1e-15
 
     def test_ou_theta_solves_lam_prime(self):
         model = ou_model()

@@ -3,9 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from rareflow import tilt
+from rareflow import credit, longterm, ruin, tilt
 from rareflow.errors import DomainError, NotAttained
+from rareflow.ruin import Investment, RuinModel
 from rareflow.tilt import Bernoulli, ClaimStep, Exponential, Normal, Poisson
 
 from oracles import cgf_by_quadrature, legendre_by_grid
@@ -281,3 +283,127 @@ class TestClaimStep:
         batch = family.sample_sum(rng, 5, 200_000)
         se = batch.std(ddof=1) / math.sqrt(batch.size)
         assert abs(batch.mean() - 5.0 * family.mean) < 4.0 * se
+
+
+def _scipy_root(f, a, b):
+    """scipy's brentq with the stopping rule of tilt._brent; None where it raises."""
+    try:
+        return brentq(f, a, b, xtol=1e-300)
+    except (ValueError, RuntimeError):
+        return None
+
+
+def _scipy_bracketed_root(f, start, lo, hi, toward_hi=True, to_edge=False):
+    """tilt._bracketed_root with scipy's brentq as its refining step."""
+    a, fa = start, f(start)
+    if fa == 0.0:
+        return start
+    for b in tilt.expansion_grid(lo, hi, toward_hi, to_edge):
+        fb = f(b)
+        if fb == 0.0 or (fb > 0.0) != (fa > 0.0):
+            return _scipy_root(f, min(a, b), max(a, b))
+        a, fa = b, fb
+    return None
+
+
+def _bits(root):
+    return None if root is None else root.hex()
+
+
+ROOT_FAMILIES = {
+    "cubic": lambda c: lambda x: x**3 - c,
+    "exp": lambda c: lambda x: math.exp(x) - c,  # no root for c <= 0
+    "flat-tanh": lambda c: lambda x: 1e-8 * math.tanh(x - c),
+    "quintic": lambda c: lambda x: (x - c) ** 5 + 1e-3 * (x - c),
+    "sine": lambda c: lambda x: math.sin(x) - c,  # same-sign brackets around pairs of roots
+    "step": lambda c: lambda x: 1.0 if x > c else -1.0,
+}
+
+
+class TestBrent:
+    """tilt._brent returns scipy's brentq root to the bit, and None where brentq raises."""
+
+    @pytest.mark.parametrize("name", sorted(ROOT_FAMILIES))
+    def test_matches_scipy_brentq_to_the_bit(self, name):
+        rng = np.random.default_rng(sorted(ROOT_FAMILIES).index(name))
+        outcomes = set()
+        for _ in range(1000):
+            f = ROOT_FAMILIES[name](rng.uniform(-2.0, 2.0))
+            a = rng.uniform(-5.0, 5.0)
+            b = a + rng.exponential(3.0)
+            expected = _bits(_scipy_root(f, a, b))
+            assert _bits(tilt._brent(f, a, b, f(a), f(b))) == expected, (name, a, b)
+            outcomes.add(expected is None)
+        assert False in outcomes
+
+    def test_walk_to_a_pole_matches_scipy_to_the_bit(self):
+        # f blows up at the finite endpoint, so deep targets put the root within
+        # BOUNDARY_PAD of it, where the probe to the edge keeps halving the pad
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            hi = rng.uniform(0.1, 10.0)
+            target = 10.0 ** rng.uniform(-1.0, 14.0)
+
+            def f(t):
+                return 1.0 / (hi - t) - 1.0 / hi - target
+
+            expected = _scipy_bracketed_root(f, 0.0, -math.inf, hi, to_edge=True)
+            assert expected is not None
+            assert _bits(tilt._bracketed_root(f, 0.0, -math.inf, hi, to_edge=True)) == _bits(expected), (hi, target)
+
+    def test_same_sign_bracket_returns_none(self):
+        def f(t):
+            return t * t + 1.0
+
+        assert _scipy_root(f, -1.0, 2.0) is None
+        assert tilt._brent(f, -1.0, 2.0, f(-1.0), f(2.0)) is None
+        assert tilt._bracketed_root(f, 0.0, -1.0, 1.0) is None
+
+    def test_nan_at_a_probe_point_returns_none(self):
+        # the first probe toward 1 is 0.5, where f is nan
+        def f(t):
+            return math.nan if abs(t - 0.5) < 0.01 else t - 0.5
+
+        assert _scipy_bracketed_root(f, 0.0, -math.inf, 1.0) is None
+        assert tilt._bracketed_root(f, 0.0, -math.inf, 1.0) is None
+
+    def test_nan_at_an_iterate_returns_none(self):
+        # the bracket [0, 0.5] is clean; the secant step lands in the nan window
+        def f(t):
+            return math.nan if abs(t - 0.3) < 1e-3 else t - 0.3
+
+        assert _scipy_bracketed_root(f, 0.0, -math.inf, 1.0) is None
+        assert tilt._bracketed_root(f, 0.0, -math.inf, 1.0) is None
+
+    def test_no_convergence_in_100_iterations_returns_none(self):
+        # bisection would need about 660 halvings to reach the jump
+        def f(t):
+            return 1.0 if t > 1e-200 else -1.0
+
+        assert _scipy_root(f, -1.0, 1.0) is None
+        assert tilt._brent(f, -1.0, 1.0, f(-1.0), f(1.0)) is None
+
+    def test_package_roots_match_scipy_to_the_bit(self, monkeypatch):
+        ours = _package_roots()
+        monkeypatch.setattr(tilt, "_bracketed_root", _scipy_bracketed_root)
+        assert _package_roots() == ours
+
+
+def _package_roots():
+    """Every root the package solves for, on a spread of inputs, as float.hex."""
+    roots = {}
+    for claims in (Exponential(1.0), Exponential(2.5), Poisson(0.7), Normal(1.0, 0.5)):
+        model = RuinModel(2.0, 1.0, claims, Investment(1.0, 1.5))
+        roots[f"theta_L {claims}"] = ruin.adjustment_coefficient(model).value
+        roots[f"theta* {claims}"] = ruin.invest_exponent(model).value
+    step = ClaimStep(Exponential(1.0), 2.0, 1.0)
+    for x in (-30.0, -3.0, -0.5, 0.5, 3.0, 30.0):
+        roots[f"saddle {x}"] = tilt.saddle_theta(step, x)
+    for n, p, rho, q in ((20, 0.1, 0.4, 0.5), (200, 0.01, 0.3, 0.1), (2000, 0.001, 0.6, 0.05)):
+        roots[f"mu_n {n}"] = credit.factor_shift(credit.PortfolioModel(n, p, rho, q), n)
+    for b in (0.0, 0.3):
+        dual = longterm.solve_dual(longterm.LqModel.from_market(longterm.MarketSpec(0.0, 0.0, 0.2, b, 1.0), 1.0))
+        for x in (0.05, 0.3, 3.0, 1e8, 1e17):
+            if b == 0.0 or x < 1e8:
+                roots[f"theta(x) {b} {x}"] = longterm.dual_to_value(dual, x)[1]
+    return {key: value.hex() for key, value in roots.items()}
