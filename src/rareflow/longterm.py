@@ -248,15 +248,18 @@ def dual_to_value(dual: DualSolution, x: float) -> tuple[float, float]:
 
     The objective is concave, so its argmax theta(x) is the root of
     Lambda'(theta) = x; targets at or below Lambda'(0) give v = 0 with
-    theta(x) = 0.  Lambda' is exact up to theta_bar, so the probe goes on
-    to the last float below it.  Raises OutOfDualDomain for targets beyond
-    Lambda' on that probe: past its value at the last float when Lambda is
-    steep, past its finite limit when it is not.
+    theta(x) = 0.  The probe toward theta_bar goes on to the last float
+    below it, or ends where the rounded A-discriminant reaches 0 first
+    (theta_bar is itself rounded when beta2 != 0).  Raises OutOfDualDomain
+    for targets beyond Lambda' on that probe: past its value at the last
+    point when Lambda is steep, past its finite limit when it is not.
     """
     if x <= dual.lam_prime(0.0):
         return 0.0, 0.0
-    theta_x = tilt._bracketed_root(lambda theta: dual.lam_prime(theta) - x, 0.0, -math.inf, dual.theta_bar,
-                                   to_edge=True)
+    try:
+        theta_x = tilt._bracketed_root(lambda theta: dual.lam_prime(theta) - x, 0.0, -math.inf, dual.theta_bar)
+    except OutOfDomain:
+        theta_x = None
     if theta_x is None:
         raise OutOfDualDomain(
             f"x={x} beyond Lambda' below theta_bar={dual.theta_bar:.6g}"

@@ -151,9 +151,8 @@ def simulate_ruin_is(
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
         out = np.empty(size)
-        # walks[i] is the position of path active[i]; both shrink only when a path crosses
         active = np.arange(size)
-        walks = np.zeros(size)
+        walks = np.zeros(size)  # positions of the active paths, in their order
         steps = 0
         while active.size:
             steps += 1
@@ -161,10 +160,8 @@ def simulate_ruin_is(
                 raise MaxStepsExceeded("tilted walk did not cross; check the model")
             walks += tilted_step.sample(rng, active.size)
             crossed = walks > x
-            if crossed.any():
-                out[active[crossed]] = np.exp(-theta_l * walks[crossed])
-                live = ~crossed
-                active, walks = active[live], walks[live]
+            out[active[crossed]] = np.exp(-theta_l * walks[crossed])
+            active, walks = active[~crossed], walks[~crossed]
         _check_lundberg(out, bound)
         return out
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NotAttained
 
-BOUNDARY_PAD = 1e-9   # how far inside an open domain endpoint solvers may go
+BOUNDARY_PAD = 1e-9   # gap, times max(1, |endpoint|), where the probe to a finite endpoint starts halving it
 # Brent's stopping rule: a negligible absolute tolerance leaves the relative one of 4 eps
 BRENT_XTOL = 1e-300
 BRENT_RTOL = 4.0 * 2.0**-52
@@ -353,15 +353,13 @@ class ClaimStep(TiltableFamily):
         return claims - self.premium * waits
 
 
-def expansion_grid(lo: float, hi: float, toward_hi: bool, to_edge: bool = False):
+def expansion_grid(lo: float, hi: float, toward_hi: bool):
     """Geometric probe sequence from 0 toward one open domain endpoint.
 
     The domain contains 0, so hi > 0 and lo < 0.  Finite endpoints are
-    approached by halving the remaining gap, stopping a pad inside (the
-    c.g.f. derivative blows up there); infinite ones by doubling.  With
-    ``to_edge`` the probe goes on past the pad, halving it until the next
-    point would round to the endpoint, for functions that stay accurate up
-    to the edge.
+    approached by halving the remaining gap down to a pad, then halving the
+    pad until the next point would round to the endpoint; infinite ones by
+    doubling.
     """
     endpoint = hi if toward_hi else lo
     if math.isinf(endpoint):
@@ -376,7 +374,7 @@ def expansion_grid(lo: float, hi: float, toward_hi: bool, to_edge: bool = False)
             yield endpoint * (1.0 - frac)
             frac *= 0.5
         yield endpoint - math.copysign(pad, endpoint)
-        while to_edge and endpoint - math.copysign(pad * 0.5, endpoint) != endpoint:
+        while endpoint - math.copysign(pad * 0.5, endpoint) != endpoint:
             pad *= 0.5
             yield endpoint - math.copysign(pad, endpoint)
 
@@ -445,12 +443,11 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float | None:
     return None
 
 
-def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = True,
-                    to_edge: bool = False) -> float | None:
+def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = True) -> float | None:
     """Root of ``f`` at the first sign change along ``expansion_grid``.
 
     The probe runs from ``start`` through ``expansion_grid(lo, hi,
-    toward_hi, to_edge)``; the last point on start's side and the first one past it
+    toward_hi)``; the last point on start's side and the first one past it
     bracket the root, which ``_brent`` refines to a few ulp.  Returns None
     when f keeps its sign up to the last probe point, when it returns nan
     at a probe point or Brent iterate, or when Brent's method does not
@@ -459,7 +456,7 @@ def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = Tru
     a, fa = float(start), float(f(start))
     if fa == 0.0:
         return a
-    for b in expansion_grid(lo, hi, toward_hi, to_edge):
+    for b in expansion_grid(lo, hi, toward_hi):
         fb = float(f(b))
         if fb == 0.0 or (fb > 0.0) != (fa > 0.0):
             return _brent(f, a, b, fa, fb) if a < b else _brent(f, b, a, fb, fa)
@@ -486,7 +483,7 @@ def legendre(family: TiltableFamily, x: float) -> LegendreResult:
     Closed forms are used for the four catalog families.  For the compound
     step family the saddle cgf'(theta) = x is bracketed on the side of 0
     where cgf'(0) - x changes sign (cgf' is nondecreasing by convexity),
-    stopping just inside open boundaries where cgf' blows up; NotAttained is
+    up to the last float inside an open boundary; NotAttained is
     raised when rounding leaves a residual above 1e-10.  Outside the support
     hull the rate is infinite, flagged via ``finite=False``.
     """

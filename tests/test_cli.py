@@ -159,10 +159,10 @@ class TestBadInput:
         assert "expected float, got str" in str(err.value)
 
     @pytest.mark.parametrize("sub, doc, error", [
-        # theta_L = 1 - 1e-10 lies past the last probe, a pad inside the claim domain
-        ("ruin", {"premium": 1e10}, NoRoot),
-        # theta* sits within 1e-12 of the claim rate for this drift
-        ("ruin-invest", {"b": 1e6}, NoRoot),
+        # theta_L = 1 - 1e-17 rounds to the claim-domain edge: no float below it solves h = 0
+        ("ruin", {"premium": 1e17}, NoRoot),
+        # theta* = 1 - 2e-18 rounds to the claim rate for this drift
+        ("ruin-invest", {"b": 1e9}, NoRoot),
         # p(0) > q: the factor threshold z_n is negative
         ("credit", {"p": 0.6, "q": 0.65, "rho": 0.9}, NoRoot),
         ("cramer", {"family": "exponential", "lam": 1.0, "x": -0.5}, NotAttained),

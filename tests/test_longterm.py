@@ -301,6 +301,18 @@ class TestDualToValue:
         assert abs(dual.lam_prime(theta_x) / x - 1.0) < 1e-6
         assert abs(theta_x - (1.0 - math.sqrt(0.02 / x))) <= 1e-15
 
+    @pytest.mark.parametrize("b", [0.015, 0.0825])
+    def test_target_past_a_rounded_discriminant_zero(self, b):
+        # theta_bar = k^2/(k^2 + beta2^2) is rounded, and for these b the
+        # discriminant rounds below 0 at the last floats under it, before
+        # Lambda' reaches 1e40; lam_prime raises OutOfDomain there
+        model = LqModel.from_market(MarketSpec(a0=0.0, b0=0.0, a=0.2, b=b, sigma=1.0), 1.0)
+        dual = longterm.solve_dual(model)
+        with pytest.raises(OutOfDomain):
+            longterm.lam_prime(model, math.nextafter(dual.theta_bar, 0.0))
+        with pytest.raises(OutOfDualDomain):
+            longterm.dual_to_value(dual, 1e40)
+
     def test_ou_theta_solves_lam_prime(self):
         model = ou_model()
         dual = longterm.solve_dual(model)
