@@ -117,7 +117,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "sigma": FieldSpec(float, required=True, check=_positive("sigma")),
         "x": FieldSpec(float, default=None, check=_at_least(0, "x")),
         "horizon": FieldSpec(float, default=None, check=_positive("horizon")),
-        "simulate": FieldSpec(bool, default=False),
     },
     "barrier": {
         "s0": FieldSpec(float, required=True, check=_positive("s0")),
@@ -129,7 +128,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "steps": FieldSpec(int, default=64, check=_at_least(2, "steps")),
         "payoff": FieldSpec(str, default="call", choices=("call", "bond")),
         "space": FieldSpec(str, default="log", choices=("log", "price")),
-        "method": FieldSpec(str, default="both", choices=("naive", "corrected", "both")),
     },
     "fw-bond": {
         "s0": FieldSpec(float, required=True, check=_positive("s0")),
@@ -173,7 +171,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "theta": FieldSpec(float, default=None),
         "policy_index": FieldSpec(int, default=1, check=_positive("policy_index")),
         "euler_step": FieldSpec(float, default=0.01, check=_positive("euler_step")),
-        "simulate": FieldSpec(bool, default=False),
     },
 }
 
@@ -281,13 +278,15 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
         params[name] = _field_value(raw, name, spec, errors)
 
     ladder, field_name = common_values["ladder"], _LADDER_FIELDS.get(sub)
-    _validate_cross_fields(sub, params, ladder, errors)
+    _validate_cross_fields(sub, params, errors)
     if ladder is not None and field_name is None:
         errors.append(f"ladder: subcommand {sub!r} takes no ladder")
     elif ladder:
         for i, value in enumerate(ladder):
             found: list[str] = []
             _field_value({field_name: value}, field_name, _RUNG_SPECS[sub], found)
+            if value in ladder[:i]:  # a repeated scale leaves the decay fit singular
+                found.append(f"repeats ladder[{ladder.index(value)}]")
             errors.extend(f"ladder[{i}]: {problem}" for problem in found)
     if errors:
         raise ParseError("config validation failed:\n  - " + "\n  - ".join(errors))
@@ -302,13 +301,7 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
     )
 
 
-def _validate_cross_fields(sub: str, params: dict, ladder: list | None, errors: list) -> None:
-    if sub in ("longterm", "ruin-invest"):
-        # a mistyped simulate or ladder reads as None here, next to its listed type error
-        if ladder is not None and params.get("simulate") is False:
-            errors.append(f"ladder: subcommand {sub!r} uses a ladder only with \"simulate\": true")
-        if sub == "longterm" and params.get("simulate") is True and not ladder:
-            errors.append("ladder: longterm with \"simulate\": true needs a ladder of horizons")
+def _validate_cross_fields(sub: str, params: dict, errors: list) -> None:
     if sub == "cramer":
         fam = params.get("family")
         if fam == "bernoulli" and (params.get("p") is None or not 0.0 < params["p"] < 1.0):
@@ -367,12 +360,11 @@ def _estimator_row(res: mc.EstimatorResult) -> list:
 _EST_COLS = ["n_rep", "mean", "std_error", "rel_error", "log_mean"]
 
 
-def _rungs(config: ExperimentConfig, fallback=None) -> list:
-    """The ladder cast to its field's type; else that field's value, or ``fallback`` if unset."""
+def _rungs(config: ExperimentConfig) -> list:
+    """The ladder cast to its field's type, else that field's value."""
     if config.ladder:
         return [_RUNG_SPECS[config.subcommand].type(v) for v in config.ladder]
-    value = config.params.get(_LADDER_FIELDS[config.subcommand])
-    return [fallback if value is None else value]
+    return [config.params[_LADDER_FIELDS[config.subcommand]]]
 
 
 def _ladder_meta(rungs: list, fit: mc.DecayFit) -> dict:
@@ -441,9 +433,9 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
     alpha = ruin.optimal_fraction(model)
     cols = ["x", "theta_l", "theta_star", "alpha_star"] + _EST_COLS
     meta = {"theta_star": sol.value, "alpha_star": alpha}
-    if p["simulate"]:
+    if config.ladder:
         horizon = p["horizon"] if p["horizon"] is not None else 200.0 / p["lam"]
-        reserves = _rungs(config, 4.0)
+        reserves = _rungs(config)
         fit = mc.fit_ladder(reserves, mc.run_ladder(lambda x, seed: ruin.simulate_wealth_ruin(
             model, x, alpha, horizon, config.replications, seed, threads=threads), reserves, config.seed))
         rows = [[x, theta_l, sol.value, alpha] + _estimator_row(res) for x, res in zip(reserves, fit.results)]
@@ -470,8 +462,6 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
         price = lambda x: x
     payoff = (lambda x: np.maximum(price(x) - p["strike"], 0.0)) if p["payoff"] == "call" else np.ones_like
     spec = bridge.BarrierSpec(barrier_level)
-    steps_ladder = _rungs(config)
-    methods = ("naive", "corrected") if p["method"] == "both" else (p["method"],)
     oracle_value = None
     if config.oracle:
         if p["payoff"] == "call":
@@ -480,21 +470,20 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
             # the touch law is the driftless-price one, so only rate 0 has an oracle
             oracle_value = 1.0 - oracles.up_in_bond_probability(
                 p["s0"], p["barrier"], sigma, p["maturity"]) if rate == 0.0 else None
-    cols = ["steps", "eps"] + [f"{m}_{c}" for m in methods for c in ("mean", "std_error")]
+    cols = ["steps", "eps"] + [f"{m}_{c}" for m in ("naive", "corrected") for c in ("mean", "std_error")]
     if config.oracle:
         cols.append("oracle")
 
     def one_row(steps: int, seed: int) -> list:
         model = bridge.EulerModel(drift=drift, vol=vol, maturity=p["maturity"], steps=steps, x0=x0, rate=rate)
         row = [steps, model.eps]
-        results = bridge.price_knockout(model, payoff, spec, config.replications, seed, method=p["method"], threads=threads)
-        for res in results if p["method"] == "both" else (results,):
+        for res in bridge.price_knockout(model, payoff, spec, config.replications, seed, method="both", threads=threads):
             row.extend([res.mean, res.std_error])
         if config.oracle:
             row.append(oracle_value)
         return row
 
-    return Report(meta={}, columns=cols, rows=mc.run_ladder(one_row, steps_ladder, config.seed))
+    return Report(meta={}, columns=cols, rows=mc.run_ladder(one_row, _rungs(config), config.seed))
 
 
 def _run_fw_bond(config: ExperimentConfig, threads: int) -> Report:
@@ -530,7 +519,7 @@ def _run_ghs(config: ExperimentConfig, threads: int) -> Report:
 def _run_credit(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     threshold = p["q"] if p["q"] is not None else credit.LossSchedule(p["schedule_a"], p["schedule_c"])
-    model = credit.PortfolioModel(n=p["n"], p=p["p"], rho=p["rho"], threshold=threshold)
+    model = credit.PortfolioModel(p=p["p"], rho=p["rho"], threshold=threshold)
     sizes = _rungs(config)
     fit = credit.measure_loss_decay(model, sizes, config.replications, config.seed, shift=p["shift"], threads=threads)
     rows = []
@@ -558,7 +547,7 @@ def _run_longterm(config: ExperimentConfig, threads: int) -> Report:
     alpha = longterm.feedback_policy(model, theta_x, 0.0) * model.alpha_scale
     meta = {"theta_bar": dual.theta_bar, "steep": dual.steep}
     cols = ["x", "value", "theta_x", "alpha_star", "horizon"] + _EST_COLS
-    if p["simulate"] and config.ladder:
+    if config.ladder:
         horizons = _rungs(config)
         fit = longterm.mc_outperformance(
             model, x_norm, horizons, config.replications, config.seed,

@@ -40,13 +40,12 @@ class LossSchedule:
 
 @dataclass(frozen=True)
 class PortfolioModel:
-    """Homogeneous portfolio: n obligors, marginal p, factor loading rho.
+    """Homogeneous portfolio: marginal p, factor loading rho.
 
     ``threshold`` is either a fixed q in (p, 1) or a LossSchedule; ``q_at(n)``
-    unifies the two.  ``n`` is a default size for single-portfolio runs.
+    unifies the two.
     """
 
-    n: int
     p: float
     rho: float
     threshold: float | LossSchedule

@@ -102,11 +102,13 @@ def ghs_drift(payoff: PathPayoff, start, tol: float = 1e-9, max_iter: int = 500)
     obj = _objective(payoff, z)
     eta = 1.0
     prev_residual = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         grad = payoff.log_gradient(z)
         residual = float(np.max(np.abs(grad - z)))
         if residual <= tol:
-            return DriftResult(mu=z, objective=obj, iterations=it - 1, converged=True)
+            return DriftResult(mu=z, objective=obj, iterations=it, converged=True)
+        if it == max_iter:
+            break
         if residual >= prev_residual:
             # the raw map is expansive at this damping; back off for good
             eta *= 0.5
@@ -127,10 +129,6 @@ def ghs_drift(payoff: PathPayoff, start, tol: float = 1e-9, max_iter: int = 500)
             trial *= 0.5
         if not accepted:
             raise DomainEscape("no damped step stays in {G > 0} and ascends")
-    grad = payoff.log_gradient(z)
-    residual = float(np.max(np.abs(grad - z)))
-    if residual <= tol:
-        return DriftResult(mu=z, objective=obj, iterations=max_iter, converged=True)
     warnings.warn("fixed-point iteration hit max_iter; returning best iterate", stacklevel=2)
     return DriftResult(mu=z, objective=obj, iterations=max_iter, converged=False)
 

@@ -171,7 +171,7 @@ def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:
 
     Non-finite log-probabilities are rejected outright (zero-hit runs must be
     filtered by the caller, see ``decay_points``), as are ladders with fewer
-    than 3 distinct scales.
+    than 3 distinct scales or with a spread that squares to 0.
     """
     pts = tuple((float(s), float(lp)) for s, lp in points)
     if len(pts) < 3:
@@ -181,9 +181,9 @@ def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:
     if not np.all(np.isfinite(scales)) or not np.all(np.isfinite(logs)):
         bad = [p for p in pts if not (math.isfinite(p[0]) and math.isfinite(p[1]))]
         raise NonFiniteInput(f"non-finite points rejected: {bad}")
-    if len(set(scales.tolist())) != len(pts):
-        raise InsufficientData("scales must be distinct")
     sxx = float(np.sum((scales - scales.mean()) ** 2))
+    if len(set(scales.tolist())) != len(pts) or sxx == 0.0:  # a spread of subnormals squares to 0
+        raise InsufficientData("scales must be distinct and spread beyond float underflow")
     sxy = float(np.sum((scales - scales.mean()) * (logs - logs.mean())))
     slope = sxy / sxx
     intercept = float(logs.mean() - slope * scales.mean())

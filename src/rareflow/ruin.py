@@ -223,7 +223,8 @@ def simulate_wealth_ruin(
             if vol > 0.0:
                 end += vol * np.sqrt(tau) * rng.standard_normal(n)
                 # distances above the barrier at 0 play the gaps below an upper level
-                expo = bridge.kill_exponent_single(wealth, np.maximum(end, 0.0), vol, tau)
+                with np.errstate(all="ignore"):  # vol^2 tau may underflow: the limit is a touch iff a gap is 0
+                    expo = np.nan_to_num(bridge.kill_exponent_single(wealth, np.maximum(end, 0.0), vol, tau), nan=0.0)
                 killed = rng.random(n) < bridge.kill_prob(expo)
             else:
                 killed = end < 0.0

@@ -28,17 +28,15 @@ BRENT_MAXITER = 100
 class LegendreResult:
     """Value of the convex conjugate of a c.g.f. at a point x.
 
-    ``rate`` is finite iff ``finite``; an infinite rate (x outside the support
-    hull) is encoded by ``finite=False`` so downstream decay fits never see a
-    floating infinity.  ``attained`` says whether the defining supremum is
-    reached at an interior saddle point ``theta_star`` (nan otherwise).
+    ``rate`` is infinite when x lies outside the support hull.  ``attained``
+    says whether the defining supremum is reached at an interior saddle point
+    ``theta_star`` (nan otherwise).
     """
 
     x: float
     theta_star: float
     rate: float
     attained: bool
-    finite: bool = True
 
 
 class TiltableFamily(ABC):
@@ -64,11 +62,6 @@ class TiltableFamily(ABC):
     @property
     @abstractmethod
     def mean(self) -> float:
-        ...
-
-    @property
-    @abstractmethod
-    def variance(self) -> float:
         ...
 
     @abstractmethod
@@ -119,10 +112,6 @@ class Bernoulli(TiltableFamily):
     def mean(self):
         return self.p
 
-    @property
-    def variance(self):
-        return self.p * (1.0 - self.p)
-
     def sample(self, rng, size):
         return (rng.random(size) < self.p).astype(float)
 
@@ -132,7 +121,7 @@ class Bernoulli(TiltableFamily):
     def _legendre_closed(self, x):
         p = self.p
         if x < 0.0 or x > 1.0:
-            return LegendreResult(x, math.nan, math.inf, attained=False, finite=False)
+            return LegendreResult(x, math.nan, math.inf, attained=False)
         if x == 0.0:
             return LegendreResult(x, math.nan, -math.log1p(-p), attained=False)
         if x == 1.0:
@@ -184,10 +173,6 @@ class Poisson(TiltableFamily):
     def mean(self):
         return self.lam
 
-    @property
-    def variance(self):
-        return self.lam
-
     def sample(self, rng, size):
         return rng.poisson(self.lam, size).astype(float)
 
@@ -196,7 +181,7 @@ class Poisson(TiltableFamily):
 
     def _legendre_closed(self, x):
         if x < 0.0:
-            return LegendreResult(x, math.nan, math.inf, attained=False, finite=False)
+            return LegendreResult(x, math.nan, math.inf, attained=False)
         if x == 0.0:
             return LegendreResult(x, math.nan, self.lam, attained=False)
         theta = math.log(x / self.lam)
@@ -231,10 +216,6 @@ class Normal(TiltableFamily):
     @property
     def mean(self):
         return self.m
-
-    @property
-    def variance(self):
-        return self.var
 
     def sample(self, rng, size):
         return rng.normal(self.m, math.sqrt(self.var), size)
@@ -279,10 +260,6 @@ class Exponential(TiltableFamily):
     def mean(self):
         return 1.0 / self.lam
 
-    @property
-    def variance(self):
-        return 1.0 / self.lam**2
-
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.lam, size)
 
@@ -291,7 +268,7 @@ class Exponential(TiltableFamily):
 
     def _legendre_closed(self, x):
         if x <= 0.0:
-            return LegendreResult(x, math.nan, math.inf, attained=False, finite=False)
+            return LegendreResult(x, math.nan, math.inf, attained=False)
         theta = self.lam - 1.0 / x
         rate = self.lam * x - 1.0 - math.log(self.lam * x)
         return LegendreResult(x, theta, max(rate, 0.0), attained=True)
@@ -337,10 +314,6 @@ class ClaimStep(TiltableFamily):
     @property
     def mean(self):
         return self.claim.mean - self.premium / self.lam
-
-    @property
-    def variance(self):
-        return self.claim.variance + (self.premium / self.lam) ** 2
 
     def sample(self, rng, size):
         claims = self.claim.sample(rng, size)
@@ -464,12 +437,24 @@ def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = Tru
     return None
 
 
+def _sign_change_near(f, theta: float, lo: float, hi: float) -> bool:
+    """Whether f is zero or changes sign over theta and the 4 floats on each side in (lo, hi)."""
+    values = [f(theta)]
+    for end in (lo, hi):
+        t = theta
+        for _ in range(4):
+            t = math.nextafter(t, end)
+            if t != end:
+                values.append(f(t))
+    return min(values) <= 0.0 <= max(values)
+
+
 def saddle_theta(family: TiltableFamily, x: float) -> float:
     """Solve the saddle-point equation cgf'(theta) = x.
 
-    The returned theta satisfies ``|cgf'(theta) - x| <= 1e-10`` and the
-    tilted family at theta has mean x.  Raises NotAttained when x is at or
-    beyond the boundary of attainable means.
+    The returned theta has ``|cgf'(theta) - x| <= 1e-10`` or, near a pole,
+    cgf' - x changes sign within 4 floats of it.  Raises NotAttained when x
+    is at or beyond the boundary of attainable means.
     """
     result = legendre(family, x)
     if not result.attained:
@@ -483,19 +468,20 @@ def legendre(family: TiltableFamily, x: float) -> LegendreResult:
     Closed forms are used for the four catalog families.  For the compound
     step family the saddle cgf'(theta) = x is bracketed on the side of 0
     where cgf'(0) - x changes sign (cgf' is nondecreasing by convexity),
-    up to the last float inside an open boundary; NotAttained is
-    raised when rounding leaves a residual above 1e-10.  Outside the support
-    hull the rate is infinite, flagged via ``finite=False``.
+    up to the last float inside an open boundary.  Near a pole cgf' jumps by
+    more than 1e-10 between floats, so NotAttained is raised only when the
+    residual exceeds 1e-10 and keeps its sign over 4 floats on each side.
     """
     closed = family._legendre_closed(x)
     if closed is not None:
         return closed
     lo, hi = family.cgf_domain
     toward_hi = family.cgf_prime(0.0) < x
-    theta = _bracketed_root(lambda t: family.cgf_prime(t) - x, 0.0, lo, hi, toward_hi)
+    gap = lambda t: family.cgf_prime(t) - x
+    theta = _bracketed_root(gap, 0.0, lo, hi, toward_hi)
     if theta is not None:
-        if abs(family.cgf_prime(theta) - x) > 1e-10:
-            raise NotAttained(f"saddle point for x={x} has residual {family.cgf_prime(theta) - x:.3e}")
+        if abs(gap(theta)) > 1e-10 and not _sign_change_near(gap, theta, lo, hi):
+            raise NotAttained(f"saddle point for x={x}: cgf' - x = {gap(theta):.3e} keeps its sign within 4 floats")
         return LegendreResult(x, theta, max(theta * x - family.cgf(theta), 0.0), attained=True)
     # supremum at a domain boundary: classify finite limit vs divergence by
     # tracking the objective along the geometric expansion
@@ -507,4 +493,4 @@ def legendre(family: TiltableFamily, x: float) -> LegendreResult:
             best = val
         if gain <= 1e-14 * max(1.0, abs(best)):
             return LegendreResult(x, math.nan, max(best, 0.0), attained=False)
-    return LegendreResult(x, math.nan, math.inf, attained=False, finite=False)
+    return LegendreResult(x, math.nan, math.inf, attained=False)

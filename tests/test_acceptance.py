@@ -242,14 +242,14 @@ def test_criterion_7_ghs():
 def test_criterion_8_credit():
     with criterion(8, "credit loss tails"):
         # two-step IS against the Gauss-Hermite x exact-binomial oracle
-        model = credit.PortfolioModel(n=20, p=0.1, rho=0.4, threshold=0.5)
+        model = credit.PortfolioModel(p=0.1, rho=0.4, threshold=0.5)
         exact = credit_tail_gh(20, 0.1, 0.4, 0.5)
         est = credit.two_step_is(model, 20, 100_000, seed=800)
         assert abs(est.mean - exact) < 4.0 * est.std_error
 
         # outer-exponent grid properties
         rho = math.sqrt(0.5)
-        sched = credit.PortfolioModel(n=1000, p=0.01, rho=rho, threshold=credit.LossSchedule(1.0, 0.5))
+        sched = credit.PortfolioModel(p=0.01, rho=rho, threshold=credit.LossSchedule(1.0, 0.5))
         z_n = credit.factor_threshold(sched, 1000)
         grid = np.linspace(-3.0, z_n + 2.0, 240)
         values = credit.outer_exponent(sched, 1000, grid)
@@ -262,7 +262,7 @@ def test_criterion_8_credit():
 
         # polynomial decay slope on the pinned ladder; p = 0.4 keeps the
         # sqrt(log n) quantile correction inside the 25% band
-        hi_p = credit.PortfolioModel(n=100, p=0.4, rho=rho, threshold=credit.LossSchedule(1.0, 0.5))
+        hi_p = credit.PortfolioModel(p=0.4, rho=rho, threshold=credit.LossSchedule(1.0, 0.5))
         fit = credit.measure_loss_decay(hi_p, [100, 1000, 10_000], 100_000, seed=801)
         rate = credit.dependent_decay(1.0, rho)
         assert abs(fit.slope + rate) <= 0.25 * rate
@@ -313,13 +313,13 @@ def test_criterion_10_reproducibility(tmp_path):
             "cramer": {"family": "bernoulli", "p": 0.25, "n": 10, "x": 0.5},
             "ruin": {"premium": 2.0, "lam": 1.0, "claim_rate": 1.0, "x": 2.0},
             "ruin-invest": {"premium": 2.0, "lam": 1.0, "claim_rate": 1.0, "b": 1.0,
-                            "sigma": 1.0, "simulate": True, "x": 2.0, "horizon": 20.0},
+                            "sigma": 1.0, "ladder": [2.0], "horizon": 20.0},
             "barrier": {"s0": 100.0, "strike": 90.0, "barrier": 130.0, "sigma": 0.25,
                         "maturity": 1.0, "steps": 8},
             "fw-bond": {"s0": 80.0, "barrier": 100.0, "sigma": 0.4, "maturity": 1.0, "steps": 8},
             "ghs": {"s0": 50.0, "strike": 70.0, "sigma": 0.3, "maturity": 1.0},
             "credit": {"n": 20, "p": 0.1, "rho": 0.4, "q": 0.5},
-            "longterm": {"a": 0.2, "x": 0.08, "simulate": True, "ladder": [5.0, 10.0, 20.0],
+            "longterm": {"a": 0.2, "x": 0.08, "ladder": [5.0, 10.0, 20.0],
                          "euler_step": 0.5, "policy_index": 50},
         }
         for sub, doc in configs.items():

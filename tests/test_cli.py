@@ -1,8 +1,12 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import nullcontext, redirect_stderr
 
 import numpy as np
 import pytest
@@ -124,22 +128,23 @@ class TestBadInput:
         ([], {"subcommand": "barrier", "ladder": [8, 1]}),
         ([], {"ladder": [-1]}),
         ([], {"subcommand": "cramer", "ladder": [0]}),
-        ([], {"subcommand": "longterm", "simulate": True, "ladder": [-5.0]}),
-        ([], {"subcommand": "ruin-invest", "simulate": True, "ladder": [-1]}),
+        ([], {"subcommand": "cramer", "ladder": [10, 20, 10]}),
+        ([], {"subcommand": "longterm", "ladder": [-5.0]}),
+        ([], {"subcommand": "ruin-invest", "ladder": [-1]}),
         ([], {"subcommand": "ruin-invest", "x": -1.0}),
-        ([], {"subcommand": "ruin-invest", "simulate": True, "horizon": 0.0}),
+        ([], {"subcommand": "ruin-invest", "horizon": 0.0}),
         ([], {"subcommand": "credit", "ladder": [2.7]}),
         ([], {"subcommand": "fw-bond", "ladder": [8]}),
         ([], {"subcommand": "ghs", "ladder": [8]}),
-        # a ladder or simulate flag the run would ignore
-        ([], {"subcommand": "longterm", "simulate": True}),
-        ([], {"subcommand": "longterm", "ladder": [5.0, 10.0]}),
-        ([], {"subcommand": "ruin-invest", "ladder": [2.0, 4.0]}),
         # theta 0 is the naive estimator; there is no estimator key
         ([], {"subcommand": "cramer", "estimator": "naive"}),
         # a shift name or schedule constant the credit model would reject
         ([], {"subcommand": "credit", "shift": "mu"}),
         ([], {"subcommand": "credit", "schedule_c": 0.0}),
+        # keys that are gone: a ladder runs the Monte Carlo rungs, and barrier prices both methods
+        ([], {"subcommand": "longterm", "simulate": True}),
+        ([], {"subcommand": "ruin-invest", "simulate": True}),
+        ([], {"subcommand": "barrier", "method": "naive"}),
     ])
     def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
         sub = doc.get("subcommand", "ruin")
@@ -169,8 +174,8 @@ class TestBadInput:
         ("cramer", {"x": 1.5}, NotAttained),
         # a = a0 and b = b0: Lambda' stays below b0^2 = 0.0025 up to theta_bar
         ("longterm", {"a": 0.1, "a0": 0.1, "b": 0.05, "b0": 0.05, "x": 0.2}, OutOfDualDomain),
-        ("longterm", {"a": 0.1, "a0": 0.1, "b": 0.05, "b0": 0.05, "x": 0.2, "simulate": True,
-                      "ladder": [5.0, 10.0, 20.0]}, OutOfDualDomain),
+        ("longterm", {"a": 0.1, "a0": 0.1, "b": 0.05, "b0": 0.05, "x": 0.2, "ladder": [5.0, 10.0, 20.0]},
+         OutOfDualDomain),
         ("longterm", {"b": 0.3, "theta": 0.95}, OutOfDomain),
     ])
     def test_solver_failure_exit_code_without_traceback(self, tmp_path, capsys, sub, doc, error):
@@ -241,19 +246,6 @@ class TestRunExperiment:
         assert "naive_mean" in header and "corrected_mean" in header
         assert [row.split(",")[0] for row in rows] == ["8", "16", "32"]
 
-    @pytest.mark.parametrize("method", ["naive", "corrected"])
-    def test_barrier_single_method_columns_match_both(self, tmp_path, method):
-        tables = {}
-        for m in (method, "both"):
-            doc = dict(MINIMAL["barrier"], ladder=[8, 16], replications=5_000, method=m)
-            out = tmp_path / f"{m}.csv"
-            assert cli.main(["barrier", "--config", write_config(tmp_path, f"{m}.json", doc),
-                             "--out", str(out)]) == 0
-            lines = [line.split(",") for line in data_section(out.read_text()) if line]
-            tables[m] = [dict(zip(lines[0], row)) for row in lines[1:]]
-        cols = ["steps", "eps", f"{method}_mean", f"{method}_std_error"]
-        assert [[row[c] for c in cols] for row in tables[method]] == [[row[c] for c in cols] for row in tables["both"]]
-
     def test_invalid_domain_nonzero_exit_no_partial_output(self, tmp_path, capsys):
         doc = dict(MINIMAL["longterm"], theta=1.2)
         path = write_config(tmp_path, "longterm.json", doc)
@@ -265,7 +257,7 @@ class TestRunExperiment:
 
     def test_longterm_records_dropped_horizons(self, tmp_path):
         # P[X_400/400 >= 0.18] ~ 1e-15: 2,000 paths see no hit on that rung
-        doc = dict(MINIMAL["longterm"], x=0.18, simulate=True, ladder=[5.0, 10.0, 20.0, 400.0],
+        doc = dict(MINIMAL["longterm"], x=0.18, ladder=[5.0, 10.0, 20.0, 400.0],
                    euler_step=0.5, policy_index=50, replications=2_000, seed=5)
         path = write_config(tmp_path, "longterm.json", doc)
         out = tmp_path / "report.json"
@@ -278,7 +270,7 @@ class TestRunExperiment:
         assert (rows[-1]["mean"], rows[-1]["log_mean"]) == ("0", "na")
 
     def test_longterm_rows_carry_estimator_columns(self, tmp_path):
-        doc = dict(MINIMAL["longterm"], x=0.18, simulate=True, ladder=[5.0, 10.0, 20.0],
+        doc = dict(MINIMAL["longterm"], x=0.18, ladder=[5.0, 10.0, 20.0],
                    euler_step=0.5, policy_index=50, replications=2_000, seed=5)
         path = write_config(tmp_path, "longterm.json", doc)
         out = tmp_path / "report.json"
@@ -359,7 +351,7 @@ class TestRunExperiment:
         assert lines[1].split(",") == doc["rows"][0]
 
     def test_no_bare_nan_in_output(self, tmp_path):
-        # ruin-invest without simulation emits placeholder cells, never nan
+        # ruin-invest without a ladder emits placeholder cells, never nan
         path = write_config(tmp_path, "ri.json", dict(MINIMAL["ruin-invest"]))
         out = tmp_path / "ri.csv"
         assert cli.main(["ruin-invest", "--config", path, "--out", str(out)]) == 0
@@ -433,10 +425,14 @@ DECAY_LADDERS = ("cramer", "ruin", "ruin-invest", "credit", "longterm")
 def test_committed_config_runs(tmp_path, config_path):
     with open(config_path) as handle:
         subcommand = json.load(handle)["subcommand"]
+    # at 2,000 paths the horizon-100 rung of longterm.json (P ~ 3e-5) sees no hit
+    longterm_config = os.path.basename(config_path) == "longterm.json"
     sections = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}.csv"
-        code = cli.main([subcommand, "--config", config_path, "--n", "2000", "--threads", str(threads), "--out", str(out)])
+        with pytest.warns(UserWarning, match="dropped 1 zero-hit rungs") if longterm_config else nullcontext():
+            code = cli.main([subcommand, "--config", config_path, "--n", "2000", "--threads", str(threads),
+                             "--out", str(out)])
         assert code == 0
         text = out.read_text()
         sections.append(data_section(text))
@@ -448,6 +444,8 @@ def test_committed_config_runs(tmp_path, config_path):
     if subcommand in DECAY_LADDERS:
         meta_keys = {line[2:].split(":")[0] for line in text.splitlines() if line.startswith("# ")}
         assert {"mc_slope", "zero_hit_rungs"} <= meta_keys
+    if longterm_config:
+        assert "# zero_hit_rungs: [100.0]" in text.splitlines()
 
 
 @pytest.mark.parametrize("sub, doc, library_fit", [
@@ -456,7 +454,7 @@ def test_committed_config_runs(tmp_path, config_path):
     ("ruin", dict(MINIMAL["ruin"], ladder=[2.0, 4.0, 8.0]),
      lambda N, seed: ruin.ruin_decay_fit(ruin.RuinModel(2.0, 1.0, tilt.Exponential(1.0)), [2.0, 4.0, 8.0], N, seed)),
     ("credit", dict(MINIMAL["credit"], ladder=[20, 40, 80]),
-     lambda N, seed: credit.measure_loss_decay(credit.PortfolioModel(20, 0.1, 0.4, 0.5), [20, 40, 80], N, seed)),
+     lambda N, seed: credit.measure_loss_decay(credit.PortfolioModel(0.1, 0.4, 0.5), [20, 40, 80], N, seed)),
 ], ids=["cramer", "ruin", "credit"])
 def test_cli_and_library_share_one_ladder_path(tmp_path, sub, doc, library_fit):
     path = write_config(tmp_path, f"{sub}.json", dict(doc, replications=2_000, seed=7))
@@ -469,13 +467,60 @@ def test_cli_and_library_share_one_ladder_path(tmp_path, sub, doc, library_fit):
     assert means == [res.mean for res in fit.results]
 
 
+_LADDER_DOCS = {
+    "longterm": st.fixed_dictionaries(
+        {"a": st.floats(0.05, 0.3), "x": st.floats(0.0, 0.3), "policy_index": st.integers(1, 50),
+         "euler_step": st.just(0.5)},
+        optional={"ladder": st.lists(st.floats(1.0, 20.0), min_size=1, max_size=4, unique=True)}),
+    "ruin-invest": st.fixed_dictionaries(
+        {"premium": st.floats(1.5, 3.0), "lam": st.floats(0.5, 1.5), "claim_rate": st.floats(1.0, 2.0),
+         "b": st.floats(-1.0, 2.0), "sigma": st.floats(0.5, 2.0), "x": st.floats(0.0, 8.0),
+         "horizon": st.floats(1.0, 20.0)},
+        optional={"ladder": st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4, unique=True)}),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sub_doc=st.sampled_from(sorted(_LADDER_DOCS)).flatmap(lambda sub: st.tuples(st.just(sub), _LADDER_DOCS[sub])),
+       seed=st.integers(0, 2**31 - 1))
+def test_a_ladder_runs_the_monte_carlo_rungs(sub_doc, seed):
+    sub, doc = sub_doc
+    ladder = doc.get("ladder")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as handle:
+            json.dump(dict(doc, replications=200, seed=seed), handle)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = cli.main([sub, "--config", path, "--threads", "1", "--out", out])
+        if code != 0:
+            # 10 is the documented code of every other RareflowError, e.g. a
+            # ladder of subnormal reserves that mc.fit_decay cannot fit
+            assert code in cli.EXIT_CODES.values() or code == 10
+            assert stderr.getvalue().startswith("rareflow: ") and "Traceback" not in stderr.getvalue()
+            return
+        with open(out) as handle:
+            report = json.load(handle)
+    rows = [dict(zip(report["columns"], cells)) for cells in report["rows"]]
+    rung_column = "horizon" if sub == "longterm" else "x"
+    if ladder:
+        assert [row[rung_column] for row in rows] == [cli._fmt(float(v)) for v in ladder]
+    else:
+        assert len(rows) == 1 and rows[0]["mean"] == "na"
+    ladder_keys = {"mc_slope", "zero_hit_rungs"}
+    assert ladder_keys & set(report["meta"]) == (ladder_keys if ladder else set())
+    assert [str(w.message) for w in caught] == report["meta"]["warnings"]
+    assert all(w.category is UserWarning and "zero-hit" in str(w.message) for w in caught)
+
+
 def test_warnings_recorded_in_metadata(tmp_path):
     out = tmp_path / "report.json"
     with pytest.warns(UserWarning, match="dropped 1 zero-hit"):
         assert cli.main(["longterm", "--config", os.path.join(CONFIG_DIR, "longterm.json"),
                          "--n", "2000", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["meta"]["warnings"] == ["dropped 1 zero-hit rungs from the decay fit"]
-    doc = dict(MINIMAL["longterm"], x=0.18, simulate=True, ladder=[5.0, 10.0, 20.0],
+    doc = dict(MINIMAL["longterm"], x=0.18, ladder=[5.0, 10.0, 20.0],
                euler_step=0.5, policy_index=50, replications=2_000, seed=5)
     out = tmp_path / "all_hit.json"
     assert cli.main(["longterm", "--config", write_config(tmp_path, "lt.json", doc), "--out", str(out)]) == 0

@@ -15,28 +15,28 @@ RHO_HALF = math.sqrt(0.5)
 
 
 def schedule_model(p=0.01, rho=RHO_HALF, a=1.0, c=0.5):
-    return PortfolioModel(n=1000, p=p, rho=rho, threshold=LossSchedule(a, c))
+    return PortfolioModel(p=p, rho=rho, threshold=LossSchedule(a, c))
 
 
 class TestConditionalDefaultProb:
     def test_independent_case(self):
-        model = PortfolioModel(n=10, p=0.2, rho=0.0, threshold=0.5)
+        model = PortfolioModel(p=0.2, rho=0.0, threshold=0.5)
         for z in (-3.0, 0.0, 4.0):
             assert credit.conditional_default_prob(model, z) == pytest.approx(0.2, abs=1e-15)
 
     def test_median_obligor(self):
-        model = PortfolioModel(n=10, p=0.5, rho=0.7, threshold=0.9)
+        model = PortfolioModel(p=0.5, rho=0.7, threshold=0.9)
         assert credit.conditional_default_prob(model, 0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_reference_value(self):
-        model = PortfolioModel(n=10, p=0.01, rho=0.5, threshold=0.5)
+        model = PortfolioModel(p=0.01, rho=0.5, threshold=0.5)
         value = credit.conditional_default_prob(model, 3.0)
         arg = (1.5 + normal_quantile(0.01)) / math.sqrt(0.75)
         assert value == pytest.approx(float(1.0 - phi_bar(arg)), rel=1e-12)
         assert value == pytest.approx(0.17001, abs=5e-5)
 
     def test_increasing_in_factor(self):
-        model = PortfolioModel(n=10, p=0.05, rho=0.6, threshold=0.5)
+        model = PortfolioModel(p=0.05, rho=0.6, threshold=0.5)
         grid = np.linspace(-4.0, 4.0, 41)
         values = credit.conditional_default_prob(model, grid)
         assert np.all(np.diff(values) > 0.0)
@@ -80,21 +80,21 @@ class TestDecayRates:
 
 class TestFactorThreshold:
     def test_at_marginal_probability(self):
-        model = PortfolioModel(n=10, p=0.3, rho=0.5, threshold=0.5)
+        model = PortfolioModel(p=0.3, rho=0.5, threshold=0.5)
         # q = p collapses to the closed form quantile*(sqrt(1-rho^2)-1)/rho
         z = credit.factor_threshold(
-            PortfolioModel(n=10, p=0.3, rho=0.5, threshold=LossSchedule(1.0, 0.7)), 1
+            PortfolioModel(p=0.3, rho=0.5, threshold=LossSchedule(1.0, 0.7)), 1
         )
         expected = normal_quantile(0.3) * (math.sqrt(0.75) - 1.0) / 0.5
         assert credit.conditional_default_prob(model, expected) == pytest.approx(0.3, abs=1e-12)
 
     def test_symmetric_case(self):
-        model = PortfolioModel(n=10, p=0.5, rho=0.4, threshold=0.500001)
+        model = PortfolioModel(p=0.5, rho=0.4, threshold=0.500001)
         z = credit.factor_threshold(model, 10)
         assert abs(z) < 1e-5
 
     def test_reference_value(self):
-        model = PortfolioModel(n=10, p=0.01, rho=0.5, threshold=0.99)
+        model = PortfolioModel(p=0.01, rho=0.5, threshold=0.99)
         z = credit.factor_threshold(model, 10)
         # full-precision quantile oracle: (sqrt(0.75) q(0.99) - q(0.01)) / 0.5
         expected = (math.sqrt(0.75) * normal_quantile(0.99) - normal_quantile(0.01)) / 0.5
@@ -103,24 +103,24 @@ class TestFactorThreshold:
 
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.999])
     def test_inversion_residual(self, q):
-        model = PortfolioModel(n=10, p=0.05, rho=0.45, threshold=q)
+        model = PortfolioModel(p=0.05, rho=0.45, threshold=q)
         z = credit.factor_threshold(model, 10)
         assert abs(credit.conditional_default_prob(model, z) - q) <= 1e-12
 
 
 class TestConditionalTwist:
     def test_non_rare_regime(self):
-        model = PortfolioModel(n=10, p=0.3, rho=0.5, threshold=0.5)
+        model = PortfolioModel(p=0.3, rho=0.5, threshold=0.5)
         assert credit.conditional_twist(model, 5.0, 0.2) == 0.0
 
     def test_matches_bernoulli_saddle(self):
-        model = PortfolioModel(n=10, p=0.25, rho=0.0, threshold=0.5)
+        model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
         theta = credit.conditional_twist(model, 0.0, 0.5)
         assert theta == pytest.approx(math.log(3.0), abs=1e-12)
         assert theta == pytest.approx(tilt.saddle_theta(Bernoulli(0.25), 0.5), abs=1e-12)
 
     def test_twisted_probability_hits_threshold(self):
-        model = PortfolioModel(n=10, p=0.05, rho=0.6, threshold=0.7)
+        model = PortfolioModel(p=0.05, rho=0.6, threshold=0.7)
         for z in (-1.0, 0.0, 1.5):
             pz = credit.conditional_default_prob(model, z)
             theta = credit.conditional_twist(model, z, 0.7)
@@ -210,7 +210,7 @@ class TestConditionalBoundCheck:
 
 class TestTwoStepIs:
     def test_independent_case_matches_binomial(self):
-        model = PortfolioModel(n=20, p=0.25, rho=0.0, threshold=0.5)
+        model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
         est = credit.two_step_is(model, 20, 100_000, seed=3)
         from oracles import binomial_tail_sum
 
@@ -218,7 +218,7 @@ class TestTwoStepIs:
         assert abs(est.mean - exact) < 4.0 * est.std_error
 
     def test_quadrature_oracle_case(self):
-        model = PortfolioModel(n=20, p=0.1, rho=0.4, threshold=0.5)
+        model = PortfolioModel(p=0.1, rho=0.4, threshold=0.5)
         exact = credit_tail_gh(20, 0.1, 0.4, 0.5)
         assert exact == pytest.approx(credit_tail_windowed_quad(20, 0.1, 0.4, 0.5), rel=1e-8)
         est = credit.two_step_is(model, 20, 100_000, seed=4, shift="mu_n")
@@ -227,20 +227,20 @@ class TestTwoStepIs:
     def test_lattice_threshold_when_n_q_is_a_hair_above_an_integer(self):
         # 25 * 0.28 = 7.000000000000001: the event is {L >= 7}, the lattice
         # rule of cramer.lattice_threshold, not {L >= 8}
-        model = PortfolioModel(n=25, p=0.1, rho=0.4, threshold=0.28)
+        model = PortfolioModel(p=0.1, rho=0.4, threshold=0.28)
         exact = credit_tail_quadrature(25, 0.1, 0.4, 0.28)
         for est in (credit.two_step_is(model, 25, 20_000, seed=8),
                     credit.plain_loss_tail(model, 25, 20_000, seed=8)):
             assert abs(est.mean - exact) < 4.0 * est.std_error
 
     def test_variance_beats_plain_mc(self):
-        model = PortfolioModel(n=20, p=0.1, rho=0.4, threshold=0.5)
+        model = PortfolioModel(p=0.1, rho=0.4, threshold=0.5)
         tuned = credit.two_step_is(model, 20, 100_000, seed=5)
         plain = credit.plain_loss_tail(model, 20, 100_000, seed=5)
         assert tuned.relative_error < plain.relative_error
 
     def test_unbiased_across_shifts(self):
-        model = PortfolioModel(n=20, p=0.1, rho=0.4, threshold=0.5)
+        model = PortfolioModel(p=0.1, rho=0.4, threshold=0.5)
         results = [
             credit.two_step_is(model, 20, 200_000, seed=60 + i, shift=shift)
             for i, shift in enumerate((0.0, "mu_n", "z_n"))
@@ -310,7 +310,7 @@ class TestSmallPRegime:
         points = []
         for i, n in enumerate((20, 40, 80)):
             p_n = math.exp(-a_exp * n)
-            model = PortfolioModel(n=n, p=p_n, rho=rho, threshold=q)
+            model = PortfolioModel(p=p_n, rho=rho, threshold=q)
             est = credit.two_step_is(model, n, N, seed + i, shift="z_n")
             points.append((float(n), est.log_mean))
         return points
@@ -340,7 +340,7 @@ class TestSmallPRegime:
         normalized = []
         for i, n in enumerate((40, 80, 160)):
             p_n = math.exp(-a_exp * n)
-            model = PortfolioModel(n=n, p=p_n, rho=rho, threshold=q)
+            model = PortfolioModel(p=p_n, rho=rho, threshold=q)
             est = credit.two_step_is(model, n, 100_000, seed=21 + i, shift="z_n")
             exact = credit_tail_windowed_quad(n, p_n, rho, q)
             assert abs(est.mean - exact) < 4.0 * est.std_error

@@ -101,6 +101,17 @@ class TestGhsDrift:
         residual = np.max(np.abs(payoff.log_gradient(res.mu) - res.mu))
         assert res.converged and residual <= 1e-9
 
+    def test_max_iter_bounds_the_residual_checks(self):
+        # the 4-step Asian call of configs/ghs-asian.json passes its 75th check, after 74 steps
+        payoff, start = asian_payoff(), np.full(4, 2.0)
+        default = isdrift.ghs_drift(payoff, start)
+        exact = isdrift.ghs_drift(payoff, start, max_iter=74)
+        assert exact.converged and exact.iterations == default.iterations == 74
+        assert np.array_equal(exact.mu, default.mu)
+        with pytest.warns(UserWarning, match="hit max_iter"):
+            short = isdrift.ghs_drift(payoff, start, max_iter=73)
+        assert not short.converged and short.iterations == 73
+
     def test_start_outside_domain(self):
         with pytest.raises(DomainEscape):
             isdrift.ghs_drift(asian_payoff(), np.full(4, -5.0))

@@ -194,6 +194,9 @@ class TestFitDecay:
     def test_duplicate_scales(self):
         with pytest.raises(InsufficientData):
             mc.fit_decay([(1.0, -1.0), (1.0, -1.1), (2.0, -2.0)])
+        # distinct subnormal scales whose squared spread underflows to 0
+        with pytest.raises(InsufficientData):
+            mc.fit_decay([(0.0, -1.0), (5e-324, -2.0), (1e-320, -3.0)])
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):

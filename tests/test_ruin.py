@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,19 @@ class TestWealthSimulation:
                  + math.exp(-2.0 * mu * x / s**2) * phi((-x + mu * horizon) / (s * root_t)))
         est = ruin.simulate_wealth_ruin(model, x, alpha, horizon, N=200_000, seed=11)
         assert abs(est.mean - exact) < 4.0 * est.std_error
+
+    def test_vanishing_position_touches_only_from_the_barrier(self):
+        # (alpha sigma)^2 = 1e-324 underflows to 0.  A Brownian motion started at
+        # the barrier still touches it at once, so every path is ruined; one
+        # started above it is the classical process up to a 1e-162 jitter
+        model = exponential_model(invest=Investment(1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = ruin.simulate_wealth_ruin(model, 0.0, alpha=1e-162, horizon=1.0, N=2_000, seed=3)
+            above = ruin.simulate_wealth_ruin(model, 1.0, alpha=1e-162, horizon=1.0, N=20_000, seed=4)
+        classical = ruin.simulate_wealth_ruin(model, 1.0, alpha=0.0, horizon=1.0, N=20_000, seed=5)
+        assert at_zero.mean == 1.0
+        assert abs(above.mean - classical.mean) < 4.0 * math.hypot(above.std_error, classical.std_error)
 
     def test_decay_slope_bracket(self):
         model = exponential_model(invest=Investment(1.0, 1.0))

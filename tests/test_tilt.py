@@ -136,14 +136,14 @@ class TestLegendre:
         assert res.rate == pytest.approx(lam * x - 1.0 - math.log(lam * x), abs=1e-12)
 
     def test_infinite_outside_support(self):
-        assert not tilt.legendre(Bernoulli(0.3), 1.5).finite
-        assert not tilt.legendre(Bernoulli(0.3), -0.1).finite
-        assert not tilt.legendre(Poisson(1.0), -1.0).finite
-        assert not tilt.legendre(Exponential(1.0), -2.0).finite
+        assert not math.isfinite(tilt.legendre(Bernoulli(0.3), 1.5).rate)
+        assert not math.isfinite(tilt.legendre(Bernoulli(0.3), -0.1).rate)
+        assert not math.isfinite(tilt.legendre(Poisson(1.0), -1.0).rate)
+        assert not math.isfinite(tilt.legendre(Exponential(1.0), -2.0).rate)
 
     def test_boundary_atoms_finite_not_attained(self):
         res = tilt.legendre(Bernoulli(0.25), 1.0)
-        assert res.finite and not res.attained
+        assert math.isfinite(res.rate) and not res.attained
         assert res.rate == pytest.approx(-math.log(0.25), abs=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
@@ -157,7 +157,7 @@ class TestLegendre:
         rates = []
         for x in xs:
             res = tilt.legendre(family, float(x))
-            rates.append(res.rate if res.finite else math.inf)
+            rates.append(res.rate)
         assert all(r2 >= r1 - 1e-12 for r1, r2 in zip(rates, rates[1:]))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
@@ -210,6 +210,24 @@ class TestSaddleTheta:
             tilt.saddle_theta(Bernoulli(0.25), 1.5)
         with pytest.raises(NotAttained):
             tilt.saddle_theta(Exponential(1.0), -0.5)
+
+    @pytest.mark.parametrize("x", [1e4, 1e6, 1e8, 1e10, 1e12, 1e15, -1e6, -1e10, -1e15])
+    def test_claim_step_saddle_near_a_pole_is_a_float_root(self, x):
+        # theta sits within 1e-4 of a pole of cgf', which moves by more than
+        # 1e-10 from one float to the next: the saddle is where it changes sign
+        family = ClaimStep(Exponential(1.0), 2.0, 1.0)
+        res = tilt.legendre(family, x)
+        assert res.attained and math.isfinite(res.rate)
+        assert tilt.saddle_theta(family, x) == res.theta_star
+        # cgf'(t) = 1/(1-t) - 2/(1+2t) = x is a quadratic in t; its root in (-1/2, 1),
+        # with 1 - t and 1 + 2t written without cancellation near each pole
+        s = math.sqrt(9.0 * x * x + 16.0)
+        one_minus = 6.0 / (3.0 * x + 4.0 + s) if x > 0 else 1.0 - (x - 4.0 + s) / (4.0 * x)
+        one_plus_two = 1.0 + (x - 4.0 + s) / (2.0 * x) if x > 0 else 12.0 / (s - 3.0 * x + 4.0)
+        exact = 1.0 - one_minus if x > 0 else 0.5 * (one_plus_two - 1.0)
+        assert abs(res.theta_star - exact) <= 2.0 * math.ulp(exact)
+        assert res.rate == pytest.approx((x - 4.0 + s) / 4.0 + math.log(one_minus) + math.log(one_plus_two),
+                                         rel=1e-12)
 
 
 class TestBernoulliHelpers:
@@ -395,7 +413,7 @@ def _package_roots():
     for x in (-30.0, -3.0, -0.5, 0.5, 3.0, 30.0):
         roots[f"saddle {x}"] = tilt.saddle_theta(step, x)
     for n, p, rho, q in ((20, 0.1, 0.4, 0.5), (200, 0.01, 0.3, 0.1), (2000, 0.001, 0.6, 0.05)):
-        roots[f"mu_n {n}"] = credit.factor_shift(credit.PortfolioModel(n, p, rho, q), n)
+        roots[f"mu_n {n}"] = credit.factor_shift(credit.PortfolioModel(p, rho, q), n)
     for b in (0.0, 0.3):
         dual = longterm.solve_dual(longterm.LqModel.from_market(longterm.MarketSpec(0.0, 0.0, 0.2, b, 1.0), 1.0))
         for x in (0.05, 0.3, 3.0, 1e8, 1e17):
