@@ -205,10 +205,6 @@ class ExperimentConfig:
         return doc
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config.canonical(), indent=2, sort_keys=False) + "\n"
-
-
 def _coerce(value, spec: FieldSpec, name: str, errors: list) -> object:
     types = spec.type if isinstance(spec.type, tuple) else (spec.type,)
     if float in types and isinstance(value, int) and not isinstance(value, bool):
@@ -441,7 +437,7 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
         rows = [[x, theta_l, sol.value, alpha] + _estimator_row(res) for x, res in zip(reserves, fit.results)]
         meta.update(_ladder_meta(reserves, fit))
     else:
-        rows = [[p["x"] if p["x"] is not None else 0.0, theta_l, sol.value, alpha, 0, None, None, None, None]]
+        rows = [[p["x"] if p["x"] is not None else 0.0, theta_l, sol.value, alpha, None, None, None, None, None]]
     return Report(meta=meta, columns=cols, rows=rows)
 
 

@@ -78,19 +78,10 @@ def _probit_arg(model: PortfolioModel, z: np.ndarray) -> np.ndarray:
     return (model.rho * z + norm_ppf(model.p)) / math.sqrt(1.0 - model.rho**2)
 
 
-def independent_decay(p: float, q: float) -> float:
-    """Loss-tail rate q ln(q/p) + (1-q) ln((1-q)/(1-p)) for i.i.d. obligors."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0,1)")
-    if q <= p or q >= 1.0:
-        raise RegimeError(f"need p < q < 1, got p={p}, q={q}")
-    return float(tilt.bernoulli_entropy(p, q))
-
-
 def dependent_decay(a: float, rho: float) -> float:
     """Polynomial loss-tail rate a (1 - rho^2) / rho^2 in the n^-a regime."""
     if rho <= 0.0 or rho >= 1.0:
-        raise RegimeError("rho must lie in (0,1); use independent_decay at rho=0")
+        raise RegimeError("rho must lie in (0,1); at rho=0 the rate is tilt.bernoulli_entropy(p, q)")
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
     return a * (1.0 - rho * rho) / (rho * rho)
@@ -103,19 +94,6 @@ def factor_threshold(model: PortfolioModel, n: int) -> float:
     q = model.q_at(n)
     root = math.sqrt(1.0 - model.rho**2)
     return (root * norm_ppf(q) - norm_ppf(model.p)) / model.rho
-
-
-def conditional_twist(model: PortfolioModel, z: float, q: float) -> float:
-    """Conditional exponential twist theta_q(z) >= 0.
-
-    Saddle point of the conditional Bernoulli c.g.f. when q exceeds the
-    conditional default probability p(z); zero otherwise (the supremum over
-    theta >= 0 sits at the boundary in the non-rare conditional regime).
-    """
-    pz = conditional_default_prob(model, z)
-    if q <= pz:
-        return 0.0
-    return float(tilt.bernoulli_twist(pz, q))
 
 
 def outer_exponent(model: PortfolioModel, n: int, z) -> np.ndarray:
@@ -237,22 +215,6 @@ def _check_conditional_bound(hit: np.ndarray, log_weight: np.ndarray, log_bound:
     finite = np.isfinite(log_weight)
     if not np.all(~(hit & finite) | (log_weight <= log_bound + 1e-9)):
         raise BoundViolated("conditional weight above the Chebyshev bound")
-
-
-def plain_loss_tail(
-    model: PortfolioModel, n: int, N: int, seed: int, threads: int = 1
-) -> EstimatorResult:
-    """Naive Monte Carlo frequency of {L_n >= k_n} (no change of measure)."""
-    loss_threshold = cramer.lattice_threshold(n, model.q_at(n))
-
-    def sampler(ss, size):
-        rng = np.random.default_rng(ss)
-        z = rng.standard_normal(size)
-        pz = np.asarray(conditional_default_prob(model, z), dtype=float)
-        losses = rng.binomial(n, pz, size)
-        return (losses >= loss_threshold).astype(float)
-
-    return mc.run_replications(sampler, N, seed, threads=threads)
 
 
 def measure_loss_decay(

@@ -37,10 +37,6 @@ class MaxStepsExceeded(RareflowError):
     """A simulated path exceeded the step guard; parameters look pathological."""
 
 
-class DivergentTail(RareflowError):
-    """Conditional overshoot transform diverges at the requested exponent."""
-
-
 class InvalidBarrier(RareflowError):
     """Lower barrier is not strictly below the upper barrier."""
 

@@ -232,16 +232,6 @@ def linear_payoff(c, offset: float = 0.0) -> PathPayoff:
     )
 
 
-def quadratic_payoff(dim: int, curvature: float) -> PathPayoff:
-    """G(z) = exp(-curvature * z'z), with gradient -2*curvature*z."""
-    return PathPayoff(
-        dim=dim,
-        evaluate=lambda z: np.exp(-curvature * np.sum(z * z, axis=-1)),
-        gradient=lambda z: -2.0 * curvature * np.asarray(z, dtype=float),
-        growth_c2=max(-curvature, 0.0),
-    )
-
-
 def asian_call_payoff(steps: int, spot: float, strike: float, sigma: float, maturity: float) -> PathPayoff:
     """Discretely monitored Black-Scholes Asian call driven by step normals.
 
@@ -275,16 +265,6 @@ def asian_call_payoff(steps: int, spot: float, strike: float, sigma: float, matu
 # -- barrier-style feedback drift ------------------------------------------
 
 
-def fw_distance_bs(s: float, barrier: float, sigma: float) -> float:
-    """Geodesic distance |ln(s/K)| / sigma to the barrier in log-price metric.
-
-    Scale invariant: (s, K) and (c*s, c*K) give the same value.
-    """
-    if s <= 0.0 or barrier <= 0.0:
-        raise ValueError("price and barrier must be positive")
-    return abs(math.log(s / barrier)) / sigma
-
-
 def fw_drift_bs(t: float, log_s, log_barrier: float, sigma: float, maturity: float):
     """Girsanov drift weight (ln s - ln K) / (sigma (T - t)), vectorised in ln s.
 
@@ -295,18 +275,6 @@ def fw_drift_bs(t: float, log_s, log_barrier: float, sigma: float, maturity: flo
     if t >= maturity:
         raise AtMaturity(f"t={t} >= maturity {maturity}")
     return (log_s - log_barrier) / (sigma * (maturity - t))
-
-
-def _girsanov_step(log_s, log_weight, phi, gauss, sigma: float, dt: float) -> np.ndarray:
-    """One left-endpoint step of the log price under the drift shift -sigma*phi.
-
-    Returns the next log price and adds the step's log-likelihood term
-    phi dW - phi^2 dt / 2 to ``log_weight`` in place.
-    """
-    sqrt_dt = math.sqrt(dt)
-    log_next = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
-    log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
-    return log_next
 
 
 def price_up_in_bond(
@@ -334,6 +302,7 @@ def price_up_in_bond(
     if s0 <= 0.0 or barrier <= 0.0:
         raise ValueError("prices must be positive")
     dt = maturity / steps
+    sqrt_dt = math.sqrt(dt)
     log_barrier = math.log(barrier)
 
     def sampler(ss, size):
@@ -352,7 +321,10 @@ def price_up_in_bond(
             else:
                 phi = np.zeros(size)
             gauss = rng.standard_normal(size)
-            log_next = _girsanov_step(log_s, log_weight, phi, gauss, sigma, dt)
+            # left-endpoint step under the drift shift -sigma*phi, and its
+            # log-likelihood term phi dW - phi^2 dt / 2
+            log_next = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
+            log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
             new_hit = log_next >= log_barrier
             if bridge_hits:
                 uniforms = hit_rng.random(size)
@@ -362,35 +334,5 @@ def price_up_in_bond(
             hit |= new_hit
             log_s = log_next
         return hit * np.exp(log_weight)
-
-    return mc.run_replications(sampler, N, seed, threads=threads)
-
-
-def likelihood_mean(
-    s0: float,
-    sigma: float,
-    maturity: float,
-    steps: int,
-    N: int,
-    seed: int,
-    phi_fn: Callable[[float, np.ndarray], np.ndarray],
-    threads: int = 1,
-) -> EstimatorResult:
-    """Sample mean of the discretized likelihood L_T for a supplied drift.
-
-    For bounded phi the likelihood is a martingale with mean one; this is the
-    direct check of that normalization.
-    """
-    dt = maturity / steps
-
-    def sampler(ss, size):
-        rng = np.random.default_rng(ss)
-        log_s = np.full(size, math.log(s0))
-        log_weight = np.zeros(size)
-        for i in range(steps):
-            phi = np.asarray(phi_fn(i * dt, np.exp(log_s)), dtype=float)
-            gauss = rng.standard_normal(size)
-            log_s = _girsanov_step(log_s, log_weight, phi, gauss, sigma, dt)
-        return np.exp(log_weight)
 
     return mc.run_replications(sampler, N, seed, threads=threads)

@@ -25,8 +25,6 @@ from . import mc, tilt
 from .errors import DomainError, OutOfDomain, OutOfDualDomain
 from .mc import DecayFit
 
-RATE_INF = math.inf
-
 
 @dataclass(frozen=True)
 class MarketSpec:
@@ -86,20 +84,6 @@ class DualSolution:
     steep: bool
 
 
-def static_rate(x: float, alpha: float, mu: float, sigma: float) -> float:
-    """Decay rate of P[mean wealth >= x] for a fixed position in a flat market.
-
-    ((alpha mu - x) / (alpha sigma))^2 / 2 for alpha != 0; holding nothing
-    gives rate 0 at target 0 and an infinite rate otherwise.  Minimized over
-    alpha at alpha = x / mu.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if alpha == 0.0:
-        return 0.0 if x == 0.0 else RATE_INF
-    return 0.5 * ((alpha * mu - x) / (alpha * sigma)) ** 2
-
-
 def bs_dual_cgf(a: float, a0: float, sigma: float, theta: float) -> float:
     """Black-Scholes dual cumulant theta/(1-theta) * ((a-a0)/sigma)^2 / 2.
 
@@ -136,30 +120,22 @@ def _check_theta(theta: float) -> None:
         raise OutOfDomain(f"theta={theta} outside the dual domain [0, 1)")
 
 
-def _quadratic_pieces(model: LqModel, theta: float):
-    """Coefficient-matching terms shared by lq_dual and hjb_residual.
+def lq_dual(model: LqModel, theta: float) -> tuple[float, float, float]:
+    """Quadratic-ansatz coefficients (A, B, Lambda) at a dual parameter theta.
 
     Substituting phi = A y^2/2 + B y into the ergodic equation and matching
     powers of y gives
       y^2:  A^2/2 - k A + C2 = 0,          C2 = T beta2^2 / 2
       y^1:  B (A - k) + theta beta3 + T beta2 beta4 = 0
       y^0:  Lambda = A/2 + B^2/2 + T beta4^2 / 2
-    with T = theta/(1 - theta).
-    """
-    t_factor = theta / (1.0 - theta)
-    return t_factor, 0.5 * t_factor * model.beta2**2
-
-
-def lq_dual(model: LqModel, theta: float) -> tuple[float, float, float]:
-    """Quadratic-ansatz coefficients (A, B, Lambda) at a dual parameter theta.
-
-    The A-quadratic has two roots; the branch continuous in theta with
-    A(0) = 0 is A = k - sqrt(k^2 - 2 C2), the one that keeps the
-    theta-adjusted factor drift mean-reverting.  Raises OutOfDomain outside
-    [0, 1) or when the discriminant goes negative.
+    with T = theta/(1 - theta).  The A-quadratic has two roots; the branch
+    continuous in theta with A(0) = 0 is A = k - sqrt(k^2 - 2 C2), the one
+    that keeps the theta-adjusted factor drift mean-reverting.  Raises
+    OutOfDomain outside [0, 1) or when the discriminant goes negative.
     """
     _check_theta(theta)
-    t_factor, c2 = _quadratic_pieces(model, theta)
+    t_factor = theta / (1.0 - theta)
+    c2 = 0.5 * t_factor * model.beta2**2
     disc = model.k**2 - 2.0 * c2
     if disc < 0.0:
         raise OutOfDomain(f"discriminant {disc:.6g} < 0 at theta={theta}")
@@ -174,7 +150,7 @@ def lq_dual(model: LqModel, theta: float) -> tuple[float, float, float]:
 
 
 def lam_prime(model: LqModel, theta: float) -> float:
-    """Closed-form Lambda'(theta), by the chain rule through _quadratic_pieces.
+    """Closed-form Lambda'(theta), by the chain rule through lq_dual's matching.
 
     With s = sqrt(disc) = k - A, T' = 1/(1 - theta)^2 and primes for
     d/dtheta: C2' = T' beta2^2/2, rhs' = beta3 + T' beta2 beta4,
@@ -189,24 +165,6 @@ def lam_prime(model: LqModel, theta: float) -> float:
     a_prime = c2_prime / root
     b_prime = (rhs_prime + coeff_b * c2_prime / root) / root
     return 0.5 * a_prime + coeff_b * b_prime + 0.5 * t_prime * model.beta4**2
-
-
-def hjb_residual(model: LqModel, theta: float, y: float) -> float:
-    """Residual of the ergodic equation at (theta, y) for the encoded (A,B,Lambda).
-
-    Zero up to rounding by construction; the unit tests pin 1e-9 on a grid.
-    """
-    coeff_a, coeff_b, lam = lq_dual(model, theta)
-    t_factor, _ = _quadratic_pieces(model, theta)
-    phi_p = coeff_a * y + coeff_b
-    rhs = (
-        0.5 * coeff_a
-        - model.k * y * phi_p
-        + 0.5 * phi_p**2
-        + theta * model.beta3 * y
-        + 0.5 * t_factor * (model.beta2 * y + model.beta4) ** 2
-    )
-    return rhs - lam
 
 
 def theta_bar(model: LqModel) -> tuple[float, bool]:
@@ -228,12 +186,6 @@ def feedback_policy(model: LqModel, theta: float, y: float) -> float:
     """Optimal position (beta2 y + beta4) / (1 - theta)."""
     _check_theta(theta)
     return (model.beta2 * y + model.beta4) / (1.0 - theta)
-
-
-def hamiltonian_term(model: LqModel, theta: float, y: float, a: float) -> float:
-    """The a-dependent part of the ergodic equation's sup, for optimality checks."""
-    drift_part = -0.5 * a * a + model.beta2 * y * a + model.beta4 * a
-    return theta * drift_part + 0.5 * theta * theta * a * a
 
 
 def solve_dual(model: LqModel) -> DualSolution:

@@ -99,7 +99,10 @@ def credit_tail_quadrature(n: int, p: float, rho: float, q: float) -> float:
 
     Integrates the exact conditional binomial tail against the factor density
     on a window around the threshold z_n where the integrand concentrates
-    (a fixed global rule under-resolves the far-tail bump for large n).
+    (a fixed global rule under-resolves the far-tail bump for large n).  The
+    window stops at |z| = 38, where the density underflows (it is below
+    1e-313 there): for a small rho, z_n ~ 1/rho is far out, and a window
+    reaching it would leave the rule no node on the bump near 0.
     """
     k_min = int(math.ceil(n * q - 1e-9))
     if rho == 0.0:
@@ -112,8 +115,8 @@ def credit_tail_quadrature(n: int, p: float, rho: float, q: float) -> float:
         pz = min(max(pz, 1e-300), 1.0 - 1e-16)
         return binomial_tail(n, pz, k_min) * float(norm_pdf(z))
 
-    lo = min(z_n - 8.0, -8.0)
-    hi = max(z_n + 8.0, 8.0)
+    lo = max(min(z_n - 8.0, -8.0), -38.0)
+    hi = min(max(z_n + 8.0, 8.0), 38.0)
     from scipy import integrate  # loaded on demand, as in up_out_call_price
     value, _ = integrate.quad(integrand, lo, hi, limit=800, epsabs=1e-300, epsrel=1e-10)
     return value

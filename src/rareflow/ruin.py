@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import bridge, mc, tilt
-from .errors import BoundViolated, DivergentTail, MaxStepsExceeded, NetProfitViolated, NoRoot
+from .errors import BoundViolated, MaxStepsExceeded, NetProfitViolated, NoRoot
 from .mc import DecayFit, EstimatorResult
-from .tilt import ClaimStep, Exponential, TiltableFamily
+from .tilt import ClaimStep, TiltableFamily
 
 MAX_PATH_STEPS = int(1e7)
 
@@ -98,12 +98,6 @@ def adjustment_coefficient(model: RuinModel) -> ExponentSolution:
     """The Lundberg exponent theta_L: gamma_Y(theta) = premium*theta/lam."""
     sol = _solve_exponent(model, 0.0, "lundberg")
     return sol
-
-
-def lundberg_bound(model: RuinModel, x: float) -> float:
-    """exp(-theta_L * x), a guaranteed upper bound on the ruin probability."""
-    theta_l = adjustment_coefficient(model).value
-    return math.exp(-theta_l * x)
 
 
 def invest_exponent(model: RuinModel) -> ExponentSolution:
@@ -237,21 +231,3 @@ def simulate_wealth_ruin(
         return ruined
 
     return mc.run_replications(sampler, N, seed, threads=threads)
-
-
-def uniform_exp_tail_check(claims: TiltableFamily, theta: float) -> float:
-    """sup_z E[exp(theta*(Y - z)) | Y > z], the uniform overshoot transform.
-
-    Memorylessness makes the conditional overshoot of exponential claims an
-    Exponential(nu) again, so the supremum over the z-grid is the constant
-    nu/(nu - theta), diverging at theta >= nu.  Other claim families have no
-    evaluable overshoot transform in this catalog.
-    """
-    if isinstance(claims, Exponential):
-        nu = claims.lam
-        if theta >= nu:
-            raise DivergentTail(f"theta={theta} >= claim intensity {nu}")
-        return nu / (nu - theta)
-    raise NotImplementedError(
-        "overshoot transform is evaluable for exponential claims only"
-    )

@@ -1,7 +1,10 @@
 """Test-side oracles, kept independent of the package's estimator code.
 
 Everything here is computed by enumeration, quadrature, or closed forms
-derived separately from the implementation under test.
+derived separately from the implementation under test.  The plain Monte
+Carlo references draw their own paths but run on the package's replication
+engine, so a seed gives them the same batch streams as the estimators they
+are compared with.
 """
 
 import math
@@ -10,6 +13,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 from scipy.stats import binom
+
+from rareflow import mc
 
 
 def phi_bar(z):
@@ -99,6 +104,60 @@ def credit_tail_windowed_quad(n: int, p: float, rho: float, q: float) -> float:
     hi = max(z_n + 8.0, 8.0)
     value, _ = integrate.quad(integrand, lo, hi, limit=800, epsabs=1e-300, epsrel=1e-10)
     return value
+
+
+def plain_loss_tail(n: int, p: float, rho: float, q: float, N: int, seed: int):
+    """Naive Monte Carlo frequency of {L_n >= ceil(n q - 1e-9)} in the one-factor copula model."""
+    k_min = math.ceil(n * q - 1e-9)
+
+    def sampler(ss, size):
+        rng = np.random.default_rng(ss)
+        z = rng.standard_normal(size)
+        pz = ndtr((rho * z + ndtri(p)) / math.sqrt(1.0 - rho**2))
+        losses = rng.binomial(n, pz, size)
+        return (losses >= k_min).astype(float)
+
+    return mc.run_replications(sampler, N, seed)
+
+
+def likelihood_mean(s0: float, sigma: float, maturity: float, steps: int, N: int, seed: int, phi_fn):
+    """Sample mean of the left-endpoint likelihood L_T of a drift phi_fn(t, prices).
+
+    The log price steps under the drift shift -sigma*phi; for bounded phi
+    the likelihood is a martingale with mean one.
+    """
+    dt = maturity / steps
+    sqrt_dt = math.sqrt(dt)
+
+    def sampler(ss, size):
+        rng = np.random.default_rng(ss)
+        log_s = np.full(size, math.log(s0))
+        log_weight = np.zeros(size)
+        for i in range(steps):
+            phi = np.asarray(phi_fn(i * dt, np.exp(log_s)), dtype=float)
+            gauss = rng.standard_normal(size)
+            log_s = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
+            log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+        return np.exp(log_weight)
+
+    return mc.run_replications(sampler, N, seed)
+
+
+def hjb_residual(model, theta: float, y: float, coeffs) -> float:
+    """Residual at y of the ergodic equation for phi = A y^2/2 + B y, (A, B, Lambda) = coeffs.
+
+    Lambda = phi''/2 - k y phi' + phi'^2/2 + theta beta3 y
+             + sup_a [theta (-a^2/2 + (beta2 y + beta4) a) + theta^2 a^2/2],
+    the sup of a concave quadratic in a (for 0 < theta < 1), taken at its
+    vertex a = theta s / (theta (1 - theta)) with s = beta2 y + beta4.
+    """
+    coeff_a, coeff_b, lam = coeffs
+    phi_prime = coeff_a * y + coeff_b
+    slope = model.beta2 * y + model.beta4
+    a_star = slope / (1.0 - theta)
+    sup = theta * (-0.5 * a_star * a_star + slope * a_star) + 0.5 * theta * theta * a_star * a_star
+    generator = 0.5 * coeff_a - model.k * y * phi_prime + 0.5 * phi_prime * phi_prime
+    return generator + theta * model.beta3 * y + sup - lam
 
 
 def drifted_bm_max_crossing(level: float, nu: float, sigma: float, horizon: float) -> float:

@@ -20,6 +20,7 @@ from oracles import (
     credit_tail_gh,
     credit_tail_windowed_quad,
     drifted_bm_max_crossing,
+    hjb_residual,
     up_out_call_reflection_quad,
 )
 
@@ -291,7 +292,7 @@ def test_criterion_9_longterm():
             bar, _ = longterm.theta_bar(m)
             for theta in np.linspace(0.05, min(bar, 1.0) - 0.05, 9):
                 for y in (-3.0, -1.0, 0.0, 0.5, 2.0):
-                    assert abs(longterm.hjb_residual(m, float(theta), y)) <= 1e-9
+                    assert abs(hjb_residual(m, float(theta), y, longterm.lq_dual(m, float(theta)))) <= 1e-9
 
         # Monte Carlo decay slope at a target where the 1/T prefactor fits
         # inside 20%: x = 0.18, v(x) = -0.08 (constant coefficients make the

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareflow import cli, cramer, credit, ruin, tilt
-from rareflow.cli import ExperimentConfig, parse_config, run_experiment, serialize_config
+from rareflow.cli import ExperimentConfig, parse_config, run_experiment
 from rareflow.errors import BoundViolated, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError
 
 
@@ -101,7 +101,7 @@ class TestParseConfig:
         if rng.random() < 0.5:
             doc["output"] = "json"
         config = parse_config(json.dumps(doc), subcommand)
-        text = serialize_config(config)
+        text = json.dumps(config.canonical())
         again = parse_config(text, subcommand)
         assert again == config
 
@@ -507,7 +507,7 @@ def test_a_ladder_runs_the_monte_carlo_rungs(sub_doc, seed):
     if ladder:
         assert [row[rung_column] for row in rows] == [cli._fmt(float(v)) for v in ladder]
     else:
-        assert len(rows) == 1 and rows[0]["mean"] == "na"
+        assert len(rows) == 1 and rows[0]["n_rep"] == rows[0]["mean"] == "na"
     ladder_keys = {"mc_slope", "zero_hit_rungs"}
     assert ladder_keys & set(report["meta"]) == (ladder_keys if ladder else set())
     assert [str(w.message) for w in caught] == report["meta"]["warnings"]

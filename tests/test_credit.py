@@ -9,7 +9,7 @@ from rareflow.errors import BoundViolated, RegimeError
 from rareflow.oracles import credit_tail_quadrature
 from rareflow.tilt import Bernoulli
 
-from oracles import credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar
+from oracles import credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar, plain_loss_tail
 
 RHO_HALF = math.sqrt(0.5)
 
@@ -43,23 +43,25 @@ class TestConditionalDefaultProb:
 
 
 class TestDecayRates:
+    # the i.i.d. obligor rate is the Bernoulli relative entropy
     def test_independent_rate_limit_at_p(self):
-        assert credit.independent_decay(0.25, 0.250001) < 1e-9
+        assert tilt.bernoulli_entropy(0.25, 0.250001) < 1e-9
 
     def test_independent_reference(self):
-        rate = credit.independent_decay(0.25, 0.5)
+        rate = tilt.bernoulli_entropy(0.25, 0.5)
         assert rate == pytest.approx(0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0), abs=1e-15)
 
     def test_matches_bernoulli_legendre(self):
         for p, q in ((0.25, 0.5), (0.1, 0.3), (0.02, 0.9)):
-            rate = credit.independent_decay(p, q)
+            rate = tilt.bernoulli_entropy(p, q)
             assert rate == pytest.approx(tilt.legendre(tilt.Bernoulli(p), q).rate, abs=1e-12)
 
     def test_independent_regime_error(self):
-        with pytest.raises(RegimeError):
-            credit.independent_decay(0.3, 0.3)
-        with pytest.raises(RegimeError):
-            credit.independent_decay(0.3, 0.2)
+        # q_1 = 1 - 0.5 = p and q_1 = 0.4 < p: no rare loss event to estimate
+        for c in (0.5, 0.6):
+            model = PortfolioModel(p=0.5, rho=0.0, threshold=LossSchedule(1.0, c))
+            with pytest.raises(RegimeError):
+                credit.two_step_is(model, 1, 100, seed=0)
 
     def test_dependent_rate_values(self):
         assert credit.dependent_decay(1.0, RHO_HALF) == pytest.approx(1.0, abs=1e-12)
@@ -109,13 +111,10 @@ class TestFactorThreshold:
 
 
 class TestConditionalTwist:
-    def test_non_rare_regime(self):
-        model = PortfolioModel(p=0.3, rho=0.5, threshold=0.5)
-        assert credit.conditional_twist(model, 5.0, 0.2) == 0.0
-
+    # two_step_is twists p(z) to q with tilt.bernoulli_twist on rare lanes
     def test_matches_bernoulli_saddle(self):
         model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
-        theta = credit.conditional_twist(model, 0.0, 0.5)
+        theta = tilt.bernoulli_twist(credit.conditional_default_prob(model, 0.0), 0.5)
         assert theta == pytest.approx(math.log(3.0), abs=1e-12)
         assert theta == pytest.approx(tilt.saddle_theta(Bernoulli(0.25), 0.5), abs=1e-12)
 
@@ -123,7 +122,7 @@ class TestConditionalTwist:
         model = PortfolioModel(p=0.05, rho=0.6, threshold=0.7)
         for z in (-1.0, 0.0, 1.5):
             pz = credit.conditional_default_prob(model, z)
-            theta = credit.conditional_twist(model, z, 0.7)
+            theta = tilt.bernoulli_twist(pz, 0.7)
             tilted = pz * math.exp(theta) / (1.0 - pz + pz * math.exp(theta))
             assert tilted == pytest.approx(0.7, abs=1e-12)
 
@@ -230,13 +229,13 @@ class TestTwoStepIs:
         model = PortfolioModel(p=0.1, rho=0.4, threshold=0.28)
         exact = credit_tail_quadrature(25, 0.1, 0.4, 0.28)
         for est in (credit.two_step_is(model, 25, 20_000, seed=8),
-                    credit.plain_loss_tail(model, 25, 20_000, seed=8)):
+                    plain_loss_tail(25, 0.1, 0.4, 0.28, 20_000, seed=8)):
             assert abs(est.mean - exact) < 4.0 * est.std_error
 
     def test_variance_beats_plain_mc(self):
         model = PortfolioModel(p=0.1, rho=0.4, threshold=0.5)
         tuned = credit.two_step_is(model, 20, 100_000, seed=5)
-        plain = credit.plain_loss_tail(model, 20, 100_000, seed=5)
+        plain = plain_loss_tail(20, 0.1, 0.4, 0.5, 100_000, seed=5)
         assert tuned.relative_error < plain.relative_error
 
     def test_unbiased_across_shifts(self):

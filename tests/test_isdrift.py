@@ -7,11 +7,21 @@ from scipy.optimize import minimize
 from rareflow import isdrift, mc
 from rareflow.errors import AtMaturity, DomainEscape, MomentConditionViolated
 
-from oracles import drifted_bm_max_crossing
+from oracles import drifted_bm_max_crossing, likelihood_mean
 
 
 def asian_payoff():
     return isdrift.asian_call_payoff(4, 50.0, 70.0, 0.3, 1.0)
+
+
+def quadratic_payoff(dim, curvature):
+    """G(z) = exp(-curvature * z'z), with gradient -2*curvature*z."""
+    return isdrift.PathPayoff(
+        dim=dim,
+        evaluate=lambda z: np.exp(-curvature * np.sum(z * z, axis=-1)),
+        gradient=lambda z: -2.0 * curvature * np.asarray(z, dtype=float),
+        growth_c2=max(-curvature, 0.0),
+    )
 
 
 class TestPathPayoff:
@@ -47,7 +57,7 @@ class TestPathPayoff:
 
     @pytest.mark.parametrize("payoff", [
         isdrift.linear_payoff(np.array([0.7, -0.4, 0.1]), offset=-0.5),
-        isdrift.quadratic_payoff(5, 0.25),
+        quadratic_payoff(5, 0.25),
         asian_payoff(),
         isdrift.asian_call_payoff(12, 100.0, 95.0, 0.2, 0.5),
     ], ids=["linear", "quadratic", "asian", "asian-12"])
@@ -70,7 +80,7 @@ class TestGhsDrift:
         assert np.array_equal(res.mu, c)
 
     def test_quadratic_payoff_zero_drift(self):
-        payoff = isdrift.quadratic_payoff(3, 0.25)
+        payoff = quadratic_payoff(3, 0.25)
         res = isdrift.ghs_drift(payoff, np.array([1.0, -2.0, 0.5]))
         assert res.converged
         assert np.max(np.abs(res.mu)) < 1e-8
@@ -208,17 +218,6 @@ class TestScaledSecondMoment:
 
 
 class TestFwClosedForms:
-    def test_distance_at_barrier(self):
-        assert isdrift.fw_distance_bs(100.0, 100.0, 0.3) == 0.0
-
-    def test_distance_value(self):
-        assert isdrift.fw_distance_bs(50.0, 100.0, 0.5) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-
-    def test_distance_scale_invariance(self):
-        a = isdrift.fw_distance_bs(50.0, 100.0, 0.3)
-        b = isdrift.fw_distance_bs(500.0, 1000.0, 0.3)
-        assert a == b
-
     def test_drift_at_barrier(self):
         assert isdrift.fw_drift_bs(0.0, math.log(100.0), math.log(100.0), 0.2, 1.0) == 0.0
 
@@ -273,7 +272,7 @@ class TestUpInBond:
             raw = np.log(prices / 100.0) / (0.4 * (1.0 - t))
             return np.clip(raw, -2.0, 2.0)
 
-        res = isdrift.likelihood_mean(70.0, 0.4, 1.0, 64, 1_000_000, seed=10, phi_fn=phi)
+        res = likelihood_mean(70.0, 0.4, 1.0, 64, 1_000_000, seed=10, phi_fn=phi)
         assert abs(res.mean - 1.0) < 4.0 * res.std_error
 
     def test_bridge_hits_match_inline_crossing_law(self):

@@ -12,6 +12,8 @@ from rareflow.errors import (
 )
 from rareflow.longterm import DualSolution, LqModel, MarketSpec
 
+from oracles import hjb_residual
+
 
 def bs_model(ratio=0.2, k=1.0):
     spec = MarketSpec(a0=0.0, b0=0.0, a=ratio, b=0.0, sigma=1.0)
@@ -20,26 +22,6 @@ def bs_model(ratio=0.2, k=1.0):
 
 def ou_model():
     return LqModel.from_market(MarketSpec(a0=0.0, b0=0.0, a=0.1, b=0.3, sigma=1.0), 1.0)
-
-
-class TestStaticRate:
-    def test_matched_position_rate_zero(self):
-        x, mu = 0.6, 0.3
-        assert longterm.static_rate(x, x / mu, mu, 1.0) == 0.0
-
-    def test_reference_value(self):
-        assert longterm.static_rate(1.0, 1.0, 0.5, 1.0) == pytest.approx(0.125, abs=1e-15)
-
-    def test_flat_position_cases(self):
-        assert longterm.static_rate(0.0, 0.0, 0.5, 1.0) == 0.0
-        assert longterm.static_rate(0.3, 0.0, 0.5, 1.0) == math.inf
-
-    def test_grid_minimizer_is_target_over_drift(self):
-        x, mu, sigma = 0.8, 0.4, 1.3
-        grid = np.linspace(0.1, 6.0, 1181)
-        rates = [longterm.static_rate(x, float(a), mu, sigma) for a in grid]
-        best = grid[int(np.argmin(rates))]
-        assert best == pytest.approx(x / mu, abs=0.01)
 
 
 class TestBsDualCgf:
@@ -140,7 +122,8 @@ class TestLqDual:
             bar, _ = longterm.theta_bar(model)
             for theta in np.linspace(0.05, min(bar, 1.0) - 0.05, 7):
                 for y in (-3.0, -1.0, 0.0, 0.5, 2.0):
-                    assert abs(longterm.hjb_residual(model, float(theta), y)) <= 1e-9
+                    coeffs = longterm.lq_dual(model, float(theta))
+                    assert abs(hjb_residual(model, float(theta), y, coeffs)) <= 1e-9
 
     def test_lambda_convex_and_zero_at_origin(self):
         for model in (bs_model(), ou_model()):
@@ -209,11 +192,12 @@ class TestThetaBar:
         model = ou_model()
         bar, steep = longterm.theta_bar(model)
         assert 0.0 < bar < 1.0
-        # discriminant residual: nonnegative just inside, negative just outside
-        t_in = bar - 1e-6
-        assert model.k**2 - 2.0 * longterm._quadratic_pieces(model, t_in)[1] >= -1e-8
-        t_out = bar + 1e-6
-        assert model.k**2 - 2.0 * longterm._quadratic_pieces(model, t_out)[1] < 0.0
+        # discriminant k^2 - T beta2^2: nonnegative just inside, negative just outside
+        def disc(theta):
+            return model.k**2 - theta / (1.0 - theta) * model.beta2**2
+
+        assert disc(bar - 1e-6) >= -1e-8
+        assert disc(bar + 1e-6) < 0.0
 
 
 class TestFeedbackPolicy:
@@ -243,12 +227,18 @@ class TestFeedbackPolicy:
 
     def test_interior_maximum_of_hamiltonian(self):
         model = ou_model()
+
+        def hamiltonian_term(theta, y, a):
+            # the a-dependent part of the ergodic equation's sup
+            drift_part = -0.5 * a * a + model.beta2 * y * a + model.beta4 * a
+            return theta * drift_part + 0.5 * theta * theta * a * a
+
         for theta in (0.2, 0.5):
             for y in (-1.0, 0.0, 1.5):
                 best = longterm.feedback_policy(model, theta, y)
-                center = longterm.hamiltonian_term(model, theta, y, best)
-                assert center > longterm.hamiltonian_term(model, theta, y, best + 0.1)
-                assert center > longterm.hamiltonian_term(model, theta, y, best - 0.1)
+                center = hamiltonian_term(theta, y, best)
+                assert center > hamiltonian_term(theta, y, best + 0.1)
+                assert center > hamiltonian_term(theta, y, best - 0.1)
 
 
 class TestDualToValue:

@@ -33,3 +33,12 @@ class TestBinomialTail:
         assert oracles.binomial_tail(10, 0.3, 0) == 1.0
         assert oracles.binomial_tail(10, 0.3, 11) == 0.0
         assert oracles.binomial_tail(10, 0.3, 10) == pytest.approx(0.3**10, rel=1e-13)
+
+
+class TestCreditTailQuadrature:
+    @pytest.mark.parametrize("rho", [1e-12, 1e-9, 1e-6])
+    def test_small_loading_tends_to_the_independent_tail(self, rho):
+        # z_n ~ 1.28 / rho is far out; the quadrature window must still
+        # cover the bump near 0, where the rho = 0 binomial tail sits
+        independent = binomial_tail_mpmath(20, 0.1, 10)
+        assert oracles.credit_tail_quadrature(20, 0.1, rho, 0.5) == pytest.approx(independent, rel=1e-9, abs=0.0)

@@ -1,12 +1,12 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
 
-from rareflow import mc, ruin, tilt
-from rareflow.errors import BoundViolated, DivergentTail, MaxStepsExceeded, NetProfitViolated
+from rareflow import cli, mc, ruin
+from rareflow.errors import BoundViolated, MaxStepsExceeded, NetProfitViolated
 from rareflow.ruin import Investment, RuinModel
 from rareflow.tilt import Exponential
 
@@ -83,17 +83,25 @@ class TestAdjustmentCoefficient:
 
 
 class TestLundbergBound:
+    @staticmethod
+    def cli_bound(x):
+        # the ruin table's exp(-theta_L x) column for exponential_model()
+        doc = {"premium": 2.0, "lam": 1.0, "claim_rate": 1.0, "x": x, "replications": 100}
+        report = cli.run_experiment(cli.parse_config(json.dumps(doc), "ruin"))
+        return report.rows[0][report.columns.index("lundberg_bound")]
+
     def test_at_zero(self):
-        assert ruin.lundberg_bound(exponential_model(), 0.0) == 1.0
+        assert self.cli_bound(0.0) == 1.0
 
     def test_substituted_value(self):
-        assert ruin.lundberg_bound(exponential_model(), 10.0) == pytest.approx(math.exp(-5.0), rel=1e-9)
+        assert self.cli_bound(10.0) == pytest.approx(math.exp(-5.0), rel=1e-9)
 
     def test_dominates_simulation(self):
         model = exponential_model()
+        theta_l = ruin.adjustment_coefficient(model).value
         for i, x in enumerate((1.0, 3.0, 6.0)):
             est = ruin.simulate_ruin_is(model, x, 20_000, seed=40 + i)
-            assert est.mean <= ruin.lundberg_bound(model, x)
+            assert est.mean <= math.exp(-theta_l * x)
 
 
 class TestSimulateRuinIs:
@@ -256,23 +264,3 @@ class TestWealthSimulation:
         assert dropped == 0
         fit = mc.fit_decay(points)
         assert -1.25 * theta_star <= fit.slope <= -theta_l
-
-
-class TestUniformExponentialTail:
-    def test_memoryless_constant(self):
-        value = ruin.uniform_exp_tail_check(Exponential(1.0), 0.5)
-        assert value == pytest.approx(2.0, abs=1e-12)
-        # numeric tail-integral oracle on a z-grid
-        for z in (0.0, 0.7, 2.5):
-            num, _ = integrate.quad(lambda y: math.exp(0.5 * (y - z)) * math.exp(-y), z, 60.0)
-            den = math.exp(-z)
-            assert num / den == pytest.approx(2.0, abs=1e-8)
-
-    def test_zero_exponent(self):
-        assert ruin.uniform_exp_tail_check(Exponential(2.0), 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_divergent(self):
-        with pytest.raises(DivergentTail):
-            ruin.uniform_exp_tail_check(Exponential(1.0), 1.0)
-        with pytest.raises(DivergentTail):
-            ruin.uniform_exp_tail_check(Exponential(1.0), 1.5)

@@ -18,6 +18,25 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_is_reached():
+    # a public function earns its place in the package by a caller in
+    # another definition of it, or by a paper claim of the acceptance suite;
+    # a reference that only the unit tests need lives in tests/oracles.py
+    statements = [node for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    public = [node.name for node in statements if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    reached = _names(ast.parse((PACKAGE.parent.parent / "tests" / "test_acceptance.py").read_text())).union(
+        *(_names(node) - {getattr(node, "name", None)} for node in statements))
+    unreached = [name for name in public if name not in reached]
+    assert len(public) > 50
+    assert unreached == []
+
+
 def _imported_modules(node):
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
