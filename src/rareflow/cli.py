@@ -274,7 +274,7 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
         params[name] = _field_value(raw, name, spec, errors)
 
     ladder, field_name = common_values["ladder"], _LADDER_FIELDS.get(sub)
-    _validate_cross_fields(sub, params, errors)
+    _validate_cross_fields(sub, params, ladder, errors)
     if ladder is not None and field_name is None:
         errors.append(f"ladder: subcommand {sub!r} takes no ladder")
     elif ladder:
@@ -297,7 +297,10 @@ def parse_config(text: str, subcommand: str | None = None) -> ExperimentConfig:
     )
 
 
-def _validate_cross_fields(sub: str, params: dict, errors: list) -> None:
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _validate_cross_fields(sub: str, params: dict, ladder: list | None, errors: list) -> None:
     if sub == "cramer":
         fam = params.get("family")
         if fam == "bernoulli" and (params.get("p") is None or not 0.0 < params["p"] < 1.0):
@@ -318,10 +321,28 @@ def _validate_cross_fields(sub: str, params: dict, errors: list) -> None:
     elif sub == "barrier":
         if params.get("payoff") == "call" and params["strike"] is not None and params["strike"] <= 0.0:
             errors.append("strike: call payoff needs strike > 0")
+        rate, maturity = params["rate"], params["maturity"]
+        if rate is not None and maturity is not None and -rate * maturity > _LOG_FLOAT_MAX:
+            errors.append(f"rate: the discount factor exp(-rate * maturity) = exp({-rate * maturity}) overflows")
     elif sub == "longterm":
         theta = params.get("theta")
         if theta is not None and not 0.0 <= theta < 1.0:
             errors.append(f"theta: must lie in [0, 1) for the dual evaluation, got {theta}")
+    if sub in ("barrier", "fw-bond"):
+        # the per-step bridge kill divides by sigma^2 * maturity / steps
+        rungs = [v for v in ladder or () if isinstance(v, int) and not isinstance(v, bool) and v > 0]
+        steps = max(rungs) if rungs else params["steps"]
+        sigma, maturity = params["sigma"], params["maturity"]
+        if None in (sigma, maturity, steps) or min(sigma, maturity, steps) <= 0:
+            return
+        try:
+            step_var = sigma * sigma * maturity / steps
+        except OverflowError:
+            errors.append(f"steps: {steps} lies beyond the float range")
+            return
+        if step_var < sys.float_info.min:
+            errors.append(f"sigma: sigma^2 * maturity / steps = {step_var} is below the smallest "
+                          f"normal float at {steps} steps")
 
 
 def _fmt(value) -> str:

@@ -7,9 +7,10 @@ beyond.  Factor thresholds in the credit module reach z > 8, so plain
 """
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erfcx, ndtr, ndtri
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT_2 = np.sqrt(2.0)
 
 
 def norm_cdf(z):
@@ -25,6 +26,12 @@ def norm_sf(z):
 def norm_ppf(q):
     """Quantile of the standard normal distribution."""
     return ndtri(q)
+
+
+def norm_cdf_scaled(z):
+    """P[Z <= z] * exp(z^2/2) from the scaled erfc: finite for z <= 0, where
+    the CDF underflows and the exponential overflows."""
+    return 0.5 * erfcx(np.negative(z) / _SQRT_2)
 
 
 def norm_pdf(z):

@@ -9,6 +9,7 @@ are compared with.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, ndtri
@@ -104,6 +105,33 @@ def credit_tail_windowed_quad(n: int, p: float, rho: float, q: float) -> float:
     hi = max(z_n + 8.0, 8.0)
     value, _ = integrate.quad(integrand, lo, hi, limit=800, epsabs=1e-300, epsrel=1e-10)
     return value
+
+
+def credit_tail_beta_order(n: int, p: float, rho: float, q: float, dps: int = 30) -> float:
+    """P[L_n >= ceil(n q - 1e-9)] in the one-factor copula model, by order statistics.
+
+    With U_i the uniforms behind the defaults, L_n >= k exactly when the k-th
+    smallest, U_(k) ~ Beta(k, n-k+1), lies below p(Z).  So the tail is
+    E[Phi_bar((sqrt(1-rho^2) Phi^-1(U_(k)) - Phi^-1(p))/rho)], integrated in
+    mpmath over t = Phi^-1(U_(k)): no binomial tail and no factor window.
+    """
+    k = math.ceil(n * q - 1e-9)
+    with mpmath.workdps(dps):
+        rho, p = mpmath.mpf(rho), mpmath.mpf(p)
+        root = mpmath.sqrt(1 - rho * rho)
+        offset = -mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * p)
+        log_norm = mpmath.log(mpmath.beta(k, n - k + 1)) + mpmath.log(2 * mpmath.pi) / 2
+
+        def integrand(t):
+            log_density = (k - 1) * mpmath.log(mpmath.ncdf(t)) + (n - k) * mpmath.log(mpmath.ncdf(-t)) - t * t / 2
+            return mpmath.ncdf((offset - root * t) / rho) * mpmath.exp(log_density - log_norm)
+
+        # break points around the bulk of U_(k), mapped to t
+        mode = mpmath.mpf(k) / (n + 1)
+        centre = -mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mode)
+        width = mpmath.sqrt(mode * (1 - mode) / (n + 2)) / mpmath.npdf(centre)
+        steps = (-60, -30, -15, -8, -4, -2, -1, 0, 1, 2, 4, 8, 15, 30, 60)
+        return float(mpmath.quad(integrand, [centre + j * width for j in steps]))
 
 
 def plain_loss_tail(n: int, p: float, rho: float, q: float, N: int, seed: int):

@@ -145,6 +145,12 @@ class TestBadInput:
         ([], {"subcommand": "longterm", "simulate": True}),
         ([], {"subcommand": "ruin-invest", "simulate": True}),
         ([], {"subcommand": "barrier", "method": "naive"}),
+        # a step count past the float range: the step variance overflowed converting it
+        ([], {"subcommand": "barrier", "ladder": [8, 10**400]}),
+        ([], {"subcommand": "fw-bond", "steps": 10**400}),
+        # exp(-rate * maturity) overflows: the pricer's discount raised OverflowError
+        ([], {"subcommand": "barrier", "rate": -710.0}),
+        ([], {"subcommand": "barrier", "rate": -1e300, "maturity": 1e10}),
     ])
     def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
         sub = doc.get("subcommand", "ruin")
@@ -512,6 +518,98 @@ def test_a_ladder_runs_the_monte_carlo_rungs(sub_doc, seed):
     assert ladder_keys & set(report["meta"]) == (ladder_keys if ladder else set())
     assert [str(w.message) for w in caught] == report["meta"]["warnings"]
     assert all(w.category is UserWarning and "zero-hit" in str(w.message) for w in caught)
+
+
+def _tiny_or_plain(low, high):
+    # a volatility down to where sigma^2 * maturity / steps underflows, or a plain one
+    return st.floats(low, high) | st.floats(-160.0, -1.0).map(lambda e: 10.0**e)
+
+
+_ORACLE_DOCS = {
+    "barrier": st.fixed_dictionaries(
+        {"s0": st.floats(1.0, 200.0), "strike": st.floats(0.5, 300.0), "barrier": st.floats(0.5, 400.0),
+         "rate": st.floats(-0.5, 0.5) | st.floats(-1e3, 1e3), "sigma": _tiny_or_plain(0.005, 2.0),
+         "maturity": st.floats(0.01, 5.0), "steps": st.integers(2, 16), "payoff": st.sampled_from(["call", "bond"]),
+         "space": st.sampled_from(["log", "price"])},
+        optional={"ladder": st.lists(st.integers(2, 32), min_size=1, max_size=3, unique=True)}),
+    "fw-bond": st.fixed_dictionaries(
+        {"s0": st.floats(1.0, 200.0), "barrier": st.floats(0.5, 400.0), "sigma": _tiny_or_plain(0.005, 2.0),
+         "maturity": st.floats(0.01, 5.0), "steps": st.integers(1, 32), "use_fw_drift": st.booleans(),
+         "bridge_hits": st.booleans()}),
+    "credit": st.fixed_dictionaries(
+        {"n": st.integers(1, 100_000), "p": st.floats(1e-4, 0.9),
+         "rho": st.just(0.0) | st.floats(0.0, 0.999),
+         "threshold": st.floats(0.0, 1.0) | st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 2.0))},
+        optional={"ladder": st.lists(st.integers(1, 100_000), min_size=1, max_size=3, unique=True)}),
+}
+
+
+def _oracle_doc(sub, doc):
+    """A config document; a credit threshold is a fixed q in (p, 1) or a schedule (a, c)."""
+    doc = dict(doc)
+    if sub == "credit":
+        threshold = doc.pop("threshold")
+        if isinstance(threshold, tuple):
+            doc.update(schedule_a=threshold[0], schedule_c=threshold[1])
+        else:
+            doc["q"] = doc["p"] + threshold * (1.0 - doc["p"])
+    return doc
+
+
+@settings(deadline=None, database=None)
+@given(sub_doc=st.sampled_from(sorted(_ORACLE_DOCS)).flatmap(lambda sub: st.tuples(st.just(sub), _ORACLE_DOCS[sub])),
+       seed=st.integers(0, 2**31 - 1))
+def test_every_oracle_run_ends_in_bounded_oracles_or_a_documented_error(sub_doc, seed):
+    sub, doc = sub_doc
+    doc = _oracle_doc(sub, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as handle:
+            json.dump(dict(doc, replications=200, seed=seed), handle)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = cli.main([sub, "--config", path, "--oracle", "--threads", "1", "--out", out])
+        if code != 0:
+            assert code in cli.EXIT_CODES.values() or code == 10
+            assert stderr.getvalue().startswith("rareflow: ") and "Traceback" not in stderr.getvalue()
+            return
+        with open(out) as handle:
+            report = json.load(handle)
+    cells = [dict(zip(report["columns"], row))["oracle"] for row in report["rows"]]
+    assert cells
+    if sub == "barrier" and doc["payoff"] == "bond" and doc["rate"] != 0.0:
+        assert set(cells) == {"na"}  # the touch law is the driftless-price one
+        return
+    ceiling = doc["s0"] if sub == "barrier" and doc["payoff"] == "call" else 1.0
+    for cell in cells:
+        assert 0.0 <= float(cell) <= ceiling
+
+
+@pytest.mark.parametrize("sub, doc, expected", [
+    # the reflection factor exp(2 mu b / sigma^2) overflowed at the parent
+    ("barrier", dict(MINIMAL["barrier"], sigma=0.005, rate=0.05, space="log"), 0),
+    ("barrier", dict(MINIMAL["barrier"], sigma=0.005, rate=0.05, space="price"), 0),
+    # sigma^2 * maturity / steps underflows to 0: the oracles and the bridge kill divided by it
+    ("barrier", dict(MINIMAL["barrier"], sigma=1e-170), 2),
+    ("barrier", dict(MINIMAL["barrier"], sigma=1e-170, payoff="bond"), 2),
+    ("fw-bond", dict(MINIMAL["fw-bond"], sigma=1e-170), 2),
+    # the largest rung sets the step variance
+    ("barrier", dict(MINIMAL["barrier"], sigma=1e-153, ladder=[2, 4096]), 2),
+    ("barrier", dict(MINIMAL["barrier"], sigma=1e-153, ladder=[2, 4]), 0),
+], ids=["call-sigma-0.005-log", "call-sigma-0.005-price", "call-sigma-1e-170", "bond-sigma-1e-170",
+        "fw-bond-sigma-1e-170", "ladder-underflows", "ladder-holds"])
+def test_oracle_at_a_vanishing_volatility(tmp_path, capsys, sub, doc, expected):
+    out = tmp_path / "out.json"
+    path = write_config(tmp_path, "cfg.json", dict(doc, replications=200))
+    assert cli.main([sub, "--config", path, "--oracle", "--threads", "1", "--out", str(out)]) == expected
+    if expected:
+        assert capsys.readouterr().err.startswith("rareflow: ParseError:")
+        return
+    report = json.loads(out.read_text())
+    for row in report["rows"]:
+        oracle = float(dict(zip(report["columns"], row))["oracle"])
+        assert 0.0 < oracle <= doc["s0"]
 
 
 def test_warnings_recorded_in_metadata(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from rareflow import oracles
 
+from oracles import credit_tail_beta_order, up_out_call_reflection_quad
+
 
 def binomial_tail_mpmath(n, p, k_min):
     with mpmath.workdps(50):
@@ -42,3 +44,81 @@ class TestCreditTailQuadrature:
         # cover the bump near 0, where the rho = 0 binomial tail sits
         independent = binomial_tail_mpmath(20, 0.1, 10)
         assert oracles.credit_tail_quadrature(20, 0.1, rho, 0.5) == pytest.approx(independent, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n, p, rho, q", [
+        # adaptive quadrature missed these by 8.2e-4, 1.4e-7 and 6.0e-9 relative
+        (100_000, 0.4, 0.9, 0.28),
+        (10_000, 0.4, 0.99, 0.05),
+        (10_000, 0.01, 0.99, 0.28),
+        # the committed cells: configs/credit.json and the credit-ladder schedule
+        (20, 0.1, 0.4, 0.5),
+        (100, 0.4, 0.7071067811865476, 1.0 - 0.5 / 100),
+        (1000, 0.4, 0.7071067811865476, 1.0 - 0.5 / 1000),
+        (10_000, 0.4, 0.7071067811865476, 1.0 - 0.5 / 10_000),
+    ])
+    def test_against_the_order_statistic_route(self, n, p, rho, q):
+        reference = credit_tail_beta_order(n, p, rho, q)
+        assert oracles.credit_tail_quadrature(n, p, rho, q) == pytest.approx(reference, rel=1e-11, abs=0.0)
+
+
+def up_out_call_mpmath(s0, strike, barrier, rate, sigma, maturity):
+    """Reiner-Rubinstein up-and-out call (strike below the barrier), A - B + C - D, at 50 digits."""
+    with mpmath.workdps(50):
+        s0, k, h, r, sig, t = map(mpmath.mpf, (s0, strike, barrier, rate, sigma, maturity))
+        st = sig * mpmath.sqrt(t)
+        lam = (r + sig * sig / 2) / (sig * sig)
+        discount = mpmath.exp(-r * t)
+        x1 = mpmath.log(s0 / k) / st + lam * st
+        x2 = mpmath.log(s0 / h) / st + lam * st
+        y1 = mpmath.log(h * h / (s0 * k)) / st + lam * st
+        y2 = mpmath.log(h / s0) / st + lam * st
+        up = (h / s0) ** (2 * lam)
+
+        def vanilla_piece(x):
+            return s0 * mpmath.ncdf(x) - k * discount * mpmath.ncdf(x - st)
+
+        def image_piece(y):
+            return s0 * up * mpmath.ncdf(-y) - k * discount * up * (s0 / h) ** 2 * mpmath.ncdf(st - y)
+
+        return float(vanilla_piece(x1) - vanilla_piece(x2) + image_piece(y1) - image_piece(y2))
+
+
+class TestUpOutCallPrice:
+    @pytest.mark.parametrize("args", [
+        (100.0, 90.0, 150.0, 0.05, 0.5, 1.0),     # configs/barrier-bias-order.json
+        (100.0, 90.0, 150.0, 0.05, 0.005, 1.0),   # exp(2 mu b / sigma^2) overflowed here
+        (100.0, 90.0, 150.0, -0.05, 0.005, 1.0),
+        (100.0, 90.0, 104.0, 0.05, 0.001, 1.0),   # the forward passes the barrier: ~2.5e-26
+        (1.0, 1.0, 1.3, 0.05, 0.2, 1.0),
+        (100.0, 110.0, 120.0, 0.05, 0.2, 1.0),
+        (100.0, 50.0, 101.0, 0.1, 0.3, 0.5),
+        (100.0, 90.0, 150.0, 2.0, 0.3, 1.0),
+    ])
+    def test_against_a_50_digit_closed_form(self, args):
+        assert oracles.up_out_call_price(*args) == pytest.approx(up_out_call_mpmath(*args), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("strike", [60.0, 100.0, 130.0])
+    @pytest.mark.parametrize("rate", [-0.05, 0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("sigma", [0.05, 0.2, 0.5, 1.0])
+    def test_against_the_reflection_quadrature(self, strike, rate, sigma):
+        args = (100.0, strike, 150.0, rate, sigma, 1.0)
+        reference = up_out_call_reflection_quad(*args)
+        assert oracles.up_out_call_price(*args) == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+    def test_worthless_at_or_past_the_barrier(self):
+        assert oracles.up_out_call_price(150.0, 90.0, 150.0, 0.05, 0.5, 1.0) == 0.0
+        assert oracles.up_out_call_price(100.0, 150.0, 150.0, 0.05, 0.5, 1.0) == 0.0
+
+    @pytest.mark.parametrize("strike", [0.0, -1.0])
+    def test_needs_a_positive_strike(self, strike):
+        with pytest.raises(ValueError, match="strike"):
+            oracles.up_out_call_price(100.0, strike, 150.0, 0.05, 0.5, 1.0)
+
+
+class TestUpInBondProbability:
+    def test_holds_at_a_vanishing_volatility(self):
+        # exp(2 nu a / sigma^2) divided by sigma^2 = 0 here; the factor is s0 / barrier
+        assert oracles.up_in_bond_probability(50.0, 150.0, 1e-170, 0.25) == 0.0
+        assert oracles.up_in_bond_probability(50.0, 150.0, 0.2, 0.25) == pytest.approx(
+            float(mpmath.ncdf(-(mpmath.log(3) + 0.005) / 0.1) + mpmath.ncdf(-(mpmath.log(3) - 0.005) / 0.1) / 3),
+            rel=1e-12)

@@ -62,35 +62,35 @@ def test_no_scipy_stats_import():
     assert _package_imports("scipy.stats") == []
 
 
-def test_no_scipy_optimize_and_integrate_only_inside_the_quadrature_oracles():
+def test_no_scipy_optimize_or_integrate_import():
     # scipy.integrate, with the scipy.optimize it loads, costs a cold start
-    # about 0.3 s: the root finder is tilt._brent, and only the two
-    # quadrature oracles import scipy.integrate, where they integrate
+    # about 0.3 s: the root finder is tilt._brent, the barrier call oracle is
+    # a closed form, and the credit oracle a graded Gauss-Legendre rule
     assert _package_imports("scipy.optimize") == []
-    oracles = ast.parse((PACKAGE / "oracles.py").read_text())
-    allowed = [("oracles.py", node.lineno)
-               for func in ast.walk(oracles)
-               if isinstance(func, ast.FunctionDef) and func.name in ("up_out_call_price", "credit_tail_quadrature")
-               for node in _imports_of(func, "scipy.integrate")]
-    assert len(allowed) == 2
-    assert _package_imports("scipy.integrate") == allowed
+    assert _package_imports("scipy.integrate") == []
+
+
+COLD_RUNS = ("barrier-bias-order", "fw-bond", "credit", "credit-ladder")
 
 
 def test_cold_import_loads_neither_optimize_nor_integrate():
     script = (
-        "import json, sys\n"
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
         "import rareflow.cli\n"
-        "cold = [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
-        "from rareflow import oracles\n"
-        "credit = oracles.credit_tail_quadrature(20, 0.1, 0.4, 0.5)\n"
-        "call = oracles.up_out_call_price(1.0, 1.0, 1.3, 0.05, 0.2, 1.0)\n"
-        "print(json.dumps([cold, 'scipy.integrate' in sys.modules, credit, call]))\n"
+        "runs = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    with open(path) as handle:\n"
+        "        sub = json.load(handle)['subcommand']\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        "        code = rareflow.cli.main([sub, '--config', path, '--n', '256', '--oracle', '--threads', '1'])\n"
+        "    runs.append([code, 'oracle' in out.getvalue()])\n"
+        "print(json.dumps([runs, [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]]))\n"
     )
+    configs = [str(PACKAGE.parent.parent / "configs" / f"{name}.json") for name in COLD_RUNS]
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+    out = subprocess.run([sys.executable, "-c", script, *configs], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    cold, loaded, credit, call = json.loads(out.stdout)
-    assert cold == []
-    assert loaded
-    assert 0.0 < credit < 1.0
-    assert call > 0.0
+    runs, loaded = json.loads(out.stdout)
+    assert runs == [[0, True]] * len(COLD_RUNS)
+    assert loaded == []
