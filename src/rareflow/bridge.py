@@ -8,17 +8,25 @@ L(t) = L + L' t.  For a corridor or a sloped side the dominant-action law
 ``exp(-I/eps - w)`` (``kill_exponent_double``) keeps the cheaper of the two
 barrier excursions plus a first-order slope correction (Baldi, 1995); for one
 linear side and constant volatility it is the exact crossing law.  The
-knock-out pricer uses these per-step kill probabilities to remove the
+knock-out pricer uses these per-step crossing probabilities to remove the
 sqrt(eps) bias of testing the barrier at grid times only: a spec with one
 constant upper level and no lower one runs the exact single-barrier kernel,
 every other spec the dominant-action code.
 
-A path is killed when a uniform u falls below ``exp(max(e, KILL_FLOOR))``.
-The floor is exact for the decision: exp(-40) < 2**-53, the smallest positive
-draw of ``Generator.random``, so no u > 0 lies below either side, and only a
-draw of exactly 0.0 (probability 2**-53) can tell them apart.  It keeps
-``np.exp`` out of its slow subnormal range, which deep exponents otherwise
-hit on a large share of steps.
+Given the grid path, the bridges of different steps are independent, so the
+chance that a path survives every step is the product of ``1 - exp(e)`` over
+its steps (``survival_factor``).  The knock-out pricer averages the payoff
+times that product, the conditional expectation of the killed payoff given
+the grid path: it is unbiased, its variance is no larger than a coin flip's,
+and it draws no kill stream.  The factor is ``-expm1(e)``, exact near a
+certain crossing and fast over the whole range of e.
+
+``kill_prob`` and ``KILL_FLOOR`` serve the one sampler that still kills with
+a uniform u, ``ruin.simulate_wealth_ruin``: u < ``exp(max(e, KILL_FLOOR))``.
+The floor is exact for the decision: exp(-40) < 2**-53, the smallest
+positive draw of ``Generator.random``, so no u > 0 lies below either side,
+and only a draw of exactly 0.0 (probability 2**-53) can tell them apart.  It
+keeps ``np.exp`` out of its slow subnormal range.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ from .mc import EstimatorResult
 NO_UPPER = 1e18
 NO_LOWER = -1e18
 
-# floor on kill exponents in kill decisions; exp(-40) < 2**-53 (see above)
+# floor on kill exponents in the coin-flip kills of ruin.simulate_wealth_ruin;
+# exp(-40) < 2**-53 (see above)
 KILL_FLOOR = -40.0
 
 
@@ -92,11 +101,22 @@ def kill_exponent_single(gap_i, gap_next, sigma_i, eps):
 
 
 def kill_prob(expo):
-    """Kill threshold ``exp(max(expo, KILL_FLOOR))`` for decisions ``u < p``.
+    """Kill threshold ``exp(max(expo, KILL_FLOOR))`` for coin-flip decisions ``u < p``.
 
-    Gives the same decision as ``exp(expo)`` for every uniform u > 0.
+    Gives the same decision as ``exp(expo)`` for every uniform u > 0.  Only
+    ``ruin.simulate_wealth_ruin`` still kills by coin flip.
     """
     return np.exp(np.maximum(expo, KILL_FLOOR))
+
+
+def survival_factor(expo):
+    """Probability ``1 - exp(expo)`` that a bridge step does not cross, as ``-expm1(expo)``.
+
+    Exact near a certain crossing; 1 at an exponent of -inf (a step too
+    quiet to reach the barrier), and 0 at a nan exponent, the 0/0 of a
+    zero-volatility step that sits on the barrier.
+    """
+    return np.fmax(-np.expm1(expo), 0.0)
 
 
 def _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i):
@@ -146,16 +166,16 @@ def price_knockout(
 ) -> EstimatorResult | tuple[EstimatorResult, EstimatorResult]:
     """Discounted knock-out expectation E[exp(-rT) g(X_T) 1{alive}].
 
-    ``naive`` kills a path only when a grid value leaves the corridor;
-    ``corrected`` kills between grid points with the bridge probability,
-    consuming one uniform per step from a stream separate from the path
-    noise.  ``both`` prices the two methods from one pass over the same
-    paths and returns ``(naive, corrected)``, each equal to its own
-    method's run.  A spec with one constant upper level kills with the
-    exact single-barrier law; any other spec with the dominant action plus
-    its slope correction.  A corridor with L >= U at t = 0 or at the last
-    grid time raises ``InvalidBarrier`` before any path is drawn, whatever
-    the method; affine sides that are apart at both ends are apart between.
+    ``naive`` kills a path only when a grid value leaves the corridor.
+    ``corrected`` weights each path by its probability of surviving every
+    step's bridge, the product of ``survival_factor`` over the steps, so it
+    draws the path noise only.  ``both`` prices the two methods from one
+    pass over the same paths and returns ``(naive, corrected)``, each equal
+    to its own method's run.  A spec with one constant upper level uses the
+    exact single-barrier law; any other spec the dominant action plus its
+    slope correction.  A corridor with L >= U at t = 0 or at the last grid
+    time raises ``InvalidBarrier`` before any path is drawn, whatever the
+    method; affine sides that are apart at both ends are apart between.
     """
     if method not in ("naive", "corrected", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -176,12 +196,10 @@ def price_knockout(
     discount = math.exp(-model.rate * model.maturity)
 
     def sampler(ss, size):
-        path_ss, kill_ss = ss.spawn(2)
-        rng = np.random.default_rng(path_ss)
-        kill_rng = np.random.default_rng(kill_ss)
+        rng = np.random.default_rng(ss.spawn(1)[0])
         x = np.full(size, model.x0)
         on_grid = np.full(size, lowers[0] < model.x0 < uppers[0])  # naive survivors
-        bridged = on_grid.copy()  # corrected survivors
+        survival = on_grid.astype(float)  # corrected: P(no bridge crossing | grid path)
         gap = np.maximum(level - x, 0.0)
         for i in range(n_steps):
             gauss = rng.standard_normal(size)
@@ -190,19 +208,20 @@ def price_knockout(
             if naive:
                 on_grid &= (x_next > lowers[i + 1]) & (x_next < uppers[i + 1])
             if corrected:
-                uniforms = kill_rng.random(size)
                 if single_up:
                     gap_next = np.maximum(level - x_next, 0.0)
-                    expo = kill_exponent_single(gap, gap_next, sigma_i, eps)
+                    # sigma^2 eps may underflow: the -inf (or 0/0) exponent is the limit
+                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                        expo = kill_exponent_single(gap, gap_next, sigma_i, eps)
                     gap = gap_next
                 else:
                     expo = kill_exponent_double(x, x_next, lowers[i], uppers[i],
                                                 spec.lower_slope, spec.upper_slope, sigma_i, eps)
-                bridged &= uniforms >= kill_prob(expo)
+                survival *= survival_factor(expo)
             x = x_next
         value = discount * payoff(x)
         if method == "both":
-            return np.stack([value * on_grid, value * bridged])
-        return value * (on_grid if naive else bridged)
+            return np.stack([value * on_grid, value * survival])
+        return value * (on_grid if naive else survival)
 
     return mc.run_replications(sampler, N, seed, threads=threads)

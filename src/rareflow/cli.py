@@ -329,7 +329,7 @@ def _validate_cross_fields(sub: str, params: dict, ladder: list | None, errors: 
         if theta is not None and not 0.0 <= theta < 1.0:
             errors.append(f"theta: must lie in [0, 1) for the dual evaluation, got {theta}")
     if sub in ("barrier", "fw-bond"):
-        # the per-step bridge kill divides by sigma^2 * maturity / steps
+        # the per-step bridge law divides by sigma^2 * maturity / steps
         rungs = [v for v in ladder or () if isinstance(v, int) and not isinstance(v, bool) and v > 0]
         steps = max(rungs) if rungs else params["steps"]
         sigma, maturity = params["sigma"], params["maturity"]

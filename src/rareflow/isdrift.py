@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mc
-from .bridge import kill_exponent_single, kill_prob
+from .bridge import kill_exponent_single, survival_factor
 from .errors import AtMaturity, DomainEscape, MomentConditionViolated
 from .mc import DecayFit, EstimatorResult
 
@@ -294,24 +294,36 @@ def price_up_in_bond(
     Simulates the log price under the drift-shifted measure (shift -sigma*phi
     with the feedback phi above, frozen once the barrier is hit) and weights
     by the likelihood L_T = exp(int phi dW - int phi^2/2 dt) discretized at
-    left endpoints.  With ``bridge_hits`` the barrier test also fires between
-    grid points with the exact bridge probability, removing the sqrt(eps)
-    discrete-monitoring bias; ``bridge_hits=False`` tests the grid maximum
-    only.  ``use_fw_drift=False`` is plain Monte Carlo.
+    left endpoints.  ``bridge_hits=False`` tests the grid maximum only and
+    averages L_T over the paths that hit.  With ``bridge_hits`` the barrier
+    may also be touched between grid points, with the exact bridge
+    probability p_i of each step, which removes the sqrt(eps)
+    discrete-monitoring bias.  A path is then not stopped by a coin flip:
+    it keeps its no-hit dynamics until a grid hit, and the sample is the
+    conditional expectation of the hit weight given the grid path,
+    sum_i S_{i-1} p_i L_i, where S_{i-1} is the chance that no earlier
+    bridge touched and L_i the likelihood after step i.  Terms below
+    exp(-700) are dropped; they add up to less than steps * 1e-304.
+    ``use_fw_drift=False`` is plain Monte Carlo.
     """
     if s0 <= 0.0 or barrier <= 0.0:
         raise ValueError("prices must be positive")
     dt = maturity / steps
     sqrt_dt = math.sqrt(dt)
     log_barrier = math.log(barrier)
+    if bridge_hits and not sigma * sigma * dt > 0.0:
+        raise ValueError("sigma^2 * maturity / steps must be positive for the bridge law")
 
+    # near the sigma bound a kill exponent or a log-weight overflows to -inf,
+    # the exact limit (a step too quiet to cross, a null path)
+    @np.errstate(over="ignore")
     def sampler(ss, size):
-        path_ss, kill_ss = ss.spawn(2)
-        rng = np.random.default_rng(path_ss)
-        hit_rng = np.random.default_rng(kill_ss)
+        rng = np.random.default_rng(ss.spawn(1)[0])
         log_s = np.full(size, math.log(s0))
         log_weight = np.zeros(size)
         hit = log_s >= log_barrier
+        value = hit.astype(float)  # bridge_hits: sum of S_{i-1} p_i L_i so far
+        survival = 1.0 - value  # S_i: no touch through step i
         gap = np.maximum(log_barrier - log_s, 0.0)
         for i in range(steps):
             t = i * dt
@@ -325,14 +337,21 @@ def price_up_in_bond(
             # log-likelihood term phi dW - phi^2 dt / 2
             log_next = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
             log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
-            new_hit = log_next >= log_barrier
+            hit |= log_next >= log_barrier
             if bridge_hits:
-                uniforms = hit_rng.random(size)
                 gap_next = np.maximum(log_barrier - log_next, 0.0)
-                new_hit |= uniforms < kill_prob(kill_exponent_single(gap, gap_next, sigma, dt))
+                expo = kill_exponent_single(gap, gap_next, sigma, dt)
+                # S_{i-1} p_i L_i, dropped below exp(-700): np.exp leaves
+                # its fast path below -708.  On most steps no path is near
+                # enough to the barrier for a term to count or a factor
+                # to differ from 1, and the step skips both
+                term = expo + log_weight
+                if term.max() > -700.0:
+                    value += survival * np.where(term > -700.0, np.exp(np.maximum(term, -700.0)), 0.0)
+                if expo.max() > -40.0:  # below, -expm1 rounds to 1 exactly
+                    survival *= survival_factor(expo)
                 gap = gap_next
-            hit |= new_hit
             log_s = log_next
-        return hit * np.exp(log_weight)
+        return value if bridge_hits else hit * np.exp(log_weight)
 
     return mc.run_replications(sampler, N, seed, threads=threads)

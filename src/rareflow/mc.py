@@ -4,8 +4,7 @@ Replications are split into fixed-size batches.  Batch ``b`` of a run with
 seed ``s`` draws from ``SeedSequence([s, b])``, so the stream layout depends
 only on ``(sampler, n, seed)`` — never on thread count — and batch statistics
 are merged in batch-index order.  Samplers receive the batch SeedSequence and
-may spawn independent sub-streams from it (path noise vs. kill decisions,
-say) without perturbing each other.  A sampler may return k rows, k
+may spawn independent sub-streams from it without perturbing each other.  A sampler may return k rows, k
 estimators of the same replications, and gets k results from one pass, each
 the one its row alone would give.  Every ladder of runs goes through
 ``run_ladder`` and, when its rates are fitted, ``fit_ladder``.

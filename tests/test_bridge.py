@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -89,11 +91,22 @@ class TestKillKernel:
             exact = u < np.exp(expo)
             assert np.array_equal(floored, exact)
 
+    def test_survival_factor_limits(self):
+        expo = np.array([-np.inf, -800.0, -40.0, -1.0, -1e-20, -0.0, 0.0, np.nan])
+        factor = bridge.survival_factor(expo)
+        # 1 - exp(e) would round -1e-20 to 0; expm1 keeps it, and a 0/0
+        # exponent (no volatility, on the barrier) is a certain crossing
+        assert factor.tolist() == [1.0, 1.0, -math.expm1(-40.0), -math.expm1(-1.0), 1e-20, 0.0, 0.0, 0.0]
+        # exp(-40) < 2**-54, so every factor below -40 rounds to 1 exactly: the
+        # up-in sampler skips the factors of a step whose exponents all lie there
+        assert np.all(bridge.survival_factor(np.linspace(-800.0, -40.0, 100_001)) == 1.0)
+
     @pytest.mark.parametrize("lower", [bridge.NO_LOWER, 70.0])
     def test_constant_barrier_knockout_matches_dominant_action_loop(self, lower):
         # the corrected pricer before the exact kernel: every spec went
-        # through the double-barrier action and slope term, unfloored; a
-        # single level now takes the kernel, a corridor still the action
+        # through the double-barrier action and slope term; a single level
+        # now takes the kernel, a corridor still the action.  Each path
+        # carries its bridge survival probability, prod(-expm1(e))
         model = EulerModel(drift=lambda x: 0.05 * x, vol=lambda x: 0.5 * x,
                            maturity=1.0, steps=16, x0=100.0, rate=0.05)
         payoff = lambda x: np.maximum(x - 90.0, 0.0)
@@ -102,20 +115,17 @@ class TestKillKernel:
         discount = math.exp(-model.rate * model.maturity)
 
         def dominant_action_sampler(ss, size):
-            path_ss, kill_ss = ss.spawn(2)
-            rng = np.random.default_rng(path_ss)
-            kill_rng = np.random.default_rng(kill_ss)
+            rng = np.random.default_rng(ss.spawn(1)[0])
             x = np.full(size, model.x0)
-            alive = np.full(size, lower < model.x0 < level)
+            survival = np.full(size, float(lower < model.x0 < level))
             for _ in range(model.steps):
                 gauss = rng.normal(size=size)
                 sigma_i = model.vol(x)
                 x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
-                uniforms = kill_rng.random(size)
                 rate, w = bridge._double_terms(x, x_next, lower, level, 0.0, 0.0, sigma_i)
-                alive &= uniforms >= np.exp(np.minimum(-rate / eps - w, 0.0))
+                survival *= -np.expm1(np.minimum(-rate / eps - w, 0.0))
                 x = x_next
-            return discount * payoff(x) * alive
+            return discount * payoff(x) * survival
 
         expected = mc.run_replications(dominant_action_sampler, 20_000, seed=9)
         spec = BarrierSpec(level, lower=lower)
@@ -269,6 +279,17 @@ class TestPriceKnockout:
         with pytest.raises(InvalidBarrier):
             bridge.price_knockout(model, lambda x: np.ones_like(x), spec, 1_000, seed=1, method=method)
 
+    @pytest.mark.parametrize("level, price", [(0.6, 0.0), (2.0, 1.0)], ids=["crosses", "stays-below"])
+    def test_zero_volatility_takes_the_limits_quietly(self, level, price):
+        # with no noise the bridge exponent is -inf below the level (no
+        # crossing) and 0/0 where the step ends on or past it (a crossing)
+        model = EulerModel(drift=lambda x: np.ones_like(x), vol=lambda x: np.zeros_like(x),
+                           maturity=1.0, steps=4, x0=0.0, rate=0.0)
+        naive, corrected = bridge.price_knockout(model, lambda x: np.ones_like(x), BarrierSpec(level),
+                                                 1_000, seed=1, method="both")
+        assert naive.mean == corrected.mean == price
+        assert corrected.std_error == 0.0
+
     def test_fortet_oracle_agrees_with_linear_boundary_closed_form(self):
         a, b = 0.8, 0.5
         exact = 1.0 - drifted_bm_max_crossing(a, -b, 1.0, 1.0)
@@ -279,7 +300,8 @@ class TestPriceKnockout:
                              ids=["upper", "lower"])
     def test_sloped_barrier_knockout_matches_corridor_loop(self, spec):
         # the corridor loop as written before kill_exponent_double, with the
-        # action and slope term spelled out: same draws, same kills, same bits
+        # action and slope term spelled out and each step's survival
+        # probability -expm1(e) multiplied in: same draws, same bits
         model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.ones_like(x),
                            maturity=1.0, steps=8, x0=0.0, rate=0.0)
         payoff = lambda x: np.ones_like(x)
@@ -287,16 +309,13 @@ class TestPriceKnockout:
         times = [i * eps for i in range(model.steps + 1)]
 
         def corridor_sampler(ss, size):
-            path_ss, kill_ss = ss.spawn(2)
-            rng = np.random.default_rng(path_ss)
-            kill_rng = np.random.default_rng(kill_ss)
+            rng = np.random.default_rng(ss.spawn(1)[0])
             x = np.full(size, model.x0)
-            alive = np.full(size, spec.lower < model.x0 < spec.upper)
+            survival = np.full(size, float(spec.lower < model.x0 < spec.upper))
             for t in times[:-1]:
                 gauss = rng.standard_normal(size)
                 sigma_i = model.vol(x)
                 x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
-                uniforms = kill_rng.random(size)
                 lower, upper = spec.lower + spec.lower_slope * t, spec.upper + spec.upper_slope * t
                 outside = (x <= lower) | (x >= upper) | (x_next <= lower) | (x_next >= upper)
                 upper_branch = x + x_next >= lower + upper
@@ -307,9 +326,9 @@ class TestPriceKnockout:
                 w = np.where(outside, 0.0, np.where(
                     upper_branch, two_over_s2 * (upper - x) * spec.upper_slope,
                     two_over_s2 * (x - lower) * spec.lower_slope))
-                alive &= uniforms >= np.exp(np.minimum(-rate / eps - w, 0.0))
+                survival *= -np.expm1(np.minimum(-rate / eps - w, 0.0))
                 x = x_next
-            return payoff(x) * alive
+            return payoff(x) * survival
 
         expected = mc.run_replications(corridor_sampler, 20_000, seed=6)
         assert bridge.price_knockout(model, payoff, spec, 20_000, seed=6) == expected
@@ -325,3 +344,56 @@ class TestPriceKnockout:
         payoff = lambda x: np.ones_like(x)
         est = bridge.price_knockout(model, payoff, spec, 200_000, seed=6, method="corrected")
         assert abs(est.mean - exact) < 4.0 * est.std_error
+
+
+def _knockout_coin_flip_and_survival(model, payoff, level):
+    """Rows (coin flip, survival weight, their difference) on one path stream.
+
+    The coin flip is the corrected pricer before conditional Monte Carlo:
+    a second stream draws one uniform per path and step, and the path dies
+    when it falls below the crossing probability.  The survival-weighted row
+    averages that kill over the uniforms given the path.
+    """
+    eps, sqrt_eps = model.eps, math.sqrt(model.eps)
+    discount = math.exp(-model.rate * model.maturity)
+
+    def sampler(ss, size):
+        path_ss, kill_ss = ss.spawn(2)
+        rng = np.random.default_rng(path_ss)
+        kill_rng = np.random.default_rng(kill_ss)
+        x = np.full(size, model.x0)
+        alive = np.full(size, model.x0 < level)
+        survival = alive.astype(float)
+        gap = np.maximum(level - x, 0.0)
+        for _ in range(model.steps):
+            gauss = rng.standard_normal(size)
+            sigma_i = model.vol(x)
+            x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
+            gap_next = np.maximum(level - x_next, 0.0)
+            expo = -2.0 * gap * gap_next / (sigma_i * sigma_i * eps)
+            alive &= kill_rng.random(size) >= np.exp(expo)
+            survival *= -np.expm1(expo)
+            gap, x = gap_next, x_next
+        value = discount * payoff(x)
+        return np.stack([value * alive, value * survival, value * alive - value * survival])
+
+    return sampler
+
+
+def test_survival_weight_agrees_with_the_coin_flip_on_the_committed_ladder():
+    # barrier-bias-order at 100k paths a rung: the same paths give the coin
+    # flip and the survival weight, which must agree within 4 paired SE, and
+    # the weight, a conditional expectation of the flip, has no larger SE
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "barrier-bias-order.json")) as handle:
+        doc = json.load(handle)
+    rate, sigma = doc["rate"], doc["sigma"]
+    payoff = lambda x: np.maximum(x - doc["strike"], 0.0)
+    for i, steps in enumerate(doc["ladder"]):
+        model = EulerModel(drift=lambda x: rate * x, vol=lambda x: sigma * x,
+                           maturity=doc["maturity"], steps=steps, x0=doc["s0"], rate=rate)
+        coin, weighted, diff = mc.run_replications(
+            _knockout_coin_flip_and_survival(model, payoff, doc["barrier"]), 100_000, doc["seed"] + i)
+        assert weighted == bridge.price_knockout(model, payoff, BarrierSpec(doc["barrier"]), 100_000,
+                                                 doc["seed"] + i, method="corrected")
+        assert abs(diff.mean) < 4.0 * diff.std_error
+        assert weighted.std_error <= coin.std_error

@@ -586,6 +586,59 @@ def test_every_oracle_run_ends_in_bounded_oracles_or_a_documented_error(sub_doc,
         assert 0.0 <= float(cell) <= ceiling
 
 
+# Drawn once from the domain of _ORACLE_DOCS, with space log (barrier) and
+# bridge_hits (fw-bond), by a numpy generator seeded 2019, values rounded to
+# 4 digits; draws that exit 2 or print no oracle (a bond at a rate other
+# than 0) were passed over.  The seed is the draw's index.
+_FIVE_SE_DOCS = [
+    ("fw-bond", {"s0": 176.2, "barrier": 306.3, "sigma": 1.402, "maturity": 2.769, "steps": 30,
+                 "use_fw_drift": False, "seed": 1}),
+    ("fw-bond", {"s0": 30.35, "barrier": 379.2, "sigma": 2.209e-61, "maturity": 2.997, "steps": 4,
+                 "use_fw_drift": True, "seed": 2}),
+    ("fw-bond", {"s0": 92.76, "barrier": 10.26, "sigma": 1.098e-112, "maturity": 4.024, "steps": 17,
+                 "use_fw_drift": True, "seed": 3}),
+    ("fw-bond", {"s0": 181.2, "barrier": 105.1, "sigma": 1.387, "maturity": 3.082, "steps": 30,
+                 "use_fw_drift": True, "seed": 4}),
+    ("fw-bond", {"s0": 11.84, "barrier": 120.3, "sigma": 0.6469, "maturity": 4.408, "steps": 23,
+                 "use_fw_drift": True, "seed": 5}),
+    ("fw-bond", {"s0": 132.4, "barrier": 236.8, "sigma": 1.788, "maturity": 1.914, "steps": 24,
+                 "use_fw_drift": False, "seed": 6}),
+    ("barrier", {"s0": 77.7, "strike": 240.8, "barrier": 169.1, "rate": -0.06113, "sigma": 1.413,
+                 "maturity": 3.876, "steps": 2, "payoff": "call", "ladder": [32], "seed": 13}),
+    ("barrier", {"s0": 52.79, "strike": 99.9, "barrier": 183.2, "rate": 96.78, "sigma": 2.041e-48,
+                 "maturity": 2.083, "steps": 5, "payoff": "call", "seed": 19}),
+    ("barrier", {"s0": 70.52, "strike": 293.8, "barrier": 365.1, "rate": 16.36, "sigma": 0.6932,
+                 "maturity": 3.113, "steps": 2, "payoff": "call", "seed": 22}),
+    ("barrier", {"s0": 47.57, "strike": 61.52, "barrier": 397.4, "rate": 0.3851, "sigma": 1.973,
+                 "maturity": 4.55, "steps": 4, "payoff": "call", "ladder": [8, 26], "seed": 23}),
+    ("barrier", {"s0": 95.94, "strike": 115.8, "barrier": 39.22, "rate": 0.07505, "sigma": 8.271e-77,
+                 "maturity": 3.867, "steps": 7, "payoff": "call", "seed": 24}),
+    ("barrier", {"s0": 194.7, "strike": 46.43, "barrier": 163.7, "rate": 0.2964, "sigma": 1.754,
+                 "maturity": 0.06215, "steps": 12, "payoff": "call", "ladder": [13, 15, 22], "seed": 26}),
+]
+
+
+@pytest.mark.parametrize("sub, doc", _FIVE_SE_DOCS, ids=[f"{sub}-{doc['seed']}" for sub, doc in _FIVE_SE_DOCS])
+def test_estimate_within_five_se_of_its_oracle(tmp_path, sub, doc):
+    # in log space the Euler step and the bridge law are exact, so the
+    # corrected knock-out and the bridge-hit bond are unbiased for their
+    # closed forms; a row with no spread must equal the oracle
+    doc = dict(doc, space="log") if sub == "barrier" else dict(doc, bridge_hits=True)
+    out = tmp_path / "out.json"
+    path = write_config(tmp_path, "cfg.json", dict(doc, replications=5_000))
+    assert cli.main([sub, "--config", path, "--oracle", "--threads", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["meta"]["warnings"] == []
+    prefix = "corrected_" if sub == "barrier" else ""
+    for row in report["rows"]:
+        cells = dict(zip(report["columns"], row))
+        mean, se, oracle = (float(cells[key]) for key in (prefix + "mean", prefix + "std_error", "oracle"))
+        if se == 0.0:
+            assert mean == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        else:
+            assert abs(mean - oracle) < 5.0 * se
+
+
 @pytest.mark.parametrize("sub, doc, expected", [
     # the reflection factor exp(2 mu b / sigma^2) overflowed at the parent
     ("barrier", dict(MINIMAL["barrier"], sigma=0.005, rate=0.05, space="log"), 0),
@@ -597,8 +650,14 @@ def test_every_oracle_run_ends_in_bounded_oracles_or_a_documented_error(sub_doc,
     # the largest rung sets the step variance
     ("barrier", dict(MINIMAL["barrier"], sigma=1e-153, ladder=[2, 4096]), 2),
     ("barrier", dict(MINIMAL["barrier"], sigma=1e-153, ladder=[2, 4]), 0),
+    # sigma passes the bound, but a bridge exponent or a log-weight overflows
+    # to -inf, the exact limit, which printed numpy overflow warnings
+    ("barrier", dict(MINIMAL["barrier"], s0=0.1, strike=0.05, barrier=2.0, sigma=1e-153, steps=4,
+                     space="price"), 0),
+    ("fw-bond", dict(MINIMAL["fw-bond"], s0=1.0, barrier=1e300, sigma=3e-154, steps=4), 0),
 ], ids=["call-sigma-0.005-log", "call-sigma-0.005-price", "call-sigma-1e-170", "bond-sigma-1e-170",
-        "fw-bond-sigma-1e-170", "ladder-underflows", "ladder-holds"])
+        "fw-bond-sigma-1e-170", "ladder-underflows", "ladder-holds", "price-space-kill-exponent",
+        "fw-bond-far-barrier"])
 def test_oracle_at_a_vanishing_volatility(tmp_path, capsys, sub, doc, expected):
     out = tmp_path / "out.json"
     path = write_config(tmp_path, "cfg.json", dict(doc, replications=200))
@@ -607,9 +666,14 @@ def test_oracle_at_a_vanishing_volatility(tmp_path, capsys, sub, doc, expected):
         assert capsys.readouterr().err.startswith("rareflow: ParseError:")
         return
     report = json.loads(out.read_text())
+    assert report["meta"]["warnings"] == []
     for row in report["rows"]:
-        oracle = float(dict(zip(report["columns"], row))["oracle"])
-        assert 0.0 < oracle <= doc["s0"]
+        cells = dict(zip(report["columns"], row))
+        if sub == "fw-bond":
+            # a touch 690 log units away at sigma 3e-154: the probability is 0
+            assert float(cells["oracle"]) == float(cells["mean"]) == 0.0
+        else:
+            assert 0.0 < float(cells["oracle"]) <= doc["s0"]
 
 
 def test_warnings_recorded_in_metadata(tmp_path):

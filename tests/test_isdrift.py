@@ -1,10 +1,12 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from rareflow import isdrift, mc
+from rareflow import isdrift, mc, oracles
 from rareflow.errors import AtMaturity, DomainEscape, MomentConditionViolated
 
 from oracles import drifted_bm_max_crossing, likelihood_mean
@@ -276,36 +278,42 @@ class TestUpInBond:
         assert abs(res.mean - 1.0) < 4.0 * res.std_error
 
     def test_bridge_hits_match_inline_crossing_law(self):
-        # the sampler before it shared the bridge kernel: the crossing law
-        # written out per step, unfloored
+        # the sampler before it shared the bridge kernel, with the crossing
+        # law written out per step: each step adds the chance that its bridge
+        # is the first to touch, times the likelihood after the step
         s0, barrier, sigma, maturity, steps = 80.0, 100.0, 0.4, 1.0, 32
         dt, sqrt_dt = maturity / steps, math.sqrt(maturity / steps)
         log_barrier, base_drift = math.log(barrier), -0.5 * sigma * sigma
 
         def inline_sampler(ss, size):
-            path_ss, kill_ss = ss.spawn(2)
-            rng = np.random.default_rng(path_ss)
-            hit_rng = np.random.default_rng(kill_ss)
+            rng = np.random.default_rng(ss.spawn(1)[0])
             log_s = np.full(size, math.log(s0))
             log_weight = np.zeros(size)
             hit = log_s >= log_barrier
+            survival, value = np.ones(size), np.zeros(size)
             for i in range(steps):
                 phi = np.where(hit | (log_s >= log_barrier), 0.0,
                                (log_s - log_barrier) / (sigma * (maturity - i * dt)))
                 gauss = rng.normal(size=size)
                 log_next = log_s + (base_drift - sigma * phi) * dt + sigma * sqrt_dt * gauss
                 log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
-                new_hit = log_next >= log_barrier
-                uniforms = hit_rng.random(size)
-                expo = -2.0 * (log_barrier - log_s) * (log_barrier - log_next) / (sigma * sigma * dt)
-                new_hit |= uniforms < np.exp(np.minimum(expo, 0.0))
-                hit |= new_hit
+                hit |= log_next >= log_barrier
+                gaps = np.maximum(log_barrier - log_s, 0.0) * np.maximum(log_barrier - log_next, 0.0)
+                expo = -2.0 * gaps / (sigma * sigma * dt)
+                term = expo + log_weight
+                value += survival * np.where(term > -700.0, np.exp(np.maximum(term, -700.0)), 0.0)
+                survival *= -np.expm1(expo)
                 log_s = log_next
-            return hit * np.exp(log_weight)
+            return value
 
         expected = mc.run_replications(inline_sampler, 20_000, seed=12)
         got = isdrift.price_up_in_bond(s0, barrier, sigma, maturity, steps, 20_000, seed=12)
         assert got == expected
+
+    def test_bridge_law_needs_a_positive_step_variance(self):
+        # sigma^2 dt underflows to 0: the crossing exponent would be 0/0
+        with pytest.raises(ValueError, match="sigma"):
+            isdrift.price_up_in_bond(80.0, 100.0, 1e-170, 1.0, 4, 100, seed=1)
 
     def test_grid_max_mode_underestimates(self):
         # without bridge hits the discrete maximum misses excursions
@@ -318,3 +326,74 @@ class TestUpInBond:
         )
         assert res.mean < exact
         assert exact - res.mean > 6.0 * res.std_error
+
+
+def _committed_fw_bond():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "fw-bond.json")) as handle:
+        doc = json.load(handle)
+    return doc["s0"], doc["barrier"], doc["sigma"], doc["maturity"], doc["steps"], doc["seed"]
+
+
+def _up_in_coin_flip_and_weight(s0, barrier, sigma, maturity, steps):
+    """Rows (coin flip, conditional weight, their difference) on one path stream.
+
+    The coin flip is the up-in sampler before conditional Monte Carlo: a
+    second stream draws one uniform per path and step, a uniform below the
+    bridge probability p_i is a hit, and the sample is the likelihood at the
+    first hit.  That sampler froze the drift after a hit, but the weight was
+    frozen too, so following the no-hit path here gives the same samples.
+    The conditional row is sum_i S_{i-1} p_i L_i on the same path.
+    """
+    dt, sqrt_dt = maturity / steps, math.sqrt(maturity / steps)
+    log_barrier = math.log(barrier)
+
+    def sampler(ss, size):
+        path_ss, hit_ss = ss.spawn(2)
+        rng = np.random.default_rng(path_ss)
+        hit_rng = np.random.default_rng(hit_ss)
+        log_s = np.full(size, math.log(s0))
+        log_weight = np.zeros(size)
+        grid_hit = np.zeros(size, dtype=bool)
+        coin_hit, coin = np.zeros(size, dtype=bool), np.zeros(size)
+        survival, weighted = np.ones(size), np.zeros(size)
+        for i in range(steps):
+            phi = np.where(grid_hit | (log_s >= log_barrier), 0.0,
+                           isdrift.fw_drift_bs(i * dt, log_s, log_barrier, sigma, maturity))
+            gauss = rng.standard_normal(size)
+            log_next = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
+            log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+            grid_hit |= log_next >= log_barrier
+            expo = -2.0 * np.maximum(log_barrier - log_s, 0.0) * np.maximum(log_barrier - log_next, 0.0) / (
+                sigma * sigma * dt)
+            first = ~coin_hit & (hit_rng.random(size) < np.exp(expo))
+            coin = np.where(first, np.exp(log_weight), coin)
+            coin_hit |= first
+            term = expo + log_weight
+            weighted += survival * np.where(term > -700.0, np.exp(np.maximum(term, -700.0)), 0.0)
+            survival *= -np.expm1(expo)
+            log_s = log_next
+        return np.stack([coin, weighted, coin - weighted])
+
+    return sampler
+
+
+def test_conditional_weight_agrees_with_the_coin_flip_on_the_committed_fw_bond():
+    # the committed config at 100k paths: within 4 paired SE of the coin
+    # flip, and no larger SE, since it averages the flip over its uniforms
+    s0, barrier, sigma, maturity, steps, seed = _committed_fw_bond()
+    coin, weighted, diff = mc.run_replications(
+        _up_in_coin_flip_and_weight(s0, barrier, sigma, maturity, steps), 100_000, seed)
+    assert weighted == isdrift.price_up_in_bond(s0, barrier, sigma, maturity, steps, 100_000, seed)
+    assert abs(diff.mean) < 4.0 * diff.std_error
+    assert weighted.std_error <= coin.std_error
+
+
+def test_committed_fw_bond_matches_the_touch_oracle():
+    # the log step and the bridge law are exact, so the estimator is unbiased
+    # for the touch probability.  A floor on p_i, such as exp(-40) = 4e-18,
+    # would add about that much on every early step, where the likelihood is
+    # still near 1, and lift the mean from 2.6e-28 to order 1e-16
+    s0, barrier, sigma, maturity, steps, seed = _committed_fw_bond()
+    res = isdrift.price_up_in_bond(s0, barrier, sigma, maturity, steps, 20_000, seed)
+    exact = oracles.up_in_bond_probability(s0, barrier, sigma, maturity)
+    assert abs(res.mean - exact) < 4.0 * res.std_error
