@@ -135,11 +135,13 @@ def _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma
         (x_i <= lower_i) | (x_i >= upper_i) | (x_next <= lower_i) | (x_next >= upper_i)
     )
     upper_branch = x_i + x_next >= lower_i + upper_i
-    two_over_s2 = 2.0 / sigma_i**2
+    with np.errstate(divide="ignore"):  # sigma^2 may underflow: the action is then inf
+        two_over_s2 = 2.0 / np.square(sigma_i)
     rate_up = two_over_s2 * (upper_i - x_i) * (upper_i - x_next)
     rate_down = two_over_s2 * (x_i - lower_i) * (x_next - lower_i)
-    w_up = two_over_s2 * (upper_i - x_i) * upper_slope
-    w_down = two_over_s2 * (x_i - lower_i) * lower_slope
+    # a flat side has no slope term, not the inf * 0 of an underflowed sigma^2
+    w_up = two_over_s2 * (upper_i - x_i) * upper_slope if upper_slope else 0.0
+    w_down = two_over_s2 * (x_i - lower_i) * lower_slope if lower_slope else 0.0
     rate = np.where(outside, 0.0, np.where(upper_branch, rate_up, rate_down))
     w = np.where(outside, 0.0, np.where(upper_branch, w_up, w_down))
     return rate, w
@@ -219,9 +221,15 @@ def price_knockout(
                                                 spec.lower_slope, spec.upper_slope, sigma_i, eps)
                 survival *= survival_factor(expo)
             x = x_next
-        value = discount * payoff(x)
-        if method == "both":
-            return np.stack([value * on_grid, value * survival])
-        return value * (on_grid if naive else survival)
+        # a dead path's payoff may overflow where the discount underflows to
+        # 0: its row entry is 0, not the nan of 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = discount * payoff(x)
+            rows = []
+            if naive:
+                rows.append(np.where(on_grid, value, 0.0))
+            if corrected:
+                rows.append(np.where(survival > 0.0, value * survival, 0.0))
+        return np.stack(rows) if method == "both" else rows[0]
 
     return mc.run_replications(sampler, N, seed, threads=threads)

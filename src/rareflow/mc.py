@@ -7,7 +7,8 @@ are merged in batch-index order.  Samplers receive the batch SeedSequence and
 may spawn independent sub-streams from it without perturbing each other.  A sampler may return k rows, k
 estimators of the same replications, and gets k results from one pass, each
 the one its row alone would give.  Every ladder of runs goes through
-``run_ladder`` and, when its rates are fitted, ``fit_ladder``.
+``run_ladder`` and, when its rates are fitted, ``fit_ladder``.  Every
+importance sampler with a per-draw bound checks it through ``check_bound``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, MismatchedLadders, NonFiniteInput
+from .errors import BoundViolated, InsufficientData, MismatchedLadders, NonFiniteInput
 
 BATCH_SIZE = 1 << 14
 
@@ -54,8 +55,6 @@ class DecayFit:
 
     points: tuple[tuple[float, float], ...]
     slope: float
-    intercept: float
-    r_squared: float
     results: tuple[EstimatorResult, ...] = ()
 
 
@@ -103,6 +102,19 @@ def _estimate(stats) -> EstimatorResult:
         second_moment=second_moment,
         log_mean=log_mean,
     )
+
+
+def check_bound(log_weight, log_bound, hit) -> None:
+    """Raise ``BoundViolated`` if a hit draw's log-weight is above its log-bound.
+
+    The comparison is exact.  A sampler forms ``log_bound`` from the same
+    expression as ``log_weight``, evaluated at the event's threshold: with a
+    nonpositive coefficient on a sum at or above that threshold, monotone
+    rounding puts every hit at or below its bound.  ``log_bound`` may be one
+    value or one per lane; misses are exempt, and -inf and nan weights pass.
+    """
+    if np.any(hit & (log_weight > log_bound)):
+        raise BoundViolated("importance weight above its per-draw bound")
 
 
 def run_replications(
@@ -166,7 +178,7 @@ def run_replications(
 
 
 def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:
-    """Least-squares slope/intercept of log_prob against scale.
+    """Least-squares slope of log_prob against scale.
 
     Non-finite log-probabilities are rejected outright (zero-hit runs must be
     filtered by the caller, see ``decay_points``), as are ladders with fewer
@@ -184,16 +196,7 @@ def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:
     if len(set(scales.tolist())) != len(pts) or sxx == 0.0:  # a spread of subnormals squares to 0
         raise InsufficientData("scales must be distinct and spread beyond float underflow")
     sxy = float(np.sum((scales - scales.mean()) * (logs - logs.mean())))
-    slope = sxy / sxx
-    intercept = float(logs.mean() - slope * scales.mean())
-    residuals = logs - (slope * scales + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res <= 1e-24 else 0.0
-    else:
-        r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
-    return DecayFit(points=pts, slope=slope, intercept=intercept, r_squared=r_squared)
+    return DecayFit(points=pts, slope=sxy / sxx)
 
 
 def decay_points(
@@ -227,13 +230,13 @@ def fit_ladder(scales: Sequence[float], results: Sequence[EstimatorResult]) -> D
     """Fit log-estimates against scales, leaving zero-hit rungs out with a warning.
 
     The fit carries every result in ladder order.
-    With fewer than 3 rungs left there is no line to fit: slope, intercept
-    and r_squared are nan, and the rungs' results are kept all the same.
+    With fewer than 3 rungs left there is no line to fit: the slope is nan,
+    and the rungs' results are kept all the same.
     """
     points, dropped = decay_points(scales, results)
     if dropped:  # attributed to the caller of the function that fits its ladder
         warnings.warn(f"dropped {dropped} zero-hit rungs from the decay fit", stacklevel=3)
-    fit = fit_decay(points) if len(points) >= 3 else DecayFit(tuple(points), math.nan, math.nan, math.nan)
+    fit = fit_decay(points) if len(points) >= 3 else DecayFit(tuple(points), math.nan)
     return replace(fit, results=tuple(results))
 
 

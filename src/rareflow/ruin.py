@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bridge, mc, tilt
-from .errors import BoundViolated, MaxStepsExceeded, NetProfitViolated, NoRoot
+from .errors import MaxStepsExceeded, NetProfitViolated, NoRoot
 from .mc import DecayFit, EstimatorResult
 from .tilt import ClaimStep, TiltableFamily
 
@@ -64,7 +64,6 @@ class RuinModel:
 class ExponentSolution:
     value: float
     residual: float
-    kind: str  # "lundberg" or "invest"
 
 
 def _gamma_shifted(model: RuinModel, theta: float) -> float:
@@ -72,7 +71,7 @@ def _gamma_shifted(model: RuinModel, theta: float) -> float:
     return math.expm1(model.claims.cgf(theta))
 
 
-def _solve_exponent(model: RuinModel, offset: float, kind: str) -> ExponentSolution:
+def _solve_exponent(model: RuinModel, offset: float) -> ExponentSolution:
     """Positive root of gamma_Y(theta) = premium*theta/lam + offset.
 
     Equivalently h(theta) = cgf_Y(theta) - ln(1 + premium*theta/lam + offset)
@@ -90,13 +89,13 @@ def _solve_exponent(model: RuinModel, offset: float, kind: str) -> ExponentSolut
 
     theta = tilt._bracketed_root(h, 1e-12, *model.claims.cgf_domain)
     if theta is None:
-        raise NoRoot(f"no positive solution for kind={kind}; claims may be too heavy")
-    return ExponentSolution(value=theta, residual=h(theta), kind=kind)
+        raise NoRoot(f"no positive solution at offset {offset:.6g}; claims may be too heavy")
+    return ExponentSolution(value=theta, residual=h(theta))
 
 
 def adjustment_coefficient(model: RuinModel) -> ExponentSolution:
     """The Lundberg exponent theta_L: gamma_Y(theta) = premium*theta/lam."""
-    sol = _solve_exponent(model, 0.0, "lundberg")
+    sol = _solve_exponent(model, 0.0)
     return sol
 
 
@@ -111,7 +110,7 @@ def invest_exponent(model: RuinModel) -> ExponentSolution:
         raise ValueError("model has no investment parameters")
     b, sigma = model.invest.b, model.invest.sigma
     offset = b * b / (2.0 * sigma * sigma * model.lam)
-    return _solve_exponent(model, offset, "invest")
+    return _solve_exponent(model, offset)
 
 
 def optimal_fraction(model: RuinModel) -> float:
@@ -132,19 +131,20 @@ def simulate_ruin_is(
     Runs the embedded walk under the theta_L-tilted law (claims tilted by
     theta_L, interarrivals by -premium*theta_L), stops at the first passage
     above x, and averages exp(-theta_L * S_sigma).  The tilted walk has
-    positive drift so the passage time is a.s. finite; every sample is below
-    exp(-theta_L * x) because the stopped walk sits above x.
+    positive drift so the passage time is a.s. finite.  The stopped walk
+    sits above x, so every log-sample is at most -theta_L * x (the Lundberg
+    bound), checked per batch by ``mc.check_bound``.
     """
     if x < 0.0:
         raise ValueError("initial reserve must be nonnegative")
     theta_l = adjustment_coefficient(model).value
     step = model.step_family()
     tilted_step = step.tilted(theta_l)
-    bound = math.exp(-theta_l * x)
+    log_bound = -theta_l * x
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
-        out = np.empty(size)
+        log_out = np.empty(size)
         active = np.arange(size)
         walks = np.zeros(size)  # positions of the active paths, in their order
         steps = 0
@@ -154,18 +154,12 @@ def simulate_ruin_is(
                 raise MaxStepsExceeded("tilted walk did not cross; check the model")
             walks += tilted_step.sample(rng, active.size)
             crossed = walks > x
-            out[active[crossed]] = np.exp(-theta_l * walks[crossed])
+            log_out[active[crossed]] = -theta_l * walks[crossed]
             active, walks = active[~crossed], walks[~crossed]
-        _check_lundberg(out, bound)
-        return out
+        mc.check_bound(log_out, log_bound, True)
+        return np.exp(log_out)
 
     return mc.run_replications(sampler, N, seed, threads=threads)
-
-
-def _check_lundberg(samples: np.ndarray, bound: float) -> None:
-    # <=, not <: past theta_L * x ~ 745 both sides underflow to 0
-    if not np.all(samples <= bound * (1.0 + 1e-12)):
-        raise BoundViolated("sample above the Lundberg bound")
 
 
 def ruin_decay_fit(

@@ -290,6 +290,16 @@ class TestPriceKnockout:
         assert naive.mean == corrected.mean == price
         assert corrected.std_error == 0.0
 
+    def test_corridor_with_an_underflowed_variance_survives_quietly(self, recwarn):
+        # sigma^2 = 1e-340 underflows to 0: the action is inf inside the
+        # corridor, and a flat side adds no slope term (inf * 0 read as a
+        # certain crossing)
+        model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.full_like(x, 1e-170),
+                           maturity=1.0, steps=4, x0=0.0, rate=0.0)
+        res = bridge.price_knockout(model, lambda x: np.ones_like(x), BarrierSpec(1.0, lower=-1.0), 1_000, seed=1)
+        assert res.mean == 1.0
+        assert len(recwarn) == 0
+
     def test_fortet_oracle_agrees_with_linear_boundary_closed_form(self):
         a, b = 0.8, 0.5
         exact = 1.0 - drifted_bm_max_crossing(a, -b, 1.0, 1.0)

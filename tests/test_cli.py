@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rareflow import cli, cramer, credit, ruin, tilt
+from rareflow import cli, cramer, credit, mc, ruin, tilt
 from rareflow.cli import ExperimentConfig, parse_config, run_experiment
 from rareflow.errors import BoundViolated, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError
 
@@ -199,8 +199,9 @@ class TestBadInput:
 
     def test_bound_violation_exits_with_its_code(self, tmp_path, capsys, monkeypatch):
         # halve the Lundberg bound the real check sees: samples above it fail
-        check = ruin._check_lundberg
-        monkeypatch.setattr(ruin, "_check_lundberg", lambda samples, bound: check(samples, 0.5 * bound))
+        check = mc.check_bound
+        monkeypatch.setattr(mc, "check_bound", lambda log_weight, log_bound, hit:
+                            check(log_weight, log_bound - math.log(2.0), hit))
         path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], replications=1_000))
         assert cli.main(["ruin", "--config", path]) == cli.EXIT_CODES[BoundViolated] == 12
         assert "BoundViolated" in capsys.readouterr().err
@@ -674,6 +675,26 @@ def test_oracle_at_a_vanishing_volatility(tmp_path, capsys, sub, doc, expected):
             assert float(cells["oracle"]) == float(cells["mean"]) == 0.0
         else:
             assert 0.0 < float(cells["oracle"]) <= doc["s0"]
+
+
+@pytest.mark.parametrize("doc", [
+    dict(MINIMAL["barrier"], s0=148.2, strike=264.4, barrier=78.60, rate=735.9, sigma=1.525, maturity=4.557,
+         ladder=[16, 26]),
+    dict(MINIMAL["barrier"], s0=16.74, strike=135.3, barrier=360.9, rate=256.3, sigma=8.9e-79, maturity=3.522,
+         ladder=[11, 22, 32]),
+], ids=["barrier-below-s0", "vanishing-sigma"])
+def test_knocked_out_call_under_an_underflowed_discount_prices_zero(tmp_path, doc):
+    # a dead path's payoff overflows to inf where exp(-rate T) underflows to
+    # 0: its sample is 0, not the nan of 0 * inf
+    out = tmp_path / "out.json"
+    path = write_config(tmp_path, "cfg.json", dict(doc, replications=200))
+    assert cli.main(["barrier", "--config", path, "--oracle", "--threads", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["meta"]["warnings"] == []
+    for row in report["rows"]:
+        cells = dict(zip(report["columns"], row))
+        assert [float(cells[key]) for key in ("naive_mean", "naive_std_error", "corrected_mean",
+                                             "corrected_std_error", "oracle")] == [0.0] * 5
 
 
 def test_warnings_recorded_in_metadata(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from rareflow import cramer, mc, tilt
 from rareflow.cramer import EmpiricalMeanProblem
-from rareflow.errors import BoundViolated, DomainError
+from rareflow.errors import DomainError
 from rareflow.tilt import Bernoulli, Exponential, Normal, Poisson
 
 from oracles import bernoulli_sum_enumeration, binomial_tail_sum, phi_bar
@@ -145,10 +145,12 @@ class TestVerifyRate:
 
 
 class TestChebyshevCheck:
-    def test_violating_batch_raises(self):
-        with pytest.raises(BoundViolated):
-            cramer._check_chebyshev(np.array([0.1, 0.5, 0.5 * (1.0 + 1e-9)]), 0.5)
-        cramer._check_chebyshev(np.array([0.1, 0.5, 0.0]), 0.5)
+    def test_a_draw_at_the_threshold_is_admitted(self, draws_at_bound):
+        # n*x = 3 is a lattice site: a sum of exactly 3 has a log-weight
+        # equal to its bound, to the bit
+        res = cramer.is_tail(EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.3), N=20_000, seed=2)
+        assert draws_at_bound == [True, True]
+        assert abs(res.mean - binomial_tail_sum(10, 0.25, 3)) < 4.0 * res.std_error
 
     def test_lattice_level_just_above_an_integer(self):
         # n*x = 3 + 1e-10 rounds down to the lattice site 3, which the bound

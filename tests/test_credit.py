@@ -5,11 +5,12 @@ import pytest
 
 from rareflow import credit, mc, tilt
 from rareflow.credit import LossSchedule, PortfolioModel
-from rareflow.errors import BoundViolated, RegimeError
+from rareflow.errors import RegimeError
 from rareflow.oracles import credit_tail_quadrature
 from rareflow.tilt import Bernoulli
 
-from oracles import credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar, plain_loss_tail
+from oracles import (binomial_tail_sum, credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar,
+                     plain_loss_tail)
 
 RHO_HALF = math.sqrt(0.5)
 
@@ -198,21 +199,28 @@ class TestFactorShift:
 
 
 class TestConditionalBoundCheck:
-    def test_violating_batch_raises(self):
-        hit = np.array([True, True, False])
-        log_bound = np.array([-3.0, -3.0, -3.0])
-        with pytest.raises(BoundViolated):
-            credit._check_conditional_bound(hit, np.array([-4.0, -2.5, -1.0]), log_bound)
-        # misses and non-finite weights are exempt
-        credit._check_conditional_bound(hit, np.array([-4.0, -np.inf, -1.0]), log_bound)
+    def test_a_draw_at_the_threshold_is_admitted(self, draws_at_bound):
+        # k_n = n q = 10 is an integer: a loss of exactly 10 has a
+        # log-weight equal to its bound, to the bit
+        model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
+        res = credit.two_step_is(model, 20, 20_000, seed=3)
+        assert draws_at_bound == [True, True]
+        assert abs(res.mean - binomial_tail_sum(20, 0.25, 10)) < 4.0 * res.std_error
+
+    def test_p_of_z_an_ulp_below_q_is_admitted(self, monkeypatch):
+        # ln(q (1 - p) / (p (1 - q))) rounds to -2.2e-16 at q = 0.148 and
+        # p = q less one ulp; the twist is taken as 0, the exact sign
+        q = 0.148
+        assert tilt.bernoulli_twist(np.nextafter(q, 0.0), q) < 0.0
+        monkeypatch.setattr(credit, "conditional_default_prob", lambda model, z: np.full(np.shape(z), np.nextafter(q, 0.0)))
+        res = credit.two_step_is(PortfolioModel(p=0.05, rho=0.2, threshold=q), 20, 1_000, seed=3, shift=0.0)
+        assert abs(res.mean - binomial_tail_sum(20, q, 3)) < 4.0 * res.std_error
 
 
 class TestTwoStepIs:
     def test_independent_case_matches_binomial(self):
         model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
         est = credit.two_step_is(model, 20, 100_000, seed=3)
-        from oracles import binomial_tail_sum
-
         exact = binomial_tail_sum(20, 0.25, 10)
         assert abs(est.mean - exact) < 4.0 * est.std_error
 

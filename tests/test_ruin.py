@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rareflow import cli, mc, ruin
-from rareflow.errors import BoundViolated, MaxStepsExceeded, NetProfitViolated
+from rareflow import cli, mc, ruin, tilt
+from rareflow.errors import MaxStepsExceeded, NetProfitViolated
 from rareflow.ruin import Investment, RuinModel
 from rareflow.tilt import Exponential
 
@@ -23,15 +23,20 @@ def exact_ruin_probability(model, x):
 
 
 class TestLundbergCheck:
-    def test_violating_batch_raises(self):
-        with pytest.raises(BoundViolated):
-            ruin._check_lundberg(np.array([0.01, 0.2, 0.3]), 0.25)
-        ruin._check_lundberg(np.array([0.01, 0.25, 0.0]), 0.25)
-
     def test_underflowed_bound_is_not_a_violation(self):
-        # theta_L * x = 750: samples and bound both underflow to 0
+        # theta_L * x = 750: every sample underflows to 0, the log-bound does not
         res = ruin.simulate_ruin_is(exponential_model(), 1500.0, 100, seed=1)
         assert res.mean == 0.0
+
+    def test_a_crossing_at_the_bound_is_admitted(self, monkeypatch, draws_at_bound):
+        # every walk crosses in one step, at the float just above x, where
+        # -theta_L * walk rounds to -theta_L * x: each log-weight meets its bound
+        x = 3.5
+        monkeypatch.setattr(tilt.ClaimStep, "sample", lambda self, rng, size: np.full(size, np.nextafter(x, math.inf)))
+        model = exponential_model(1.5, 0.7, 1.1)
+        res = ruin.simulate_ruin_is(model, x, 100, seed=1)
+        assert draws_at_bound == [True]
+        assert res.mean == pytest.approx(math.exp(-ruin.adjustment_coefficient(model).value * x), rel=1e-15)
 
 
 class TestAdjustmentCoefficient:
@@ -45,7 +50,6 @@ class TestAdjustmentCoefficient:
         sol = ruin.adjustment_coefficient(model)
         assert sol.value == pytest.approx(claim_rate - lam / premium, abs=1e-10)
         assert abs(sol.residual) <= 1e-10
-        assert sol.kind == "lundberg"
 
     @pytest.mark.parametrize(
         "claim_rate, lam, premium",
@@ -158,7 +162,6 @@ class TestInvestment:
         sol = ruin.invest_exponent(model)
         expected = (0.5 + math.sqrt(4.25)) / 4.0
         assert sol.value == pytest.approx(expected, abs=1e-10)
-        assert sol.kind == "invest"
 
     @pytest.mark.parametrize("claim_rate, lam, premium, b, sigma", [
         (1.0, 1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 2.0, 0.3, 0.8), (2.0, 1.5, 1.0, 1.0, 0.5), (1.5, 0.7, 1.1, 0.2, 1.3),

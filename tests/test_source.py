@@ -37,6 +37,26 @@ def test_every_public_function_is_reached():
     assert unreached == []
 
 
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        "dataclass" in _names(decorator) for decorator in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    # a result field earns its place by an attribute read in the package or
+    # in the acceptance suite; one that only unit tests read is dead weight
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    fields = [f"{cls.name}.{stmt.target.id}"
+              for tree in trees for cls in ast.walk(tree) if _is_dataclass(cls)
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    acceptance = ast.parse((PACKAGE.parent.parent / "tests" / "test_acceptance.py").read_text())
+    read = {node.attr for tree in trees + [acceptance] for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [field for field in fields if field.split(".")[1] not in read]
+    assert len(fields) > 50
+    assert unread == []
+
+
 def _imported_modules(node):
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
