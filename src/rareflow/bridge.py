@@ -19,14 +19,8 @@ its steps (``survival_factor``).  The knock-out pricer averages the payoff
 times that product, the conditional expectation of the killed payoff given
 the grid path: it is unbiased, its variance is no larger than a coin flip's,
 and it draws no kill stream.  The factor is ``-expm1(e)``, exact near a
-certain crossing and fast over the whole range of e.
-
-``kill_prob`` and ``KILL_FLOOR`` serve the one sampler that still kills with
-a uniform u, ``ruin.simulate_wealth_ruin``: u < ``exp(max(e, KILL_FLOOR))``.
-The floor is exact for the decision: exp(-40) < 2**-53, the smallest
-positive draw of ``Generator.random``, so no u > 0 lies below either side,
-and only a draw of exactly 0.0 (probability 2**-53) can tell them apart.  It
-keeps ``np.exp`` out of its slow subnormal range.
+certain crossing and fast over the whole range of e.  The wealth sampler
+``ruin.simulate_wealth_ruin`` weights its creeps through 0 the same way.
 """
 
 from __future__ import annotations
@@ -44,10 +38,6 @@ from .mc import EstimatorResult
 # levels beyond these encode "no barrier on this side"
 NO_UPPER = 1e18
 NO_LOWER = -1e18
-
-# floor on kill exponents in the coin-flip kills of ruin.simulate_wealth_ruin;
-# exp(-40) < 2**-53 (see above)
-KILL_FLOOR = -40.0
 
 
 @dataclass(frozen=True)
@@ -98,15 +88,6 @@ def kill_exponent_single(gap_i, gap_next, sigma_i, eps):
     step over as the left-hand gap of the next.
     """
     return -2.0 * gap_i * gap_next / (sigma_i * sigma_i * eps)
-
-
-def kill_prob(expo):
-    """Kill threshold ``exp(max(expo, KILL_FLOOR))`` for coin-flip decisions ``u < p``.
-
-    Gives the same decision as ``exp(expo)`` for every uniform u > 0.  Only
-    ``ruin.simulate_wealth_ruin`` still kills by coin flip.
-    """
-    return np.exp(np.maximum(expo, KILL_FLOOR))
 
 
 def survival_factor(expo):

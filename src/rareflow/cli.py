@@ -594,12 +594,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     """Dispatch a validated config and collect rows plus run metadata.
 
     Every warning the run raises is listed, in order, under the ``warnings``
-    meta key, then raised again so the caller's warning filters apply.
+    meta key, then raised again so the caller's warning filters apply.  An
+    oracle asked of a subcommand that has none is one such warning.
     """
     started = time.monotonic()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = _RUNNERS[config.subcommand](config, threads)
+        if config.oracle and "oracle" not in report.columns:
+            warnings.warn(f"{config.subcommand} has no oracle; --oracle adds no column")
     elapsed = time.monotonic() - started
     digest = hashlib.sha256(
         json.dumps(config.canonical(), sort_keys=True).encode()

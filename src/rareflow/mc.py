@@ -59,44 +59,58 @@ class DecayFit:
 
 
 def _merge(stats_a, stats_b):
-    """Chan's pairwise update for (count, mean, M2) in fixed order."""
-    na, ma, sa = stats_a
-    nb, mb, sb = stats_b
+    """Chan's pairwise update for (count, mean, M2, scale) in fixed order.
+
+    M2 is held in units of scale**2, and the merge keeps the larger scale.
+    """
+    na, ma, sa, ka = stats_a
+    nb, mb, sb, kb = stats_b
     n = na + nb
+    scale = max(ka, kb)
+    ra, rb = ka / scale, kb / scale
     delta = mb - ma
     mean = ma + delta * (nb / n)
-    m2 = sa + sb + delta * delta * (na * nb / n)
-    return (n, mean, m2)
+    d = delta / scale
+    m2 = sa * (ra * ra) + sb * (rb * rb) + d * d * (na * nb / n)
+    return (n, mean, m2, scale)
 
 
 def _batch_stats(values: np.ndarray):
-    """(count, mean, M2) of one batch; M2 is NaN when the mean is not finite.
+    """(count, mean, M2, scale) of one batch; M2 is NaN when the mean is not finite.
 
     The mean is tested first, so a batch holding inf never forms ``inf - inf``
-    and the caller rejects it without a numpy RuntimeWarning.
+    and the caller rejects it without a numpy RuntimeWarning.  The scale is
+    1 unless M2 < 2**-900, where squared deviations may underflow: M2 is then
+    summed over the deviations over a power of two near the largest.
     """
     n = values.size
     with np.errstate(invalid="ignore"):  # a batch holding both +inf and -inf
         mean = float(np.mean(values))
     if not math.isfinite(mean):
-        return (n, mean, math.nan)
+        return (n, mean, math.nan, 1.0)
     m2 = float(np.sum((values - mean) ** 2))
-    return (n, mean, m2)
+    scale = 1.0
+    if m2 < 2.0**-900:
+        peak = float(np.max(np.abs(values - mean)))
+        if peak > 0.0:
+            scale = math.ldexp(1.0, math.frexp(peak)[1])
+            m2 = float(np.sum(((values - mean) / scale) ** 2))
+    return (n, mean, m2, scale)
 
 
 def _estimate(stats) -> EstimatorResult:
-    """The ``EstimatorResult`` of merged (count, mean, M2) statistics."""
-    count, mean, m2 = stats
-    variance = m2 / (count - 1) if count > 1 else 0.0
+    """The ``EstimatorResult`` of merged (count, mean, M2, scale) statistics."""
+    count, mean, m2, scale = stats
+    variance = m2 / (count - 1) if count > 1 else 0.0  # in units of scale**2
     variance = max(variance, 0.0)
-    std_error = math.sqrt(variance / count)
+    std_error = scale * math.sqrt(variance / count)
     relative_error = std_error / mean if mean > 0.0 else math.nan
-    second_moment = (m2 + count * mean * mean) / count
+    second_moment = (m2 * scale * scale + count * mean * mean) / count
     log_mean = math.log(mean) if mean > 0.0 else LOG_ZERO
     return EstimatorResult(
         n=count,
         mean=mean,
-        variance=variance,
+        variance=variance * scale * scale,
         std_error=std_error,
         relative_error=relative_error,
         second_moment=second_moment,

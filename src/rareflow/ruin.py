@@ -6,7 +6,9 @@ times, so everything reduces to the embedded walk S_k = sum(Y_i - p*xi_i).
 The adjustment coefficient theta_L is the positive zero of that walk's
 c.g.f.; sampling the walk under the theta_L-tilt turns ruin into a certain
 event and yields an unbiased, asymptotically optimal estimator
-``exp(-theta_L * S_sigma)``.
+``exp(-theta_L * S_sigma)``.  With a stock position the wealth can also
+creep through 0 between claims; ``simulate_wealth_ruin`` weights each path by
+its bridge survival instead of killing it by a coin flip.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import bridge, mc, tilt
 from .errors import MaxStepsExceeded, NetProfitViolated, NoRoot
 from .mc import DecayFit, EstimatorResult
-from .tilt import ClaimStep, TiltableFamily
+from .tilt import TiltableFamily
 
 MAX_PATH_STEPS = int(1e7)
 
@@ -54,10 +56,6 @@ class RuinModel:
     def safety_loading(self) -> float:
         rho = self.lam * self.claims.mean
         return (self.premium - rho) / rho
-
-    def step_family(self) -> ClaimStep:
-        """The embedded walk increment Z = Y - premium * xi."""
-        return ClaimStep(self.claims, self.premium, self.lam)
 
 
 @dataclass(frozen=True)
@@ -129,17 +127,17 @@ def simulate_ruin_is(
     """Importance-sampling estimate of the infinite-horizon ruin probability.
 
     Runs the embedded walk under the theta_L-tilted law (claims tilted by
-    theta_L, interarrivals by -premium*theta_L), stops at the first passage
-    above x, and averages exp(-theta_L * S_sigma).  The tilted walk has
-    positive drift so the passage time is a.s. finite.  The stopped walk
+    theta_L, interarrivals by -premium*theta_L to rate lam + premium*theta_L),
+    stops at the first passage above x, and averages exp(-theta_L * S_sigma).
+    The tilted walk has positive drift so the passage time is a.s. finite.  The stopped walk
     sits above x, so every log-sample is at most -theta_L * x (the Lundberg
     bound), checked per batch by ``mc.check_bound``.
     """
     if x < 0.0:
         raise ValueError("initial reserve must be nonnegative")
     theta_l = adjustment_coefficient(model).value
-    step = model.step_family()
-    tilted_step = step.tilted(theta_l)
+    tilted_claims = model.claims.tilted(theta_l)
+    tilted_rate = model.lam + model.premium * theta_l
     log_bound = -theta_l * x
 
     def sampler(ss, size):
@@ -152,7 +150,8 @@ def simulate_ruin_is(
             steps += 1
             if steps > MAX_PATH_STEPS:
                 raise MaxStepsExceeded("tilted walk did not cross; check the model")
-            walks += tilted_step.sample(rng, active.size)
+            n = active.size
+            walks += tilted_claims.sample(rng, n) - model.premium * rng.exponential(1.0 / tilted_rate, n)
             crossed = walks > x
             log_out[active[crossed]] = -theta_l * walks[crossed]
             active, walks = active[~crossed], walks[~crossed]
@@ -179,15 +178,19 @@ def simulate_wealth_ruin(
     seed: int,
     threads: int = 1,
 ) -> EstimatorResult:
-    """Finite-horizon ruin frequency of the insurer investing ``alpha`` in stock.
+    """Finite-horizon ruin probability of the insurer investing ``alpha`` in stock.
 
     Wealth follows dV = (premium + alpha*b) dt + alpha*sigma dW minus claims
     at Poisson arrival times, a Brownian motion with drift between claims.
     Live paths jump from claim to claim: each round draws the wait (cut at
-    the horizon) and the exact Gaussian endpoint, kills with the bridge law
-    of touching 0 in between (certain when the endpoint is below 0), then
-    subtracts the claim.  There is no grid bias, but ruin after ``horizon``
-    is missed, so this underestimates the infinite-horizon probability.  At
+    the horizon) and the exact Gaussian endpoint, then subtracts the claim.
+    A path carries ``alive``, its chance of not having crept through 0 so
+    far.  Given the endpoints, the bridge law gives the chance s of not
+    touching 0 within the round, so the round adds ``alive * (1 - s)`` to the
+    path's sample and sets ``alive *= s``; a claim that ruins adds ``alive``.
+    This conditional expectation of the ruin indicator is unbiased and draws
+    no kill stream.  There is no grid bias, but ruin after ``horizon`` is
+    missed, so this underestimates the infinite-horizon probability.  At
     alpha = 0 it is plain Monte Carlo of the classical risk process.
     """
     if horizon <= 0.0:
@@ -202,6 +205,7 @@ def simulate_wealth_ruin(
         rng = np.random.default_rng(ss)
         ruined = np.zeros(size)
         active, wealth, clock = np.arange(size), np.full(size, float(x)), np.zeros(size)
+        alive = np.ones(size)
         while active.size:
             n = active.size
             wait = rng.exponential(1.0 / model.lam, n)
@@ -212,16 +216,15 @@ def simulate_wealth_ruin(
                 end += vol * np.sqrt(tau) * rng.standard_normal(n)
                 # distances above the barrier at 0 play the gaps below an upper level
                 with np.errstate(all="ignore"):  # vol^2 tau may underflow: the limit is a touch iff a gap is 0
-                    expo = np.nan_to_num(bridge.kill_exponent_single(wealth, np.maximum(end, 0.0), vol, tau), nan=0.0)
-                killed = rng.random(n) < bridge.kill_prob(expo)
-            else:
-                killed = end < 0.0
-            claimed = ~killed & (wait < left)
+                    survive = bridge.survival_factor(bridge.kill_exponent_single(wealth, np.maximum(end, 0.0), vol, tau))
+                ruined[active] += alive * (1.0 - survive)
+                alive *= survive
+            claimed = (alive > 0.0) & (wait < left)
             end[claimed] -= model.claims.sample(rng, int(claimed.sum()))
-            killed |= end < 0.0
-            ruined[active[killed]] = 1.0
-            live = claimed & ~killed
-            active, wealth, clock = active[live], end[live], clock[live] + wait[live]
+            ruin_by_claim = claimed & (end < 0.0)
+            ruined[active[ruin_by_claim]] += alive[ruin_by_claim]
+            live = claimed & ~ruin_by_claim
+            active, wealth, clock, alive = active[live], end[live], clock[live] + wait[live], alive[live]
         return ruined
 
     return mc.run_replications(sampler, N, seed, threads=threads)

@@ -1,10 +1,10 @@
 """Cumulant generating functions, exponential tilting, and rate functions.
 
-The family catalog covers Bernoulli, Poisson, Normal, Exponential, and the
-compound claim-minus-premium step ``Z = Y - p*xi`` built from a claim family
-``Y`` and an exponential interarrival ``xi``.  Every family knows its
-closed-form c.g.f., the open interval where it is finite, its tilted
-counterpart, and how to draw samples (including exact draws of i.i.d. sums).
+The family catalog covers Bernoulli, Poisson, Normal and Exponential.  Every
+family knows its closed-form c.g.f., the open interval where it is finite,
+its closed-form convex conjugate, its tilted counterpart, and how to draw
+samples (including exact draws of i.i.d. sums).  The root finder
+``_bracketed_root`` serves the solvers of the other modules.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class TiltableFamily(ABC):
                 f"theta={theta} outside c.g.f. domain ({lo}, {hi}) of {self!r}"
             )
 
-    def _legendre_closed(self, x: float) -> LegendreResult | None:
-        """Closed-form conjugate where known; None defers to the numeric path."""
-        return None
+    @abstractmethod
+    def _legendre_closed(self, x: float) -> LegendreResult:
+        """The convex conjugate at x, in closed form."""
 
 
 @dataclass(frozen=True)
@@ -274,58 +274,6 @@ class Exponential(TiltableFamily):
         return LegendreResult(x, theta, max(rate, 0.0), attained=True)
 
 
-@dataclass(frozen=True)
-class ClaimStep(TiltableFamily):
-    """One step ``Z = Y - p*xi`` of the net-payout walk embedded at claim times.
-
-    ``Y`` follows the claim family, ``xi`` is the Exponential(lam) interarrival,
-    and ``p`` is the premium rate.  Independence gives
-    ``cgf_Z(theta) = cgf_Y(theta) + ln(lam / (lam + p*theta))`` on the
-    intersection of the claim domain with ``theta > -lam/p``.
-    """
-
-    claim: TiltableFamily
-    premium: float
-    lam: float
-
-    def __post_init__(self):
-        if self.premium <= 0.0:
-            raise ValueError("premium rate must be positive")
-        if self.lam <= 0.0:
-            raise ValueError("claim arrival intensity must be positive")
-
-    @property
-    def cgf_domain(self):
-        claim_lo, claim_hi = self.claim.cgf_domain
-        return (max(claim_lo, -self.lam / self.premium), claim_hi)
-
-    def cgf(self, theta):
-        self._check_theta(theta)
-        return self.claim.cgf(theta) + math.log(self.lam / (self.lam + self.premium * theta))
-
-    def cgf_prime(self, theta):
-        self._check_theta(theta)
-        return self.claim.cgf_prime(theta) - self.premium / (self.lam + self.premium * theta)
-
-    def tilted(self, theta):
-        self._check_theta(theta)
-        return ClaimStep(self.claim.tilted(theta), self.premium, self.lam + self.premium * theta)
-
-    @property
-    def mean(self):
-        return self.claim.mean - self.premium / self.lam
-
-    def sample(self, rng, size):
-        claims = self.claim.sample(rng, size)
-        waits = rng.exponential(1.0 / self.lam, size)
-        return claims - self.premium * waits
-
-    def sample_sum(self, rng, n, size):
-        claims = self.claim.sample_sum(rng, n, size)
-        waits = rng.gamma(n, 1.0 / self.lam, size)
-        return claims - self.premium * waits
-
-
 def expansion_grid(lo: float, hi: float, toward_hi: bool):
     """Geometric probe sequence from 0 toward one open domain endpoint.
 
@@ -437,24 +385,11 @@ def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = Tru
     return None
 
 
-def _sign_change_near(f, theta: float, lo: float, hi: float) -> bool:
-    """Whether f is zero or changes sign over theta and the 4 floats on each side in (lo, hi)."""
-    values = [f(theta)]
-    for end in (lo, hi):
-        t = theta
-        for _ in range(4):
-            t = math.nextafter(t, end)
-            if t != end:
-                values.append(f(t))
-    return min(values) <= 0.0 <= max(values)
-
-
 def saddle_theta(family: TiltableFamily, x: float) -> float:
     """Solve the saddle-point equation cgf'(theta) = x.
 
-    The returned theta has ``|cgf'(theta) - x| <= 1e-10`` or, near a pole,
-    cgf' - x changes sign within 4 floats of it.  Raises NotAttained when x
-    is at or beyond the boundary of attainable means.
+    Raises NotAttained when x is at or beyond the boundary of attainable
+    means.
     """
     result = legendre(family, x)
     if not result.attained:
@@ -463,34 +398,5 @@ def saddle_theta(family: TiltableFamily, x: float) -> float:
 
 
 def legendre(family: TiltableFamily, x: float) -> LegendreResult:
-    """Fenchel-Legendre transform sup_theta [theta*x - cgf(theta)].
-
-    Closed forms are used for the four catalog families.  For the compound
-    step family the saddle cgf'(theta) = x is bracketed on the side of 0
-    where cgf'(0) - x changes sign (cgf' is nondecreasing by convexity),
-    up to the last float inside an open boundary.  Near a pole cgf' jumps by
-    more than 1e-10 between floats, so NotAttained is raised only when the
-    residual exceeds 1e-10 and keeps its sign over 4 floats on each side.
-    """
-    closed = family._legendre_closed(x)
-    if closed is not None:
-        return closed
-    lo, hi = family.cgf_domain
-    toward_hi = family.cgf_prime(0.0) < x
-    gap = lambda t: family.cgf_prime(t) - x
-    theta = _bracketed_root(gap, 0.0, lo, hi, toward_hi)
-    if theta is not None:
-        if abs(gap(theta)) > 1e-10 and not _sign_change_near(gap, theta, lo, hi):
-            raise NotAttained(f"saddle point for x={x}: cgf' - x = {gap(theta):.3e} keeps its sign within 4 floats")
-        return LegendreResult(x, theta, max(theta * x - family.cgf(theta), 0.0), attained=True)
-    # supremum at a domain boundary: classify finite limit vs divergence by
-    # tracking the objective along the geometric expansion
-    best = 0.0
-    for theta in expansion_grid(lo, hi, toward_hi):
-        val = theta * x - family.cgf(theta)
-        gain = val - best
-        if val > best:
-            best = val
-        if gain <= 1e-14 * max(1.0, abs(best)):
-            return LegendreResult(x, math.nan, max(best, 0.0), attained=False)
-    return LegendreResult(x, math.nan, math.inf, attained=False)
+    """Fenchel-Legendre transform sup_theta [theta*x - cgf(theta)], in closed form."""
+    return family._legendre_closed(x)

@@ -79,18 +79,6 @@ class TestKillKernel:
             near = expo >= -1.0
             assert np.all(np.abs(np.exp(expo[near]) - double[near]) <= 1e-15 * double[near])
 
-    def test_floor_changes_no_decision_on_a_positive_uniform(self):
-        assert math.exp(bridge.KILL_FLOOR) < 2.0**-53
-        expo = np.concatenate([np.linspace(-800.0, 0.0, 8001), [-745.2, -708.4, -40.0, -37.4, -36.7, 0.0]])
-        ulp = 2.0**-53
-        uniforms = np.unique(np.concatenate([
-            ulp * np.arange(1, 2001), np.geomspace(ulp, 1.0 - ulp, 3000), 1.0 - ulp * np.arange(1, 2001),
-        ]))
-        for u in uniforms:
-            floored = u < bridge.kill_prob(expo)
-            exact = u < np.exp(expo)
-            assert np.array_equal(floored, exact)
-
     def test_survival_factor_limits(self):
         expo = np.array([-np.inf, -800.0, -40.0, -1.0, -1e-20, -0.0, 0.0, np.nan])
         factor = bridge.survival_factor(expo)

@@ -542,12 +542,30 @@ _ORACLE_DOCS = {
          "rho": st.just(0.0) | st.floats(0.0, 0.999),
          "threshold": st.floats(0.0, 1.0) | st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 2.0))},
         optional={"ladder": st.lists(st.integers(1, 100_000), min_size=1, max_size=3, unique=True)}),
+    # the families with an oracle; a target below the mean exits 3 (a tilt below 0)
+    "cramer": st.one_of(
+        st.fixed_dictionaries({"family": st.just("bernoulli"), "p": st.floats(1e-3, 0.9), "x": st.floats(0.0, 1.0)}),
+        st.fixed_dictionaries({"family": st.just("normal"), "mean": st.floats(-2.0, 2.0), "var": st.floats(0.1, 4.0),
+                               "x": st.floats(-3.0, 3.0)}),
+    ).flatmap(lambda doc: st.fixed_dictionaries(
+        dict({key: st.just(value) for key, value in doc.items()}, n=st.integers(1, 2000)),
+        optional={"ladder": st.lists(st.integers(1, 2000), min_size=1, max_size=3, unique=True)})),
+    # a safety loading of at least 0.1 keeps each tilted walk's passage short;
+    # reserves to 3 decimals, as a ladder of subnormal reserves has no spread to fit
+    "ruin": st.fixed_dictionaries(
+        {"lam": st.floats(0.5, 1.5), "claim_rate": st.floats(0.5, 2.0), "loading": st.floats(0.1, 3.0),
+         "x": st.floats(0.0, 30.0).map(lambda v: round(v, 3))},
+        optional={"ladder": st.lists(st.floats(0.0, 30.0).map(lambda v: round(v, 3)), min_size=1, max_size=3,
+                                     unique=True)}),
 }
 
 
 def _oracle_doc(sub, doc):
-    """A config document; a credit threshold is a fixed q in (p, 1) or a schedule (a, c)."""
+    """A config document; a credit threshold is a fixed q in (p, 1) or a schedule (a, c),
+    and a ruin premium is lam / claim_rate times 1 + loading."""
     doc = dict(doc)
+    if sub == "ruin":
+        doc["premium"] = doc["lam"] / doc["claim_rate"] * (1.0 + doc.pop("loading"))
     if sub == "credit":
         threshold = doc.pop("threshold")
         if isinstance(threshold, tuple):
@@ -572,7 +590,7 @@ def test_every_oracle_run_ends_in_bounded_oracles_or_a_documented_error(sub_doc,
             warnings.simplefilter("always")
             code = cli.main([sub, "--config", path, "--oracle", "--threads", "1", "--out", out])
         if code != 0:
-            assert code in cli.EXIT_CODES.values() or code == 10
+            assert code in cli.EXIT_CODES.values()
             assert stderr.getvalue().startswith("rareflow: ") and "Traceback" not in stderr.getvalue()
             return
         with open(out) as handle:
@@ -590,7 +608,10 @@ def test_every_oracle_run_ends_in_bounded_oracles_or_a_documented_error(sub_doc,
 # Drawn once from the domain of _ORACLE_DOCS, with space log (barrier) and
 # bridge_hits (fw-bond), by a numpy generator seeded 2019, values rounded to
 # 4 digits; draws that exit 2 or print no oracle (a bond at a rate other
-# than 0) were passed over.  The seed is the draw's index.
+# than 0) were passed over.  The seed is the draw's index.  The ruin and
+# cramer draws came the same way from a generator seeded 22, a ruin premium
+# as lam / claim_rate times 1 + loading; cramer draws that exit 3 (a target
+# below the mean) were passed over.
 _FIVE_SE_DOCS = [
     ("fw-bond", {"s0": 176.2, "barrier": 306.3, "sigma": 1.402, "maturity": 2.769, "steps": 30,
                  "use_fw_drift": False, "seed": 1}),
@@ -616,23 +637,45 @@ _FIVE_SE_DOCS = [
                  "maturity": 3.867, "steps": 7, "payoff": "call", "seed": 24}),
     ("barrier", {"s0": 194.7, "strike": 46.43, "barrier": 163.7, "rate": 0.2964, "sigma": 1.754,
                  "maturity": 0.06215, "steps": 12, "payoff": "call", "ladder": [13, 15, 22], "seed": 26}),
+    ("ruin", {"premium": 1.471, "lam": 0.8663, "claim_rate": 0.7989, "x": 19.6, "ladder": [25.55], "seed": 1}),
+    ("ruin", {"premium": 0.9806, "lam": 0.7165, "claim_rate": 1.696, "x": 3.095, "ladder": [27.45], "seed": 2}),
+    ("ruin", {"premium": 1.35, "lam": 0.9128, "claim_rate": 1.772, "x": 23.92, "seed": 3}),
+    ("ruin", {"premium": 1.467, "lam": 1.225, "claim_rate": 1.129, "x": 5.574, "seed": 4}),
+    ("ruin", {"premium": 1.584, "lam": 1.121, "claim_rate": 1.239, "x": 20.56, "seed": 5}),
+    ("ruin", {"premium": 1.835, "lam": 0.9167, "claim_rate": 1.41, "x": 14.41, "ladder": [5.628, 9.251, 17.76],
+              "seed": 6}),
+    ("cramer", {"family": "normal", "mean": -1.794, "var": 2.266, "x": 0.6448, "n": 1976, "ladder": [955, 1821],
+                "seed": 1}),
+    ("cramer", {"family": "normal", "mean": -0.35, "var": 0.5279, "x": 1.228, "n": 1025, "seed": 3}),
+    ("cramer", {"family": "normal", "mean": -1.894, "var": 3.777, "x": 1.288, "n": 413, "seed": 4}),
+    ("cramer", {"family": "normal", "mean": 1.736, "var": 2.016, "x": 2.115, "n": 1445, "seed": 5}),
+    ("cramer", {"family": "normal", "mean": 0.9311, "var": 0.4669, "x": 1.274, "n": 1148, "ladder": [404, 722, 865],
+                "seed": 11}),
+    ("cramer", {"family": "bernoulli", "p": 0.4207, "x": 0.6691, "n": 708, "ladder": [1411], "seed": 12}),
 ]
+# what makes each estimator unbiased for its closed form: in log space the
+# Euler step and the bridge law are exact, and the bond counts bridge hits
+_FIVE_SE_FIXED = {"barrier": {"space": "log"}, "fw-bond": {"bridge_hits": True}}
 
 
 @pytest.mark.parametrize("sub, doc", _FIVE_SE_DOCS, ids=[f"{sub}-{doc['seed']}" for sub, doc in _FIVE_SE_DOCS])
 def test_estimate_within_five_se_of_its_oracle(tmp_path, sub, doc):
-    # in log space the Euler step and the bridge law are exact, so the
-    # corrected knock-out and the bridge-hit bond are unbiased for their
-    # closed forms; a row with no spread must equal the oracle
-    doc = dict(doc, space="log") if sub == "barrier" else dict(doc, bridge_hits=True)
+    # the corrected knock-out, the bridge-hit bond, the tilted ruin walk and
+    # the tilted empirical mean are unbiased; a row with no spread (a tail that
+    # underflows to 0, or a price with no volatility) must equal the oracle
+    doc = dict(doc, **_FIVE_SE_FIXED.get(sub, {}))
     out = tmp_path / "out.json"
     path = write_config(tmp_path, "cfg.json", dict(doc, replications=5_000))
-    assert cli.main([sub, "--config", path, "--oracle", "--threads", "1", "--out", str(out)]) == 0
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        assert cli.main([sub, "--config", path, "--oracle", "--threads", "1", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["meta"]["warnings"] == []
     prefix = "corrected_" if sub == "barrier" else ""
-    for row in report["rows"]:
-        cells = dict(zip(report["columns"], row))
+    rows = [dict(zip(report["columns"], row)) for row in report["rows"]]
+    # a decay ladder leaves out a tail that underflows to 0, with a warning
+    zero_hit = sum(float(cells["mean"]) == 0.0 for cells in rows) if sub in ("cramer", "ruin") else 0
+    assert report["meta"]["warnings"] == ([f"dropped {zero_hit} zero-hit rungs from the decay fit"] if zero_hit else [])
+    for cells in rows:
         mean, se, oracle = (float(cells[key]) for key in (prefix + "mean", prefix + "std_error", "oracle"))
         if se == 0.0:
             assert mean == pytest.approx(oracle, rel=1e-12, abs=1e-12)
@@ -708,6 +751,22 @@ def test_warnings_recorded_in_metadata(tmp_path):
     out = tmp_path / "all_hit.json"
     assert cli.main(["longterm", "--config", write_config(tmp_path, "lt.json", doc), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["meta"]["warnings"] == []
+
+
+@pytest.mark.parametrize("sub", ["ruin-invest", "ghs", "longterm"])
+def test_an_oracle_asked_of_a_subcommand_without_one_is_a_warning(tmp_path, sub):
+    doc = dict(MINIMAL[sub], replications=200)
+    path = write_config(tmp_path, "cfg.json", doc)
+    reports = []
+    for flags in ([], ["--oracle"]):
+        out = tmp_path / f"out{len(flags)}.json"
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert cli.main([sub, "--config", path, "--threads", "1", "--out", str(out), *flags]) == 0
+        reports.append(json.loads(out.read_text()))
+    plain, asked = reports
+    assert asked["meta"]["warnings"] == plain["meta"]["warnings"] + [f"{sub} has no oracle; --oracle adds no column"]
+    assert asked["columns"] == plain["columns"] and asked["rows"] == plain["rows"]
 
 
 def test_module_runs_as_a_script():

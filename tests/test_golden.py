@@ -4,10 +4,14 @@
 start with ``#``) of ``configs/<config>.json`` run with ``--oracle``.  Each
 config runs in-process at 1 and 2 threads, and its rows must match those
 bytes.  A change that moves rows on purpose rewrites the golden file in the
-same commit.  Byte identity is known to hold with the numpy version in
-``tests/golden/numpy-version.txt``.
+same commit; on a mismatch the test prints each moved cell and the z of each
+moved mean.  Byte identity is known to hold with the numpy version in
+``tests/golden/numpy-version.txt``.  The committed rows of the unbiased
+estimators with an oracle must also lie within 5 SE of it.
 """
 
+import csv
+import math
 import pathlib
 import warnings
 
@@ -42,6 +46,22 @@ def moved_cells(old: str, new: str) -> list[str]:
             if a != b]
 
 
+def moved_means_z(old: str, new: str) -> list[str]:
+    """The z of each moved mean, (new - old) / sqrt(SE_old^2 + SE_new^2), from its row's SE."""
+    old_rows, new_rows = (list(csv.DictReader(text.splitlines())) for text in (old, new))
+    if len(old_rows) != len(new_rows) or not old_rows or list(old_rows[0]) != list(new_rows[0]):
+        return []
+    lines = []
+    for r, (a, b) in enumerate(zip(old_rows, new_rows), start=1):
+        for column in a:
+            se_column = column[:-len("mean")] + "std_error"
+            if column.endswith("mean") and se_column in a and a[column] != b[column]:
+                delta = float(b[column]) - float(a[column])
+                z = delta / math.hypot(float(a[se_column]), float(b[se_column]))
+                lines.append(f"row {r}, {column}: {a[column]} -> {b[column]}, z = {z:+.2f}")
+    return lines
+
+
 def test_every_config_has_a_golden_file():
     assert CONFIGS
     assert sorted(path.stem for path in GOLDEN.glob("*.csv")) == CONFIGS
@@ -55,5 +75,20 @@ def test_data_rows_match_the_golden_file(name, threads):
     if got != expected:
         recorded = (GOLDEN / "numpy-version.txt").read_text().strip()
         moved = "\n".join(moved_cells(expected, got))
+        z_table = "\n".join(moved_means_z(expected, got))
         pytest.fail(f"{name} at {threads} threads moved (golden numpy {recorded}, "
-                    f"running {np.__version__}):\n{moved}")
+                    f"running {np.__version__}):\n{moved}\nz of each moved mean:\n{z_table}")
+
+
+# unbiased estimators whose rows carry an exact oracle; barrier rows carry
+# the Euler bias by design and stay out
+UNBIASED_WITH_ORACLE = ("cramer", "credit", "credit-ladder", "fw-bond", "ruin")
+
+
+@pytest.mark.parametrize("name", UNBIASED_WITH_ORACLE)
+def test_committed_rows_lie_within_five_se_of_their_oracle(name):
+    rows = list(csv.DictReader((GOLDEN / f"{name}.csv").read_text().splitlines()))
+    assert rows
+    for row in rows:
+        mean, se, oracle = (float(row[key]) for key in ("mean", "std_error", "oracle"))
+        assert se > 0.0 and abs(mean - oracle) < 5.0 * se, row

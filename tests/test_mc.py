@@ -162,6 +162,20 @@ class TestRunReplications:
         assert left[1] == pytest.approx(everything[1], rel=1e-12)
         assert left[2] == pytest.approx(everything[2], rel=1e-12)
 
+    def test_tiny_samples_keep_their_standard_error(self):
+        # squares of samples near 1e-250 underflow to 0: the error bar of a run
+        # must still scale with its samples, not read 0
+        values = np.random.default_rng(13).lognormal(size=3 * mc.BATCH_SIZE + 100)
+
+        def scaled(factor):
+            return lambda ss, size: values[ss.entropy[1] * mc.BATCH_SIZE:][:size] * factor
+
+        unit, tiny = (mc.run_replications(scaled(factor), values.size, seed=0) for factor in (1.0, 1e-250))
+        assert tiny.std_error > 0.0
+        assert tiny.mean == pytest.approx(unit.mean * 1e-250, rel=1e-12)
+        assert tiny.std_error == pytest.approx(unit.std_error * 1e-250, rel=1e-12)
+        assert tiny.relative_error == pytest.approx(unit.relative_error, rel=1e-12)
+
     def test_unbiasedness_harness(self):
         # |mean - oracle| <= 4 SE in at least 95 of 100 independent seeds
         p, n = 0.3, 40_000

@@ -30,13 +30,28 @@ class TestLundbergCheck:
 
     def test_a_crossing_at_the_bound_is_admitted(self, monkeypatch, draws_at_bound):
         # every walk crosses in one step, at the float just above x, where
-        # -theta_L * walk rounds to -theta_L * x: each log-weight meets its bound
+        # -theta_L * walk rounds to -theta_L * x: each log-weight meets its bound.
+        # The tilted claim is that float and every tilted interarrival is 0
         x = 3.5
-        monkeypatch.setattr(tilt.ClaimStep, "sample", lambda self, rng, size: np.full(size, np.nextafter(x, math.inf)))
+        monkeypatch.setattr(tilt.Exponential, "sample", lambda self, rng, size: np.full(size, np.nextafter(x, math.inf)))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoWaitGenerator(seed))
         model = exponential_model(1.5, 0.7, 1.1)
         res = ruin.simulate_ruin_is(model, x, 100, seed=1)
         assert draws_at_bound == [True]
         assert res.mean == pytest.approx(math.exp(-ruin.adjustment_coefficient(model).value * x), rel=1e-15)
+
+
+class NoWaitGenerator:
+    """A numpy Generator whose exponential draws are all 0."""
+
+    def __init__(self, seed):
+        self.generator = np.random.Generator(np.random.PCG64(seed))
+
+    def exponential(self, scale, size):
+        return np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
 
 
 class TestAdjustmentCoefficient:
@@ -74,16 +89,19 @@ class TestAdjustmentCoefficient:
             ruin.adjustment_coefficient(exponential_model(1.0, 2.0, 1.5))
 
     def test_tilted_walk_has_positive_drift(self):
+        # a tilted step is a claim tilted by theta_L minus the premium times an
+        # interarrival of rate lam + premium * theta_L; its mean is the slope
+        # cgf_Y'(theta_L) - premium / (lam + premium * theta_L) of the step's c.g.f.
         model = exponential_model()
         theta_l = ruin.adjustment_coefficient(model).value
-        step = model.step_family()
-        assert step.cgf_prime(theta_l) > 0.0
-        tilted = step.tilted(theta_l)
+        rate = model.lam + model.premium * theta_l
+        drift = model.claims.cgf_prime(theta_l) - model.premium / rate
+        assert drift > 0.0
         rng = np.random.default_rng(12)
-        draws = tilted.sample(rng, 1_000_000)
+        draws = model.claims.tilted(theta_l).sample(rng, 1_000_000) - model.premium * rng.exponential(1.0 / rate, 1_000_000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert draws.mean() - 4.0 * se > 0.0
-        assert draws.mean() == pytest.approx(step.cgf_prime(theta_l), abs=4.0 * se)
+        assert draws.mean() == pytest.approx(drift, abs=4.0 * se)
 
 
 class TestLundbergBound:

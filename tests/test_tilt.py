@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from rareflow import credit, longterm, ruin, tilt
 from rareflow.errors import DomainError, NotAttained
 from rareflow.ruin import Investment, RuinModel
-from rareflow.tilt import Bernoulli, ClaimStep, Exponential, Normal, Poisson
+from rareflow.tilt import Bernoulli, Exponential, Normal, Poisson
 
 from oracles import cgf_by_quadrature, legendre_by_grid
 
@@ -17,7 +17,6 @@ FAMILIES = [
     Poisson(1.7),
     Normal(0.4, 2.25),
     Exponential(1.3),
-    ClaimStep(Exponential(1.0), 2.0, 1.0),
 ]
 
 
@@ -50,8 +49,6 @@ class TestCgfEval:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             Exponential(2.0).cgf(2.0)
-        with pytest.raises(DomainError):
-            ClaimStep(Exponential(1.0), 2.0, 1.0).cgf(-0.5)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
     def test_zero_at_origin(self, family):
@@ -92,13 +89,6 @@ class TestTilt:
 
     def test_normal_mean_shift(self):
         assert Normal(0.0, 4.0).tilted(0.5) == Normal(2.0, 4.0)
-
-    def test_claimstep_tilts_both_parts(self):
-        family = ClaimStep(Exponential(1.0), 2.0, 1.0)
-        tilted = family.tilted(0.25)
-        assert tilted.claim == Exponential(0.75)
-        assert tilted.lam == 1.5  # lam + premium * theta
-        assert tilted.premium == 2.0
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
     def test_tilted_mean_matches_cgf_slope(self, family):
@@ -213,21 +203,25 @@ class TestSaddleTheta:
 
     @pytest.mark.parametrize("x", [1e4, 1e6, 1e8, 1e10, 1e12, 1e15, -1e6, -1e10, -1e15])
     def test_claim_step_saddle_near_a_pole_is_a_float_root(self, x):
-        # theta sits within 1e-4 of a pole of cgf', which moves by more than
-        # 1e-10 from one float to the next: the saddle is where it changes sign
-        family = ClaimStep(Exponential(1.0), 2.0, 1.0)
-        res = tilt.legendre(family, x)
-        assert res.attained and math.isfinite(res.rate)
-        assert tilt.saddle_theta(family, x) == res.theta_star
-        # cgf'(t) = 1/(1-t) - 2/(1+2t) = x is a quadratic in t; its root in (-1/2, 1),
-        # with 1 - t and 1 + 2t written without cancellation near each pole
+        # the claim step Y - 2 xi, Y and xi Exponential(1), has cgf'(t) =
+        # 1/(1-t) - 2/(1+2t), with poles at t = 1 and t = -1/2; its saddle for
+        # x sits within 1e-4 of one of them, where cgf' moves by more than
+        # 1e-10 from one float to the next.  The step is no longer a family,
+        # and the package's root finder solves its saddle equation
+        def f(t):
+            return 1.0 / (1.0 - t) - 2.0 / (1.0 + 2.0 * t) - x
+
+        root = tilt._bracketed_root(f, 0.0, -0.5, 1.0, toward_hi=f(0.0) < 0.0)
+        # f = 0 is a quadratic in t; its root in (-1/2, 1), with 1 - t and 1 + 2t
+        # written without cancellation near each pole
         s = math.sqrt(9.0 * x * x + 16.0)
         one_minus = 6.0 / (3.0 * x + 4.0 + s) if x > 0 else 1.0 - (x - 4.0 + s) / (4.0 * x)
         one_plus_two = 1.0 + (x - 4.0 + s) / (2.0 * x) if x > 0 else 12.0 / (s - 3.0 * x + 4.0)
         exact = 1.0 - one_minus if x > 0 else 0.5 * (one_plus_two - 1.0)
-        assert abs(res.theta_star - exact) <= 2.0 * math.ulp(exact)
-        assert res.rate == pytest.approx((x - 4.0 + s) / 4.0 + math.log(one_minus) + math.log(one_plus_two),
-                                         rel=1e-12)
+        assert abs(root - exact) <= 2.0 * math.ulp(exact)
+        # the conjugate theta x - cgf(theta), with cgf(t) = cgf_Y(t) + ln(1 / (1 + 2t))
+        rate = root * x - (Exponential(1.0).cgf(root) + math.log(1.0 / (1.0 + 2.0 * root)))
+        assert rate == pytest.approx((x - 4.0 + s) / 4.0 + math.log(one_minus) + math.log(one_plus_two), rel=1e-12)
 
 
 class TestBernoulliHelpers:
@@ -278,29 +272,6 @@ class TestBernoulliHelpers:
         p, q = 1e-300, 1.0 - 2.0**-53
         assert q * (1.0 - p) / (p * (1.0 - q)) == math.inf
         assert tilt.bernoulli_twist(p, q) == pytest.approx(self.exact_terms(p, q)[0], rel=1e-15)
-
-
-class TestClaimStep:
-    def test_cgf_composition(self):
-        family = ClaimStep(Exponential(1.0), 2.0, 1.0)
-        theta = 0.3
-        expected = Exponential(1.0).cgf(theta) + math.log(1.0 / (1.0 + 2.0 * theta))
-        assert family.cgf(theta) == pytest.approx(expected, abs=1e-15)
-
-    def test_domain_intersection(self):
-        family = ClaimStep(Exponential(1.5), 2.0, 1.0)
-        assert family.cgf_domain == (-0.5, 1.5)
-
-    def test_mean(self):
-        family = ClaimStep(Exponential(1.0), 2.0, 1.0)
-        assert family.mean == pytest.approx(1.0 - 2.0, abs=1e-15)
-
-    def test_sample_sum_matches_iterated_sampling_in_mean(self):
-        family = ClaimStep(Exponential(1.0), 2.0, 1.0)
-        rng = np.random.default_rng(7)
-        batch = family.sample_sum(rng, 5, 200_000)
-        se = batch.std(ddof=1) / math.sqrt(batch.size)
-        assert abs(batch.mean() - 5.0 * family.mean) < 4.0 * se
 
 
 def _scipy_brent(f, a, b, fa=None, fb=None):
@@ -409,9 +380,6 @@ def _package_roots():
         model = RuinModel(2.0, 1.0, claims, Investment(1.0, 1.5))
         roots[f"theta_L {claims}"] = ruin.adjustment_coefficient(model).value
         roots[f"theta* {claims}"] = ruin.invest_exponent(model).value
-    step = ClaimStep(Exponential(1.0), 2.0, 1.0)
-    for x in (-30.0, -3.0, -0.5, 0.5, 3.0, 30.0):
-        roots[f"saddle {x}"] = tilt.saddle_theta(step, x)
     for n, p, rho, q in ((20, 0.1, 0.4, 0.5), (200, 0.01, 0.3, 0.1), (2000, 0.001, 0.6, 0.05)):
         roots[f"mu_n {n}"] = credit.factor_shift(credit.PortfolioModel(p, rho, q), n)
     for b in (0.0, 0.3):
