@@ -21,13 +21,21 @@ the grid path: it is unbiased, its variance is no larger than a coin flip's,
 and it draws no kill stream.  The factor is ``-expm1(e)``, exact near a
 certain crossing and fast over the whole range of e.  The wealth sampler
 ``ruin.simulate_wealth_ruin`` weights its creeps through 0 the same way.
+
+``price_knockout_ladder`` prices a chain of grids (each step count divides
+the next larger one) in one pass that draws the finest grid's normals only.
+A grid with b fine steps per step moves by the sum of its b fine normals
+over sqrt(b), an exact standard normal, so each grid keeps its own law; this
+is the level coupling of multilevel Monte Carlo (Giles, 2008).  The finest
+grid's rows are those of ``price_knockout`` at the same seed, and
+``price_knockout`` is the one-grid case of the same sampler.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,26 +86,27 @@ class EulerModel:
         return self.maturity / self.steps
 
 
-def kill_exponent_single(gap_i, gap_next, sigma_i, eps):
+def kill_exponent_single(gap_i, gap_next, sigma_i, eps, out=None):
     """Log of the exact probability that a bridge step touches one barrier.
 
     ``gap = (U - x)^+`` is an endpoint's distance below the level U, 0 at or
     above it.  The exponent ``-2 gap_i gap_next / (sigma^2 eps)`` is 0 (a
     certain crossing) when either gap is 0, and symmetric in the endpoints.
     Gaps are taken as inputs so a pricer can carry the right-hand gap of one
-    step over as the left-hand gap of the next.
+    step over as the left-hand gap of the next; ``out`` may be ``gap_i``.
     """
-    return -2.0 * gap_i * gap_next / (sigma_i * sigma_i * eps)
+    numerator = np.multiply(np.multiply(-2.0, gap_i, out=out), gap_next, out=out)
+    return np.divide(numerator, sigma_i * sigma_i * eps, out=out)
 
 
-def survival_factor(expo):
+def survival_factor(expo, out=None):
     """Probability ``1 - exp(expo)`` that a bridge step does not cross, as ``-expm1(expo)``.
 
     Exact near a certain crossing; 1 at an exponent of -inf (a step too
     quiet to reach the barrier), and 0 at a nan exponent, the 0/0 of a
-    zero-volatility step that sits on the barrier.
+    zero-volatility step that sits on the barrier.  ``out`` may be ``expo``.
     """
-    return np.fmax(-np.expm1(expo), 0.0)
+    return np.fmax(np.negative(np.expm1(expo, out=out), out=out), 0.0, out=out)
 
 
 def _double_terms(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope, sigma_i):
@@ -138,6 +147,119 @@ def kill_exponent_double(x_i, x_next, lower_i, upper_i, lower_slope, upper_slope
     return np.minimum(-rate / eps - w, 0.0)
 
 
+def _grid_barriers(spec: BarrierSpec, model: EulerModel) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper levels at the model's grid times.
+
+    A corridor with L >= U at t = 0 or at the last grid time raises
+    ``InvalidBarrier``; affine sides that are apart at both ends are apart
+    between.
+    """
+    times = model.eps * np.arange(model.steps + 1)
+    lowers = spec.lower + spec.lower_slope * times
+    uppers = spec.upper + spec.upper_slope * times
+    if not (lowers[0] < uppers[0] and lowers[-1] < uppers[-1]):
+        raise InvalidBarrier(f"need L < U on [0, T], got L={lowers[0]}, U={uppers[0]} at t=0 "
+                             f"and L={lowers[-1]}, U={uppers[-1]} at t={times[-1]}")
+    return lowers, uppers
+
+
+def _knockout_rows(model, payoff, spec, chain, N, seed, method, threads):
+    """Knock-out rows of the grids of ``chain``, finest first, from one set of normals.
+
+    Each step count in ``chain`` divides the one before it.  The pass draws
+    the finest grid's normals; a grid with b fine steps per step is driven
+    by the sum of its b normals over sqrt(b), an exact standard normal.  A
+    grid's block sum is built from the next finer grid's block sums as they
+    complete, one add for each after the first.  The sampler keeps grid r's
+    x and survival in rows 2r and 2r + 1 of one array and overwrites them
+    with its naive and corrected rows; a step moves x in place unless the
+    dominant-action law needs both of its ends.
+    """
+    naive = method != "corrected"
+    corrected = method != "naive"
+    models = [replace(model, steps=steps) for steps in chain]
+    barriers = [_grid_barriers(spec, m) for m in models]
+    # one constant upper level: the exact law, with no branch or slope term
+    single_up = spec.lower <= NO_LOWER and spec.upper_slope == 0.0 and spec.lower_slope == 0.0
+    # fine steps per step of each grid, and the scale of its block sum of normals
+    blocks = [chain[0] // steps for steps in chain]
+    scales = [math.sqrt(m.eps) / math.sqrt(block) for m, block in zip(models, blocks)]
+    discount = math.exp(-model.rate * model.maturity)
+
+    def sampler(ss, size):
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        rows = np.empty((2 * len(chain), size))
+        xs, survivals, on_grids = list(rows[0::2]), list(rows[1::2]), []
+        for x, survival, (lowers, uppers) in zip(xs, survivals, barriers):
+            x[...] = model.x0
+            on_grids.append(np.full(size, lowers[0] < model.x0 < uppers[0]))  # naive survivors
+            survival[...] = on_grids[-1]  # corrected: P(no bridge crossing | grid path)
+        # the exact kernel carries a grid's right-hand gap over as its next
+        # left-hand gap; only the dominant-action law reads x and x_next both
+        gaps = [np.maximum(spec.upper - x, 0.0) for x in xs] if corrected and single_up else None
+        in_place = gaps is not None or not corrected
+        sums = np.empty((len(chain) - 1, size))  # block sums of the coarse grids' normals
+        # step buffers, written through out= with the operations and order of
+        # the plain expressions in the comments, so the same bits
+        fine, spare = np.empty((2, size))
+        x_next = None if in_place else np.empty(size)
+        for i in range(1, chain[0] + 1):  # i fine steps done after this one
+            # a fine normal that opens a step of the next grid goes straight into its sum
+            noise = sums[0] if len(chain) > 1 and (i - 1) % blocks[1] == 0 else fine
+            rng.standard_normal(out=noise)
+            for r, block in enumerate(blocks):
+                if r:
+                    total = sums[r - 1]
+                    if (i - blocks[r - 1]) % block:
+                        np.add(total, noise, out=total)
+                    elif r > 1:  # the first finer step of this grid's step
+                        np.copyto(total, noise)
+                    if i % block:
+                        break
+                    noise = total
+                j = i // block - 1
+                grid, x, (lowers, uppers) = models[r], xs[r], barriers[r]
+                eps = grid.eps
+                sigma_j = grid.vol(x)
+                if in_place and np.may_share_memory(sigma_j, x):
+                    sigma_j = sigma_j.copy()  # the kernel reads sigma at the left end
+                moved = x if in_place else x_next
+                # moved = x + drift(x) * eps + sigma_j * scale * noise
+                np.multiply(grid.drift(x), eps, out=spare)
+                np.add(x, spare, out=moved)
+                np.multiply(sigma_j, scales[r], out=spare)
+                np.multiply(spare, noise, out=spare)
+                np.add(moved, spare, out=moved)
+                if naive:
+                    on_grids[r] &= (moved > lowers[j + 1]) & (moved < uppers[j + 1])
+                if corrected:
+                    if single_up:
+                        # gap_next = max(U - x_next, 0); the exponent overwrites the old gap
+                        gap_next = np.maximum(np.subtract(spec.upper, moved, out=spare), 0.0, out=spare)
+                        # sigma^2 eps may underflow: the -inf (or 0/0) exponent is the limit
+                        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                            expo = kill_exponent_single(gaps[r], gap_next, sigma_j, eps, out=gaps[r])
+                        gaps[r], spare = gap_next, expo
+                    else:
+                        expo = kill_exponent_double(x, x_next, lowers[j], uppers[j],
+                                                    spec.lower_slope, spec.upper_slope, sigma_j, eps)
+                    survivals[r] *= survival_factor(expo, out=expo)
+                if not in_place:
+                    np.copyto(x, x_next)
+        # a dead path's payoff may overflow where the discount underflows to
+        # 0: its row entry is 0, not the nan of 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, survival, on_grid in zip(xs, survivals, on_grids):
+                value = discount * payoff(x)
+                if naive:
+                    x[...] = np.where(on_grid, value, 0.0)
+                if corrected:
+                    survival[...] = np.where(survival > 0.0, value * survival, 0.0)
+        return rows if method == "both" else rows[0 if naive else 1]
+
+    return mc.run_replications(sampler, N, seed, threads=threads)
+
+
 def price_knockout(
     model: EulerModel,
     payoff: Callable[[np.ndarray], np.ndarray],
@@ -154,63 +276,42 @@ def price_knockout(
     step's bridge, the product of ``survival_factor`` over the steps, so it
     draws the path noise only.  ``both`` prices the two methods from one
     pass over the same paths and returns ``(naive, corrected)``, each equal
-    to its own method's run.  A spec with one constant upper level uses the
-    exact single-barrier law; any other spec the dominant action plus its
-    slope correction.  A corridor with L >= U at t = 0 or at the last grid
-    time raises ``InvalidBarrier`` before any path is drawn, whatever the
-    method; affine sides that are apart at both ends are apart between.
+    to its own method's run; a single method computes its own row only.  A
+    spec with one constant upper level uses the exact single-barrier law;
+    any other spec the dominant action plus its slope correction.  A
+    corridor with L >= U at t = 0 or at the last grid time raises
+    ``InvalidBarrier`` before any path is drawn, whatever the method.
     """
     if method not in ("naive", "corrected", "both"):
         raise ValueError(f"unknown method {method!r}")
-    eps = model.eps
-    sqrt_eps = math.sqrt(eps)
-    n_steps = model.steps
-    times = eps * np.arange(n_steps + 1)
-    lowers = spec.lower + spec.lower_slope * times
-    uppers = spec.upper + spec.upper_slope * times
-    if not (lowers[0] < uppers[0] and lowers[-1] < uppers[-1]):
-        raise InvalidBarrier(f"need L < U on [0, T], got L={lowers[0]}, U={uppers[0]} at t=0 "
-                             f"and L={lowers[-1]}, U={uppers[-1]} at t={times[-1]}")
-    naive = method != "corrected"
-    corrected = method != "naive"
-    # one constant upper level: the exact law, with no branch or slope term
-    single_up = spec.lower <= NO_LOWER and spec.upper_slope == 0.0 and spec.lower_slope == 0.0
-    level = spec.upper
-    discount = math.exp(-model.rate * model.maturity)
+    return _knockout_rows(model, payoff, spec, [model.steps], N, seed, method, threads)
 
-    def sampler(ss, size):
-        rng = np.random.default_rng(ss.spawn(1)[0])
-        x = np.full(size, model.x0)
-        on_grid = np.full(size, lowers[0] < model.x0 < uppers[0])  # naive survivors
-        survival = on_grid.astype(float)  # corrected: P(no bridge crossing | grid path)
-        gap = np.maximum(level - x, 0.0)
-        for i in range(n_steps):
-            gauss = rng.standard_normal(size)
-            sigma_i = model.vol(x)
-            x_next = x + model.drift(x) * eps + sigma_i * sqrt_eps * gauss
-            if naive:
-                on_grid &= (x_next > lowers[i + 1]) & (x_next < uppers[i + 1])
-            if corrected:
-                if single_up:
-                    gap_next = np.maximum(level - x_next, 0.0)
-                    # sigma^2 eps may underflow: the -inf (or 0/0) exponent is the limit
-                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                        expo = kill_exponent_single(gap, gap_next, sigma_i, eps)
-                    gap = gap_next
-                else:
-                    expo = kill_exponent_double(x, x_next, lowers[i], uppers[i],
-                                                spec.lower_slope, spec.upper_slope, sigma_i, eps)
-                survival *= survival_factor(expo)
-            x = x_next
-        # a dead path's payoff may overflow where the discount underflows to
-        # 0: its row entry is 0, not the nan of 0 * inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = discount * payoff(x)
-            rows = []
-            if naive:
-                rows.append(np.where(on_grid, value, 0.0))
-            if corrected:
-                rows.append(np.where(survival > 0.0, value * survival, 0.0))
-        return np.stack(rows) if method == "both" else rows[0]
 
-    return mc.run_replications(sampler, N, seed, threads=threads)
+def price_knockout_ladder(
+    model: EulerModel,
+    payoff: Callable[[np.ndarray], np.ndarray],
+    spec: BarrierSpec,
+    rungs: Sequence[int],
+    N: int,
+    seed: int,
+    threads: int = 1,
+) -> list[tuple[EstimatorResult, EstimatorResult]]:
+    """``(naive, corrected)`` of ``price_knockout`` on several grids whose paths share their normals.
+
+    ``rungs`` are step counts that stand in for ``model.steps``, in any
+    order; sorted, each must divide the next larger one, else
+    ``ValueError``.  One pass draws the finest grid's normals only, and a
+    coarse grid's step is driven by the scaled sum of its fine normals (the
+    level coupling of multilevel Monte Carlo), so every rung keeps its exact
+    law and the finest rung's pair equals ``price_knockout`` at ``seed``.
+    Each result's standard error is right for its rung alone; differences
+    between rungs are far more precise than their combined standard error.
+    The pairs come in the order of ``rungs``.
+    """
+    order = sorted(range(len(rungs)), key=lambda r: -rungs[r])
+    chain = [rungs[r] for r in order]
+    if not chain or any(coarse >= fine or fine % coarse for fine, coarse in zip(chain, chain[1:])):
+        raise ValueError(f"rungs {list(rungs)} are not a chain: each step count must divide the next larger one")
+    rows = _knockout_rows(model, payoff, spec, chain, N, seed, "both", threads)
+    pairs = {r: rows[2 * k:2 * k + 2] for k, r in enumerate(order)}
+    return [pairs[r] for r in range(len(rungs))]

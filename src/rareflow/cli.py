@@ -491,16 +491,35 @@ def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
     if config.oracle:
         cols.append("oracle")
 
-    def one_row(steps: int, seed: int) -> list:
-        model = bridge.EulerModel(drift=drift, vol=vol, maturity=p["maturity"], steps=steps, x0=x0, rate=rate)
-        row = [steps, model.eps]
-        for res in bridge.price_knockout(model, payoff, spec, config.replications, seed, method="both", threads=threads):
-            row.extend([res.mean, res.std_error])
-        if config.oracle:
-            row.append(oracle_value)
-        return row
+    rungs = _rungs(config)
+    rows: list = [None] * len(rungs)
+    passes = []
+    for group in _path_passes(rungs):
+        steps = [rungs[i] for i in group]
+        seed = config.seed + group[0]
+        model = bridge.EulerModel(drift=drift, vol=vol, maturity=p["maturity"], steps=steps[0], x0=x0, rate=rate)
+        pairs = bridge.price_knockout_ladder(model, payoff, spec, steps, config.replications, seed, threads=threads)
+        for i, (naive, corrected) in zip(group, pairs):
+            rows[i] = [rungs[i], p["maturity"] / rungs[i], naive.mean, naive.std_error,
+                       corrected.mean, corrected.std_error] + ([oracle_value] if config.oracle else [])
+        passes.append({"steps": steps, "seed": seed})
+    return Report(meta={"path_passes": passes}, columns=cols, rows=rows)
 
-    return Report(meta={}, columns=cols, rows=mc.run_ladder(one_row, _rungs(config), config.seed))
+
+def _path_passes(rungs: list) -> list[list[int]]:
+    """Ladder indices grouped into path passes, each finest first.
+
+    Taken largest first, a rung joins the first pass whose coarsest rung
+    its step count divides, and else starts a pass of its own.
+    """
+    passes: list[list[int]] = []
+    for i in sorted(range(len(rungs)), key=lambda i: -rungs[i]):
+        group = next((g for g in passes if rungs[g[-1]] % rungs[i] == 0), None)
+        if group is None:
+            passes.append([i])
+        else:
+            group.append(i)
+    return passes
 
 
 def _run_fw_bond(config: ExperimentConfig, threads: int) -> Report:

@@ -325,33 +325,49 @@ def price_up_in_bond(
         value = hit.astype(float)  # bridge_hits: sum of S_{i-1} p_i L_i so far
         survival = 1.0 - value  # S_i: no touch through step i
         gap = np.maximum(log_barrier - log_s, 0.0)
+        # step buffers, reused through out=: the same operations in the same
+        # order as the expressions in the comments, so the same bits
+        log_next, gap_next, gauss, move, scratch = np.empty((5, size))
+        phi = np.zeros(size)  # stays 0 without the feedback drift
         for i in range(steps):
-            t = i * dt
             if use_fw_drift:
-                phi = np.where(hit | (log_s >= log_barrier), 0.0,
-                               fw_drift_bs(t, log_s, log_barrier, sigma, maturity))
-            else:
-                phi = np.zeros(size)
-            gauss = rng.standard_normal(size)
+                # hit holds log_s >= log_barrier already
+                phi = fw_drift_bs(i * dt, log_s, log_barrier, sigma, maturity)
+                np.copyto(phi, 0.0, where=hit)
+            rng.standard_normal(out=gauss)
             # left-endpoint step under the drift shift -sigma*phi, and its
-            # log-likelihood term phi dW - phi^2 dt / 2
-            log_next = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
-            log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+            # log-likelihood term phi dW - phi^2 dt / 2:
+            # log_next = log_s + (-0.5 * sigma * sigma - sigma * phi) * dt + sigma * sqrt_dt * gauss
+            np.multiply(sigma, phi, out=move)
+            np.subtract(-0.5 * sigma * sigma, move, out=move)
+            np.multiply(move, dt, out=move)
+            np.add(log_s, move, out=log_next)
+            np.multiply(sigma * sqrt_dt, gauss, out=move)
+            np.add(log_next, move, out=log_next)
+            # log_weight += phi * sqrt_dt * gauss - 0.5 * phi * phi * dt
+            np.multiply(phi, sqrt_dt, out=move)
+            np.multiply(move, gauss, out=move)
+            np.multiply(0.5, phi, out=scratch)
+            np.multiply(scratch, phi, out=scratch)
+            np.multiply(scratch, dt, out=scratch)
+            np.subtract(move, scratch, out=move)
+            np.add(log_weight, move, out=log_weight)
             hit |= log_next >= log_barrier
             if bridge_hits:
-                gap_next = np.maximum(log_barrier - log_next, 0.0)
-                expo = kill_exponent_single(gap, gap_next, sigma, dt)
+                np.subtract(log_barrier, log_next, out=gap_next)
+                np.maximum(gap_next, 0.0, out=gap_next)
+                expo = kill_exponent_single(gap, gap_next, sigma, dt, out=gap)  # gap is not read again
                 # S_{i-1} p_i L_i, dropped below exp(-700): np.exp leaves
                 # its fast path below -708.  On most steps no path is near
                 # enough to the barrier for a term to count or a factor
                 # to differ from 1, and the step skips both
-                term = expo + log_weight
+                term = np.add(expo, log_weight, out=move)
                 if term.max() > -700.0:
                     value += survival * np.where(term > -700.0, np.exp(np.maximum(term, -700.0)), 0.0)
                 if expo.max() > -40.0:  # below, -expm1 rounds to 1 exactly
-                    survival *= survival_factor(expo)
-                gap = gap_next
-            log_s = log_next
+                    survival *= survival_factor(expo, out=expo)
+                gap, gap_next = gap_next, gap
+            log_s, log_next = log_next, log_s
         return value if bridge_hits else hit * np.exp(log_weight)
 
     return mc.run_replications(sampler, N, seed, threads=threads)

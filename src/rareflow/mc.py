@@ -7,7 +7,9 @@ are merged in batch-index order.  Samplers receive the batch SeedSequence and
 may spawn independent sub-streams from it without perturbing each other.  A sampler may return k rows, k
 estimators of the same replications, and gets k results from one pass, each
 the one its row alone would give.  Every ladder of runs goes through
-``run_ladder`` and, when its rates are fitted, ``fit_ladder``.  Every
+``run_ladder`` and, when its rates are fitted, ``fit_ladder``, except the
+barrier step-count ladder: its rungs share paths, so each chain of them is
+one pass of ``bridge.price_knockout_ladder`` with a k-row sampler.  Every
 importance sampler with a per-draw bound checks it through ``check_bound``.
 """
 

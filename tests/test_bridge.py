@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,6 +344,86 @@ class TestPriceKnockout:
         payoff = lambda x: np.ones_like(x)
         est = bridge.price_knockout(model, payoff, spec, 200_000, seed=6, method="corrected")
         assert abs(est.mean - exact) < 4.0 * est.std_error
+
+
+def _block_sum_sampler(model, payoff, level, chain, steps):
+    """Rows (naive, corrected) of the ``steps`` grid of a coupled pass, written out plainly.
+
+    The finest grid, ``chain[0]`` steps, draws one normal per path and step.
+    Each grid's block sums add the next finer grid's block sums in order,
+    and the ``steps`` grid moves by its block sum over sqrt(fine steps per
+    step).  Its crossing law is the exact single-barrier one.
+    """
+    eps = model.maturity / steps
+    scale = math.sqrt(eps) / math.sqrt(chain[0] // steps)
+    discount = math.exp(-model.rate * model.maturity)
+
+    def sampler(ss, size):
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        sums = [rng.standard_normal(size) for _ in range(chain[0])]
+        for finer, coarser in zip(chain, chain[1:]):
+            if finer == steps:
+                break
+            block = finer // coarser
+            sums = [functools.reduce(np.add, sums[k * block:(k + 1) * block]) for k in range(coarser)]
+        x = np.full(size, model.x0)
+        on_grid = np.full(size, model.x0 < level)
+        survival = on_grid.astype(float)
+        for noise in sums:
+            sigma_j = model.vol(x)
+            x_next = x + model.drift(x) * eps + sigma_j * scale * noise
+            on_grid &= x_next < level
+            expo = -2.0 * np.maximum(level - x, 0.0) * np.maximum(level - x_next, 0.0) / (sigma_j * sigma_j * eps)
+            survival *= -np.expm1(expo)
+            x = x_next
+        value = discount * payoff(x)
+        return np.stack([np.where(on_grid, value, 0.0), value * survival])
+
+    return sampler
+
+
+class TestKnockoutLadder:
+    model = EulerModel(drift=lambda x: 0.05 * x, vol=lambda x: 0.3 * x, maturity=1.0, steps=24, x0=100.0, rate=0.05)
+    payoff = staticmethod(lambda x: np.maximum(x - 95.0, 0.0))
+
+    @pytest.mark.parametrize("spec", [BarrierSpec(130.0), BarrierSpec(130.0, lower=80.0),
+                                      BarrierSpec(130.0, upper_slope=-10.0, lower=70.0, lower_slope=5.0)],
+                             ids=["single", "corridor", "sloped"])
+    def test_the_finest_rung_is_the_single_grid_run(self, spec):
+        # the finest grid draws its own normals, as a run of it alone does
+        ladder = bridge.price_knockout_ladder(self.model, self.payoff, spec, [6, 24, 12], 20_000, seed=3)
+        alone = bridge.price_knockout(self.model, self.payoff, spec, 20_000, seed=3, method="both")
+        assert ladder[1] == alone
+        assert ladder[0] != ladder[1] != ladder[2]
+
+    @pytest.mark.parametrize("steps", [24, 6, 3])
+    def test_a_coarse_rung_moves_by_block_sums_of_the_fine_normals(self, steps):
+        # 24 -> 6 adds four normals a step, 6 -> 3 two block sums
+        chain = [24, 6, 3]
+        expected = mc.run_replications(_block_sum_sampler(self.model, self.payoff, 130.0, chain, steps), 3_000, 11)
+        ladder = bridge.price_knockout_ladder(self.model, self.payoff, BarrierSpec(130.0), chain, 3_000, seed=11)
+        assert ladder[chain.index(steps)] == expected
+
+    @pytest.mark.parametrize("spec", [BarrierSpec(1.5), BarrierSpec(1.5, lower=0.5)], ids=["single", "corridor"])
+    def test_a_volatility_that_returns_its_argument(self, spec):
+        # the exact kernel moves x in place, after reading sigma at the left end
+        model = EulerModel(drift=lambda x: 0.05 * x, vol=lambda x: x, maturity=1.0, steps=8, x0=1.0, rate=0.05)
+        copied = replace(model, vol=lambda x: 1.0 * x)
+        payoff = lambda x: np.maximum(x - 0.9, 0.0)
+        assert (bridge.price_knockout_ladder(model, payoff, spec, [2, 8], 5_000, seed=2)
+                == bridge.price_knockout_ladder(copied, payoff, spec, [2, 8], 5_000, seed=2))
+
+    def test_rows_do_not_depend_on_threads(self):
+        n = 2 * mc.BATCH_SIZE + 9
+        spec = BarrierSpec(130.0)
+        one, three = (bridge.price_knockout_ladder(self.model, self.payoff, spec, [3, 12, 6], n, seed=5, threads=t)
+                      for t in (1, 3))
+        assert one == three
+
+    @pytest.mark.parametrize("rungs", [[8, 12, 16], [8, 8], [16, 4, 6], []])
+    def test_rungs_that_are_not_a_chain_are_refused(self, rungs):
+        with pytest.raises(ValueError, match="chain"):
+            bridge.price_knockout_ladder(self.model, self.payoff, BarrierSpec(130.0), rungs, 1_000, seed=1)
 
 
 def _knockout_coin_flip_and_survival(model, payoff, level):

@@ -253,6 +253,24 @@ class TestRunExperiment:
         assert "naive_mean" in header and "corrected_mean" in header
         assert [row.split(",")[0] for row in rows] == ["8", "16", "32"]
 
+    def test_barrier_rungs_share_paths_along_each_chain(self, tmp_path):
+        # 16 and 8 share one pass at seed + 2, the index of 16; 12 divides
+        # neither and runs alone at seed + 1.  Each pass's finest rung prints
+        # the row of a run of that rung alone at the pass's seed
+        def run(name, doc):
+            out = tmp_path / f"{name}.json"
+            path = write_config(tmp_path, f"{name}.json.in", dict(MINIMAL["barrier"], replications=3_000, **doc))
+            assert cli.main(["barrier", "--config", path, "--threads", "1", "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        report = run("ladder", {"ladder": [8, 12, 16], "seed": 40})
+        assert report["meta"]["path_passes"] == [{"steps": [16, 8], "seed": 42}, {"steps": [12], "seed": 41}]
+        assert [row[0] for row in report["rows"]] == ["8", "12", "16"]
+        for i, steps in ((1, 12), (2, 16)):
+            alone = run(f"alone{steps}", {"steps": steps, "seed": 40 + i})
+            assert alone["meta"]["path_passes"] == [{"steps": [steps], "seed": 40 + i}]
+            assert report["rows"][i] == alone["rows"][0]
+
     def test_invalid_domain_nonzero_exit_no_partial_output(self, tmp_path, capsys):
         doc = dict(MINIMAL["longterm"], theta=1.2)
         path = write_config(tmp_path, "longterm.json", doc)
