@@ -22,13 +22,14 @@ and it draws no kill stream.  The factor is ``-expm1(e)``, exact near a
 certain crossing and fast over the whole range of e.  The wealth sampler
 ``ruin.simulate_wealth_ruin`` weights its creeps through 0 the same way.
 
-``price_knockout_ladder`` prices a chain of grids (each step count divides
-the next larger one) in one pass that draws the finest grid's normals only.
-A grid with b fine steps per step moves by the sum of its b fine normals
-over sqrt(b), an exact standard normal, so each grid keeps its own law; this
-is the level coupling of multilevel Monte Carlo (Giles, 2008).  The finest
-grid's rows are those of ``price_knockout`` at the same seed, and
-``price_knockout`` is the one-grid case of the same sampler.
+``price_knockout_ladder`` is the knock-out pricer.  It prices a chain of
+grids (each step count divides the next larger one) in one pass that draws
+the finest grid's normals only, and gives each grid's naive and corrected
+rows from the same paths; a single grid is a one-rung ladder.  A grid with
+b fine steps per step moves by the sum of its b fine normals over sqrt(b),
+an exact standard normal, so each grid keeps its own law; this is the level
+coupling of multilevel Monte Carlo (Giles, 2008).  The finest grid's rows
+are those of its one-rung ladder at the same seed.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class BarrierSpec:
 
     A missing side keeps its sentinel level (``NO_LOWER``, or ``NO_UPPER``
     for no barrier at all), so the corridor code serves every spec;
-    ``price_knockout`` spots a constant upper level with no lower one and
-    runs the exact kernel instead.
+    ``price_knockout_ladder`` spots a constant upper level with no lower one
+    and runs the exact kernel instead.
     """
 
     upper: float
@@ -163,20 +164,42 @@ def _grid_barriers(spec: BarrierSpec, model: EulerModel) -> tuple[np.ndarray, np
     return lowers, uppers
 
 
-def _knockout_rows(model, payoff, spec, chain, N, seed, method, threads):
-    """Knock-out rows of the grids of ``chain``, finest first, from one set of normals.
+def price_knockout_ladder(
+    model: EulerModel,
+    payoff: Callable[[np.ndarray], np.ndarray],
+    spec: BarrierSpec,
+    rungs: Sequence[int],
+    N: int,
+    seed: int,
+    threads: int = 1,
+) -> list[tuple[EstimatorResult, EstimatorResult]]:
+    """``(naive, corrected)`` knock-out prices E[exp(-rT) g(X_T) 1{alive}] on grids that share their normals.
 
-    Each step count in ``chain`` divides the one before it.  The pass draws
-    the finest grid's normals; a grid with b fine steps per step is driven
-    by the sum of its b normals over sqrt(b), an exact standard normal.  A
-    grid's block sum is built from the next finer grid's block sums as they
-    complete, one add for each after the first.  The sampler keeps grid r's
-    x and survival in rows 2r and 2r + 1 of one array and overwrites them
-    with its naive and corrected rows; a step moves x in place unless the
-    dominant-action law needs both of its ends.
+    ``naive`` kills a path only when a grid value leaves the corridor.
+    ``corrected`` weights each path by its probability of surviving every
+    step's bridge, the product of ``survival_factor`` over the steps, so it
+    draws the path noise only.  Both rows come from one pass over the same
+    paths.  A spec with one constant upper level uses the exact
+    single-barrier law; any other spec the dominant action plus its slope
+    correction.  A corridor with L >= U at t = 0 or at the last grid time
+    raises ``InvalidBarrier`` before any path is drawn.
+
+    ``rungs`` are step counts that stand in for ``model.steps``, in any
+    order; sorted, each must be at least 2 and divide the next larger one,
+    else ``ValueError``.  One grid is the one-rung ladder ``[model.steps]``.
+    One pass draws the finest grid's normals only, and a coarse grid's step
+    is driven by the scaled sum of its fine normals (the level coupling of
+    multilevel Monte Carlo), so every rung keeps its exact law and the
+    finest rung's pair is that of the one-rung ladder at ``seed``.  Each
+    result's standard error is right for its rung alone; differences
+    between rungs are far more precise than their combined standard error.
+    The pairs come in the order of ``rungs``.
     """
-    naive = method != "corrected"
-    corrected = method != "naive"
+    order = sorted(range(len(rungs)), key=lambda r: -rungs[r])
+    chain = [rungs[r] for r in order]
+    if not chain or chain[-1] < 2 or any(coarse >= fine or fine % coarse for fine, coarse in zip(chain, chain[1:])):
+        raise ValueError(f"rungs {list(rungs)} are not a chain: each step count must be at least 2 "
+                         "and divide the next larger one")
     models = [replace(model, steps=steps) for steps in chain]
     barriers = [_grid_barriers(spec, m) for m in models]
     # one constant upper level: the exact law, with no branch or slope term
@@ -187,6 +210,10 @@ def _knockout_rows(model, payoff, spec, chain, N, seed, method, threads):
     discount = math.exp(-model.rate * model.maturity)
 
     def sampler(ss, size):
+        # grid k's x and survival sit in rows 2k and 2k + 1 of one array,
+        # finest grid first, and turn into its naive and corrected rows; a
+        # grid's block sum of normals is built from the next finer grid's
+        # block sums as they complete, one add for each after the first
         rng = np.random.default_rng(ss.spawn(1)[0])
         rows = np.empty((2 * len(chain), size))
         xs, survivals, on_grids = list(rows[0::2]), list(rows[1::2]), []
@@ -195,9 +222,10 @@ def _knockout_rows(model, payoff, spec, chain, N, seed, method, threads):
             on_grids.append(np.full(size, lowers[0] < model.x0 < uppers[0]))  # naive survivors
             survival[...] = on_grids[-1]  # corrected: P(no bridge crossing | grid path)
         # the exact kernel carries a grid's right-hand gap over as its next
-        # left-hand gap; only the dominant-action law reads x and x_next both
-        gaps = [np.maximum(spec.upper - x, 0.0) for x in xs] if corrected and single_up else None
-        in_place = gaps is not None or not corrected
+        # left-hand gap and moves x in place; the dominant-action law reads
+        # x and x_next both
+        in_place = single_up
+        gaps = [np.maximum(spec.upper - x, 0.0) for x in xs] if single_up else None
         sums = np.empty((len(chain) - 1, size))  # block sums of the coarse grids' normals
         # step buffers, written through out= with the operations and order of
         # the plain expressions in the comments, so the same bits
@@ -230,20 +258,18 @@ def _knockout_rows(model, payoff, spec, chain, N, seed, method, threads):
                 np.multiply(sigma_j, scales[r], out=spare)
                 np.multiply(spare, noise, out=spare)
                 np.add(moved, spare, out=moved)
-                if naive:
-                    on_grids[r] &= (moved > lowers[j + 1]) & (moved < uppers[j + 1])
-                if corrected:
-                    if single_up:
-                        # gap_next = max(U - x_next, 0); the exponent overwrites the old gap
-                        gap_next = np.maximum(np.subtract(spec.upper, moved, out=spare), 0.0, out=spare)
-                        # sigma^2 eps may underflow: the -inf (or 0/0) exponent is the limit
-                        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                            expo = kill_exponent_single(gaps[r], gap_next, sigma_j, eps, out=gaps[r])
-                        gaps[r], spare = gap_next, expo
-                    else:
-                        expo = kill_exponent_double(x, x_next, lowers[j], uppers[j],
-                                                    spec.lower_slope, spec.upper_slope, sigma_j, eps)
-                    survivals[r] *= survival_factor(expo, out=expo)
+                on_grids[r] &= (moved > lowers[j + 1]) & (moved < uppers[j + 1])
+                if single_up:
+                    # gap_next = max(U - x_next, 0); the exponent overwrites the old gap
+                    gap_next = np.maximum(np.subtract(spec.upper, moved, out=spare), 0.0, out=spare)
+                    # sigma^2 eps may underflow: the -inf (or 0/0) exponent is the limit
+                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                        expo = kill_exponent_single(gaps[r], gap_next, sigma_j, eps, out=gaps[r])
+                    gaps[r], spare = gap_next, expo
+                else:
+                    expo = kill_exponent_double(x, x_next, lowers[j], uppers[j],
+                                                spec.lower_slope, spec.upper_slope, sigma_j, eps)
+                survivals[r] *= survival_factor(expo, out=expo)
                 if not in_place:
                     np.copyto(x, x_next)
         # a dead path's payoff may overflow where the discount underflows to
@@ -251,67 +277,10 @@ def _knockout_rows(model, payoff, spec, chain, N, seed, method, threads):
         with np.errstate(over="ignore", invalid="ignore"):
             for x, survival, on_grid in zip(xs, survivals, on_grids):
                 value = discount * payoff(x)
-                if naive:
-                    x[...] = np.where(on_grid, value, 0.0)
-                if corrected:
-                    survival[...] = np.where(survival > 0.0, value * survival, 0.0)
-        return rows if method == "both" else rows[0 if naive else 1]
+                x[...] = np.where(on_grid, value, 0.0)
+                survival[...] = np.where(survival > 0.0, value * survival, 0.0)
+        return rows
 
-    return mc.run_replications(sampler, N, seed, threads=threads)
-
-
-def price_knockout(
-    model: EulerModel,
-    payoff: Callable[[np.ndarray], np.ndarray],
-    spec: BarrierSpec,
-    N: int,
-    seed: int,
-    method: str = "corrected",
-    threads: int = 1,
-) -> EstimatorResult | tuple[EstimatorResult, EstimatorResult]:
-    """Discounted knock-out expectation E[exp(-rT) g(X_T) 1{alive}].
-
-    ``naive`` kills a path only when a grid value leaves the corridor.
-    ``corrected`` weights each path by its probability of surviving every
-    step's bridge, the product of ``survival_factor`` over the steps, so it
-    draws the path noise only.  ``both`` prices the two methods from one
-    pass over the same paths and returns ``(naive, corrected)``, each equal
-    to its own method's run; a single method computes its own row only.  A
-    spec with one constant upper level uses the exact single-barrier law;
-    any other spec the dominant action plus its slope correction.  A
-    corridor with L >= U at t = 0 or at the last grid time raises
-    ``InvalidBarrier`` before any path is drawn, whatever the method.
-    """
-    if method not in ("naive", "corrected", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    return _knockout_rows(model, payoff, spec, [model.steps], N, seed, method, threads)
-
-
-def price_knockout_ladder(
-    model: EulerModel,
-    payoff: Callable[[np.ndarray], np.ndarray],
-    spec: BarrierSpec,
-    rungs: Sequence[int],
-    N: int,
-    seed: int,
-    threads: int = 1,
-) -> list[tuple[EstimatorResult, EstimatorResult]]:
-    """``(naive, corrected)`` of ``price_knockout`` on several grids whose paths share their normals.
-
-    ``rungs`` are step counts that stand in for ``model.steps``, in any
-    order; sorted, each must divide the next larger one, else
-    ``ValueError``.  One pass draws the finest grid's normals only, and a
-    coarse grid's step is driven by the scaled sum of its fine normals (the
-    level coupling of multilevel Monte Carlo), so every rung keeps its exact
-    law and the finest rung's pair equals ``price_knockout`` at ``seed``.
-    Each result's standard error is right for its rung alone; differences
-    between rungs are far more precise than their combined standard error.
-    The pairs come in the order of ``rungs``.
-    """
-    order = sorted(range(len(rungs)), key=lambda r: -rungs[r])
-    chain = [rungs[r] for r in order]
-    if not chain or any(coarse >= fine or fine % coarse for fine, coarse in zip(chain, chain[1:])):
-        raise ValueError(f"rungs {list(rungs)} are not a chain: each step count must divide the next larger one")
-    rows = _knockout_rows(model, payoff, spec, chain, N, seed, "both", threads)
+    rows = mc.run_replications(sampler, N, seed, threads=threads)
     pairs = {r: rows[2 * k:2 * k + 2] for k, r in enumerate(order)}
     return [pairs[r] for r in range(len(rungs))]

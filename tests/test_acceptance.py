@@ -168,7 +168,7 @@ def test_criterion_6_bridge():
         )
         payoff = lambda x: np.maximum(np.exp(x) - strike, 0.0)
         spec = bridge.BarrierSpec(math.log(level))
-        est = bridge.price_knockout(model, payoff, spec, 1_000_000, seed=601, method="corrected")
+        est = bridge.price_knockout_ladder(model, payoff, spec, [256], 1_000_000, seed=601)[0][1]
         assert abs(est.mean - exact_price) < 4.0 * est.std_error
 
         # 3) bias orders on a price-space diffusion (state-dependent vol, so
@@ -183,8 +183,8 @@ def test_criterion_6_bridge():
         naive_pts, corr_pts = [], []
         for steps in ladder:
             emodel = bridge.EulerModel(steps=steps, **gbm)
-            naive = bridge.price_knockout(emodel, payoff, spec, 400_000, seed=610 + steps, method="naive")
-            corr = bridge.price_knockout(emodel, payoff, spec, corrected_n[steps], seed=650 + steps, method="corrected")
+            naive = bridge.price_knockout_ladder(emodel, payoff, spec, [steps], 400_000, seed=610 + steps)[0][0]
+            corr = bridge.price_knockout_ladder(emodel, payoff, spec, [steps], corrected_n[steps], seed=650 + steps)[0][1]
             eps_log = math.log(emodel.eps)
             naive_pts.append((eps_log, math.log(abs(naive.mean - exact_price))))
             corr_pts.append((eps_log, math.log(abs(corr.mean - exact_price))))

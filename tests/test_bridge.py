@@ -119,7 +119,7 @@ class TestKillKernel:
 
         expected = mc.run_replications(dominant_action_sampler, 20_000, seed=9)
         spec = BarrierSpec(level, lower=lower)
-        got = bridge.price_knockout(model, payoff, spec, 20_000, seed=9)
+        got = bridge.price_knockout_ladder(model, payoff, spec, [model.steps], 20_000, seed=9)[0][1]
         assert got == expected
 
 
@@ -215,7 +215,7 @@ class TestPriceKnockout:
                            maturity=1.0, steps=16, x0=100.0, rate=0.02)
         payoff = lambda x: np.maximum(x - 95.0, 0.0)
         spec = BarrierSpec(bridge.NO_UPPER)
-        vanilla, corrected = bridge.price_knockout(model, payoff, spec, 40_000, seed=3, method="both")
+        vanilla, corrected = bridge.price_knockout_ladder(model, payoff, spec, [model.steps], 40_000, seed=3)[0]
         assert vanilla == corrected
 
     def test_corrected_below_naive_for_nonnegative_payoff(self):
@@ -224,7 +224,7 @@ class TestPriceKnockout:
                            maturity=1.0, steps=32, x0=100.0, rate=0.0)
         payoff = lambda x: np.maximum(x - 90.0, 0.0)
         spec = BarrierSpec(120.0)
-        naive, corrected = bridge.price_knockout(model, payoff, spec, 100_000, seed=4, method="both")
+        naive, corrected = bridge.price_knockout_ladder(model, payoff, spec, [model.steps], 100_000, seed=4)[0]
         joint = math.hypot(naive.std_error, corrected.std_error)
         assert corrected.mean < naive.mean + 2.0 * joint
 
@@ -240,34 +240,24 @@ class TestPriceKnockout:
         )
         payoff = lambda x: np.maximum(np.exp(x) - strike, 0.0)
         spec = BarrierSpec(math.log(barrier_level))
-        naive, est = bridge.price_knockout(model, payoff, spec, 200_000, seed=5, method="both")
+        naive, est = bridge.price_knockout_ladder(model, payoff, spec, [model.steps], 200_000, seed=5)[0]
         assert abs(est.mean - exact) < 4.0 * est.std_error
         # the naive estimator misses within-step crossings and over-prices
         assert naive.mean - exact > 6.0 * naive.std_error
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("spec", [BarrierSpec(130.0), BarrierSpec(130.0, lower=80.0)], ids=["single", "corridor"])
-    def test_both_is_the_two_single_method_runs(self, spec, threads):
-        # one path pass, two rows: each equals its own method's run bit for bit
-        model = EulerModel(drift=lambda x: 0.05 * x, vol=lambda x: 0.3 * x,
-                           maturity=1.0, steps=12, x0=100.0, rate=0.05)
-        payoff = lambda x: np.maximum(x - 95.0, 0.0)
-        n = 2 * mc.BATCH_SIZE + 9
-        both = bridge.price_knockout(model, payoff, spec, n, seed=8, method="both", threads=threads)
-        naive = bridge.price_knockout(model, payoff, spec, n, seed=8, method="naive", threads=threads)
-        corrected = bridge.price_knockout(model, payoff, spec, n, seed=8, method="corrected", threads=threads)
-        assert both == (naive, corrected)
-
-    @pytest.mark.parametrize("method", ["naive", "corrected", "both"])
+    @pytest.mark.parametrize("method", [pytest.param(0, id="naive"), pytest.param(1, id="corrected"),
+                                        pytest.param(slice(None), id="both")])
     @pytest.mark.parametrize("spec", [BarrierSpec(0.5, lower=1.0),
                                       BarrierSpec(0.5, upper_slope=-1.0, lower=-0.2, lower_slope=0.5)],
                              ids=["inverted", "crossing"])
     def test_inverted_corridor_raises_for_every_method(self, spec, method):
-        # L >= U at t = 0, or only at t = T: no method prices it
+        # L >= U at t = 0, or only at t = T: no row is priced, whichever
+        # of the naive row, the corrected row or the pair a caller takes
         model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.ones_like(x),
                            maturity=1.0, steps=4, x0=0.0, rate=0.0)
         with pytest.raises(InvalidBarrier):
-            bridge.price_knockout(model, lambda x: np.ones_like(x), spec, 1_000, seed=1, method=method)
+            bridge.price_knockout_ladder(model, lambda x: np.ones_like(x), spec, [model.steps], 1_000,
+                                         seed=1)[0][method]
 
     @pytest.mark.parametrize("level, price", [(0.6, 0.0), (2.0, 1.0)], ids=["crosses", "stays-below"])
     def test_zero_volatility_takes_the_limits_quietly(self, level, price):
@@ -275,8 +265,8 @@ class TestPriceKnockout:
         # crossing) and 0/0 where the step ends on or past it (a crossing)
         model = EulerModel(drift=lambda x: np.ones_like(x), vol=lambda x: np.zeros_like(x),
                            maturity=1.0, steps=4, x0=0.0, rate=0.0)
-        naive, corrected = bridge.price_knockout(model, lambda x: np.ones_like(x), BarrierSpec(level),
-                                                 1_000, seed=1, method="both")
+        naive, corrected = bridge.price_knockout_ladder(model, lambda x: np.ones_like(x), BarrierSpec(level),
+                                                        [model.steps], 1_000, seed=1)[0]
         assert naive.mean == corrected.mean == price
         assert corrected.std_error == 0.0
 
@@ -286,7 +276,8 @@ class TestPriceKnockout:
         # certain crossing)
         model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.full_like(x, 1e-170),
                            maturity=1.0, steps=4, x0=0.0, rate=0.0)
-        res = bridge.price_knockout(model, lambda x: np.ones_like(x), BarrierSpec(1.0, lower=-1.0), 1_000, seed=1)
+        res = bridge.price_knockout_ladder(model, lambda x: np.ones_like(x), BarrierSpec(1.0, lower=-1.0),
+                                           [model.steps], 1_000, seed=1)[0][1]
         assert res.mean == 1.0
         assert len(recwarn) == 0
 
@@ -331,7 +322,7 @@ class TestPriceKnockout:
             return payoff(x) * survival
 
         expected = mc.run_replications(corridor_sampler, 20_000, seed=6)
-        assert bridge.price_knockout(model, payoff, spec, 20_000, seed=6) == expected
+        assert bridge.price_knockout_ladder(model, payoff, spec, [model.steps], 20_000, seed=6)[0][1] == expected
 
     def test_sloped_barrier_corrected_unbiased(self):
         # linear barrier + constant vol: exp(-I/eps - w) is the exact bridge
@@ -342,7 +333,7 @@ class TestPriceKnockout:
         model = EulerModel(drift=lambda x: 0.0 * x, vol=lambda x: np.ones_like(x),
                            maturity=1.0, steps=8, x0=0.0, rate=0.0)
         payoff = lambda x: np.ones_like(x)
-        est = bridge.price_knockout(model, payoff, spec, 200_000, seed=6, method="corrected")
+        est = bridge.price_knockout_ladder(model, payoff, spec, [model.steps], 200_000, seed=6)[0][1]
         assert abs(est.mean - exact) < 4.0 * est.std_error
 
 
@@ -392,7 +383,7 @@ class TestKnockoutLadder:
     def test_the_finest_rung_is_the_single_grid_run(self, spec):
         # the finest grid draws its own normals, as a run of it alone does
         ladder = bridge.price_knockout_ladder(self.model, self.payoff, spec, [6, 24, 12], 20_000, seed=3)
-        alone = bridge.price_knockout(self.model, self.payoff, spec, 20_000, seed=3, method="both")
+        alone = bridge.price_knockout_ladder(self.model, self.payoff, spec, [24], 20_000, seed=3)[0]
         assert ladder[1] == alone
         assert ladder[0] != ladder[1] != ladder[2]
 
@@ -420,7 +411,7 @@ class TestKnockoutLadder:
                       for t in (1, 3))
         assert one == three
 
-    @pytest.mark.parametrize("rungs", [[8, 12, 16], [8, 8], [16, 4, 6], []])
+    @pytest.mark.parametrize("rungs", [[8, 12, 16], [8, 8], [16, 4, 6], [], [0, 4]])
     def test_rungs_that_are_not_a_chain_are_refused(self, rungs):
         with pytest.raises(ValueError, match="chain"):
             bridge.price_knockout_ladder(self.model, self.payoff, BarrierSpec(130.0), rungs, 1_000, seed=1)
@@ -473,7 +464,7 @@ def test_survival_weight_agrees_with_the_coin_flip_on_the_committed_ladder():
                            maturity=doc["maturity"], steps=steps, x0=doc["s0"], rate=rate)
         coin, weighted, diff = mc.run_replications(
             _knockout_coin_flip_and_survival(model, payoff, doc["barrier"]), 100_000, doc["seed"] + i)
-        assert weighted == bridge.price_knockout(model, payoff, BarrierSpec(doc["barrier"]), 100_000,
-                                                 doc["seed"] + i, method="corrected")
+        assert weighted == bridge.price_knockout_ladder(model, payoff, BarrierSpec(doc["barrier"]), [steps],
+                                                        100_000, doc["seed"] + i)[0][1]
         assert abs(diff.mean) < 4.0 * diff.std_error
         assert weighted.std_error <= coin.std_error
