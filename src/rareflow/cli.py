@@ -68,19 +68,19 @@ class FieldSpec:
     required: bool = False
     default: object = None
     choices: tuple | None = None
-    check: object = None  # (value, params) -> error string or None
+    check: object = None  # value -> error string or None
 
 
 def _positive(name):
-    return lambda v, _p: None if v > 0 else f"{name} must be positive, got {v}"
+    return lambda v: None if v > 0 else f"{name} must be positive, got {v}"
 
 
 def _at_least(low, name):
-    return lambda v, _p: None if v >= low else f"{name} must be at least {low}, got {v}"
+    return lambda v: None if v >= low else f"{name} must be at least {low}, got {v}"
 
 
 def _probability(name):
-    return lambda v, _p: None if 0.0 < v < 1.0 else f"{name} must lie in (0,1), got {v}"
+    return lambda v: None if 0.0 < v < 1.0 else f"{name} must lie in (0,1), got {v}"
 
 
 _COMMON = {
@@ -152,12 +152,12 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "n": FieldSpec(int, required=True, check=_positive("n")),
         "p": FieldSpec(float, required=True, check=_probability("p")),
         "rho": FieldSpec(float, required=True,
-                         check=lambda v, _p: None if 0.0 <= v < 1.0 else f"rho must lie in [0,1), got {v}"),
+                         check=lambda v: None if 0.0 <= v < 1.0 else f"rho must lie in [0,1), got {v}"),
         "q": FieldSpec(float, default=None),
         "schedule_a": FieldSpec(float, default=None),
         "schedule_c": FieldSpec(float, default=0.5, check=_positive("schedule_c")),
         "shift": FieldSpec((str, float), default="mu_n",
-                           check=lambda v, _p: None if isinstance(v, float) or v in ("mu_n", "z_n")
+                           check=lambda v: None if isinstance(v, float) or v in ("mu_n", "z_n")
                            else f"shift must be a number, 'mu_n' or 'z_n', got {v!r}"),
     },
     "longterm": {
@@ -229,7 +229,7 @@ def _field_value(raw: dict, name: str, spec: FieldSpec, errors: list) -> object:
     """The coerced and checked value of one field, or its default when absent."""
     value = _coerce(raw[name], spec, name, errors) if name in raw else spec.default
     if value is not None and spec.check is not None:
-        problem = spec.check(value, raw)
+        problem = spec.check(value)
         if problem:
             errors.append(problem)
     return value
@@ -691,7 +691,7 @@ def main(argv=None) -> int:
         for flag, name in (("seed", "seed"), ("n", "replications")):
             value = getattr(args, flag)
             if value is not None:
-                problem = _COMMON[name].check(value, None)
+                problem = _COMMON[name].check(value)
                 if problem:
                     raise ParseError(f"--{flag}: {problem}")
                 setattr(config, name, value)

@@ -59,7 +59,7 @@ def _sum_threshold(problem: EmpiricalMeanProblem) -> float:
 
 def is_tail(
     problem: EmpiricalMeanProblem,
-    theta: float | None = None,
+    theta: float,
     N: int = 10_000,
     seed: int = 0,
     threads: int = 1,
@@ -68,20 +68,21 @@ def is_tail(
 
     Samples S_n under the tilted law and averages
     ``exp(-theta*S_n + n*cgf(theta)) * 1{S_n >= n*x}``; unbiased for every
-    admissible theta.  The default tilt is the saddle point, the
-    variance-optimal choice; theta = 0 is plain Monte Carlo.  Each hit's
+    admissible theta.  The saddle point ``tilt.saddle_theta(family, x)`` is
+    the variance-optimal tilt; theta = 0 is plain Monte Carlo.  Each hit's
     log-weight is at most -theta*k + n*cgf(theta) at the event's sum
     threshold k (the Chebyshev bound), checked per draw by
     ``mc.check_bound``; a draw exactly at k meets it.
     """
-    if theta is None:
-        theta = tilt.saddle_theta(problem.family, problem.x)
     if theta < 0.0:
         raise DomainError(f"tilt parameter must be >= 0, got {theta}")
     family, n = problem.family, problem.n
     threshold = _sum_threshold(problem)
-    log_norm = n * family.cgf(theta)
-    tilted = family.tilted(theta)
+    try:
+        log_norm = n * family.cgf(theta)
+        tilted = family.tilted(theta)
+    except (OverflowError, ValueError):  # e^theta overflows, or a tilted Bernoulli p rounds to 1
+        raise DomainError(f"theta={theta} tilts {family!r} beyond the float range") from None
     log_bound = -theta * threshold + log_norm
 
     def sampler(ss, size):
@@ -101,17 +102,15 @@ def verify_rate(
     ladder: Sequence[int],
     N: int,
     seed: int,
-    theta: float | None = None,
+    theta: float,
     threads: int = 1,
 ) -> DecayFit:
     """Fit ln P[S_n/n >= x] against n; the slope estimates -legendre(x).rate.
 
-    Each rung is estimated by importance sampling at the saddle tilt, which
-    does not depend on n, or at the supplied theta.  Zero-hit rungs are
-    dropped from the fit with a warning.
+    Each rung is estimated by importance sampling at the one tilt theta,
+    which does not depend on n; at the saddle point the fit certifies
+    optimality.  Zero-hit rungs are dropped from the fit with a warning.
     """
-    if theta is None:
-        theta = tilt.saddle_theta(family, x)
     results = mc.run_ladder(lambda n, s: is_tail(EmpiricalMeanProblem(family, int(n), x), theta, N, s, threads=threads),
                             ladder, seed)
     return mc.fit_ladder(ladder, results)
@@ -140,20 +139,17 @@ def bernoulli_is_second_moment(n: int, p: float, x: float, theta: float) -> floa
     return float(np.exp(logsumexp(log_terms)))
 
 
-def bernoulli_optimality_ladders(
-    p: float, x: float, ladder: Sequence[int], theta: float | None = None
-) -> tuple[DecayFit, DecayFit]:
-    """Exact (second-moment, probability) decay fits over an n-ladder.
+def bernoulli_optimality_ladders(p: float, x: float, ladder: Sequence[int]) -> tuple[DecayFit, DecayFit]:
+    """Exact (second-moment, probability) decay fits over an n-ladder at the saddle tilt.
 
     Both ladders come from lattice enumeration, no sampling involved, so the
     optimality gap they certify is deterministic.
     """
-    family = tilt.Bernoulli(p)
-    use_theta = tilt.saddle_theta(family, x) if theta is None else theta
+    theta = tilt.saddle_theta(tilt.Bernoulli(p), x)
     m2_points = []
     p_points = []
     for n in ladder:
-        m2 = bernoulli_is_second_moment(int(n), p, x, use_theta)
+        m2 = bernoulli_is_second_moment(int(n), p, x, theta)
         prob = oracles.binomial_tail(int(n), p, int(lattice_threshold(int(n), x)))
         m2_points.append((float(n), math.log(m2)))
         p_points.append((float(n), math.log(prob)))

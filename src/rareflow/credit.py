@@ -145,7 +145,7 @@ def factor_shift(model: PortfolioModel, n: int) -> float:
 
     if g(0.0) <= 0.0:
         raise NoRoot("F_n'(0) <= 0: threshold not rare enough for a factor shift")
-    mu = tilt._bracketed_root(g, 0.0, -math.inf, z_n)
+    mu = tilt._bracketed_root(g, 0.0, z_n)
     if mu is None:
         raise NoRoot(f"F_n'(mu) - mu keeps its sign on [0, z_n={z_n:.4g}]")
     return mu

@@ -209,7 +209,7 @@ def dual_to_value(dual: DualSolution, x: float) -> tuple[float, float]:
     if x <= dual.lam_prime(0.0):
         return 0.0, 0.0
     try:
-        theta_x = tilt._bracketed_root(lambda theta: dual.lam_prime(theta) - x, 0.0, -math.inf, dual.theta_bar)
+        theta_x = tilt._bracketed_root(lambda theta: dual.lam_prime(theta) - x, 0.0, dual.theta_bar)
     except OutOfDomain:
         theta_x = None
     if theta_x is None:
@@ -228,16 +228,15 @@ def mc_outperformance(
     seed: int,
     policy_index: int = 1,
     euler_step: float = 1e-2,
-    constant_policy: float | None = None,
     threads: int = 1,
 ) -> DecayFit:
     """Fit ln P[X_T / T >= x] against T under a nearly optimal feedback policy.
 
     The policy is alpha(theta(x + 1/policy_index), y) from the dual solution
     (the theorem's nearly-optimal sequence; larger indices track the optimum
-    more closely), or a fixed ``constant_policy``.  Either way alpha = p y + q
-    is affine in the factor, so along it the growth drift is a quadratic
-    c2 y^2 + c1 y + c0 and the volatility a line v1 y + v0.
+    more closely).  It is affine in the factor, alpha = p y + q, so along it
+    the growth drift is a quadratic c2 y^2 + c1 y + c0 and the volatility a
+    line v1 y + v0.
 
     The factor moves by its exact Ornstein-Uhlenbeck transition on the grid
     of ``euler_step``.  The growth is the left-endpoint Euler sum, but it is
@@ -253,16 +252,13 @@ def mc_outperformance(
     prefactor), so treat this as a property check.
     """
     dual = solve_dual(model)
-    if constant_policy is None:
-        target = x + 1.0 / policy_index
-        lam0_slope = dual.lam_prime(0.0)
-        if x <= lam0_slope:
-            target = lam0_slope + 1.0 / policy_index
-        _, theta_pol = dual_to_value(dual, target)
-        q = feedback_policy(model, theta_pol, 0.0)
-        p = feedback_policy(model, theta_pol, 1.0) - q
-    else:
-        p, q = 0.0, constant_policy
+    target = x + 1.0 / policy_index
+    lam0_slope = dual.lam_prime(0.0)
+    if x <= lam0_slope:
+        target = lam0_slope + 1.0 / policy_index
+    _, theta_pol = dual_to_value(dual, target)
+    q = feedback_policy(model, theta_pol, 0.0)
+    p = feedback_policy(model, theta_pol, 1.0) - q
     c2 = -0.5 * p * p + model.beta2 * p
     c1 = -p * q + model.beta2 * q + model.beta3 + model.beta4 * p
     c0 = -0.5 * q * q + model.beta4 * q

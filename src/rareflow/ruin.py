@@ -75,7 +75,7 @@ def _solve_exponent(model: RuinModel, offset: float) -> ExponentSolution:
     Equivalently h(theta) = cgf_Y(theta) - ln(1 + premium*theta/lam + offset)
     = 0, a convex-vs-concave crossing with a unique positive root for
     light-tailed claims.  The root is bracketed just past the trivial root
-    at 0, along ``tilt.expansion_grid`` toward the claim-domain edge.
+    at 0, along ``tilt.expansion_grid`` up toward the claim domain's upper edge.
     """
     if model.safety_loading <= 0.0:
         raise NetProfitViolated(
@@ -85,7 +85,7 @@ def _solve_exponent(model: RuinModel, offset: float) -> ExponentSolution:
     def h(theta):
         return _gamma_shifted(model, theta) - model.premium * theta / model.lam - offset
 
-    theta = tilt._bracketed_root(h, 1e-12, *model.claims.cgf_domain)
+    theta = tilt._bracketed_root(h, 1e-12, model.claims.cgf_domain[1])
     if theta is None:
         raise NoRoot(f"no positive solution at offset {offset:.6g}; claims may be too heavy")
     return ExponentSolution(value=theta, residual=h(theta))
@@ -102,12 +102,14 @@ def invest_exponent(model: RuinModel) -> ExponentSolution:
 
     Solves gamma_Y(theta) = premium*theta/lam + b^2/(2 sigma^2 lam); the
     offset term is what constant optimal investment buys, so theta* > theta_L
-    whenever b != 0.
+    whenever b != 0.  Where 2 sigma^2 lam underflows to 0 the offset takes
+    its limit: 0 at b = 0, and inf otherwise, which has no root.
     """
     if model.invest is None:
         raise ValueError("model has no investment parameters")
     b, sigma = model.invest.b, model.invest.sigma
-    offset = b * b / (2.0 * sigma * sigma * model.lam)
+    denominator = 2.0 * sigma * sigma * model.lam
+    offset = b * b / denominator if denominator > 0.0 else (math.inf if b != 0.0 else 0.0)
     return _solve_exponent(model, offset)
 
 

@@ -177,7 +177,10 @@ class Poisson(TiltableFamily):
         return rng.poisson(self.lam, size).astype(float)
 
     def sample_sum(self, rng, n, size):
-        return rng.poisson(n * self.lam, size).astype(float)
+        try:
+            return rng.poisson(n * self.lam, size).astype(float)
+        except ValueError:  # numpy draws no Poisson mean above about 9.2e18
+            raise DomainError(f"a Poisson sum of mean {n * self.lam} is too large to draw") from None
 
     def _legendre_closed(self, x):
         if x < 0.0:
@@ -274,30 +277,28 @@ class Exponential(TiltableFamily):
         return LegendreResult(x, theta, max(rate, 0.0), attained=True)
 
 
-def expansion_grid(lo: float, hi: float, toward_hi: bool):
-    """Geometric probe sequence from 0 toward one open domain endpoint.
+def expansion_grid(hi: float):
+    """Geometric probe sequence from 0 up toward the open domain endpoint hi > 0.
 
-    The domain contains 0, so hi > 0 and lo < 0.  Finite endpoints are
-    approached by halving the remaining gap down to a pad, then halving the
-    pad until the next point would round to the endpoint; infinite ones by
-    doubling.
+    A finite endpoint is approached by halving the remaining gap down to a
+    pad, then halving the pad until the next point would round to the
+    endpoint; an infinite one by doubling.
     """
-    endpoint = hi if toward_hi else lo
-    if math.isinf(endpoint):
-        step = 1e-3 if toward_hi else -1e-3
-        while abs(step) < 1e30:
+    if math.isinf(hi):
+        step = 1e-3
+        while step < 1e30:
             yield step
             step *= 2.0
     else:
-        pad = BOUNDARY_PAD * max(1.0, abs(endpoint))
+        pad = BOUNDARY_PAD * max(1.0, hi)
         frac = 0.5
-        while abs(endpoint) * frac > pad:
-            yield endpoint * (1.0 - frac)
+        while hi * frac > pad:
+            yield hi * (1.0 - frac)
             frac *= 0.5
-        yield endpoint - math.copysign(pad, endpoint)
-        while endpoint - math.copysign(pad * 0.5, endpoint) != endpoint:
+        yield hi - pad
+        while hi - pad * 0.5 != hi:
             pad *= 0.5
-            yield endpoint - math.copysign(pad, endpoint)
+            yield hi - pad
 
 
 def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float | None:
@@ -364,23 +365,22 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float | None:
     return None
 
 
-def _bracketed_root(f, start: float, lo: float, hi: float, toward_hi: bool = True) -> float | None:
-    """Root of ``f`` at the first sign change along ``expansion_grid``.
+def _bracketed_root(f, start: float, hi: float) -> float | None:
+    """Root of ``f`` at the first sign change on the probe from ``start`` up toward ``hi``.
 
-    The probe runs from ``start`` through ``expansion_grid(lo, hi,
-    toward_hi)``; the last point on start's side and the first one past it
-    bracket the root, which ``_brent`` refines to a few ulp.  Returns None
-    when f keeps its sign up to the last probe point, when it returns nan
-    at a probe point or Brent iterate, or when Brent's method does not
-    converge.
+    The probe runs from ``start`` through ``expansion_grid(hi)``; the last
+    point on start's side and the first one past it bracket the root, which
+    ``_brent`` refines to a few ulp.  Returns None when f keeps its sign up
+    to the last probe point, when it returns nan at a probe point or Brent
+    iterate, or when Brent's method does not converge.
     """
     a, fa = float(start), float(f(start))
     if fa == 0.0:
         return a
-    for b in expansion_grid(lo, hi, toward_hi):
+    for b in expansion_grid(hi):
         fb = float(f(b))
         if fb == 0.0 or (fb > 0.0) != (fa > 0.0):
-            return _brent(f, a, b, fa, fb) if a < b else _brent(f, b, a, fb, fa)
+            return _brent(f, a, b, fa, fb)
         a, fa = b, fb
     return None
 

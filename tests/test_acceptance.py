@@ -19,7 +19,6 @@ from oracles import (
     binomial_tail_sum,
     credit_tail_gh,
     credit_tail_windowed_quad,
-    drifted_bm_max_crossing,
     hjb_residual,
     up_out_call_reflection_quad,
 )

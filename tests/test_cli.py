@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rareflow import cli, cramer, credit, mc, ruin, tilt
 from rareflow.cli import ExperimentConfig, parse_config, run_experiment
-from rareflow.errors import BoundViolated, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError
+from rareflow.errors import BoundViolated, DomainError, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError
 
 
 def write_config(tmp_path, name, doc):
@@ -183,6 +183,16 @@ class TestBadInput:
         ("longterm", {"a": 0.1, "a0": 0.1, "b": 0.05, "b0": 0.05, "x": 0.2, "ladder": [5.0, 10.0, 20.0]},
          OutOfDualDomain),
         ("longterm", {"b": 0.3, "theta": 0.95}, OutOfDomain),
+        # sigma^2 underflows to 0: b^2 / (2 sigma^2 lam) divided by zero
+        ("ruin-invest", {"sigma": 1e-170}, NoRoot),
+        # a tilt beyond the float range: the tilted p rounds to 1, which
+        # Bernoulli rejects, or e^theta overflows in the c.g.f.
+        ("cramer", {"p": 0.3, "theta": 38.0}, DomainError),
+        ("cramer", {"p": 0.3, "theta": 710.0}, DomainError),
+        ("cramer", {"family": "poisson", "lam": 1.0, "x": 2.0, "theta": 800.0}, DomainError),
+        # numpy draws no Poisson mean this large
+        ("cramer", {"family": "poisson", "lam": 1.0, "x": 2.0, "theta": 700.0}, DomainError),
+        ("cramer", {"family": "poisson", "lam": 1e18, "x": 2e18}, DomainError),
     ])
     def test_solver_failure_exit_code_without_traceback(self, tmp_path, capsys, sub, doc, error):
         path = write_config(tmp_path, f"{sub}.json", dict(MINIMAL[sub], replications=2_000, **doc))
@@ -475,7 +485,8 @@ def test_committed_config_runs(tmp_path, config_path):
 
 @pytest.mark.parametrize("sub, doc, library_fit", [
     ("cramer", dict(MINIMAL["cramer"], ladder=[10, 20, 40]),
-     lambda N, seed: cramer.verify_rate(tilt.Bernoulli(0.25), 0.5, [10, 20, 40], N, seed)),
+     lambda N, seed: cramer.verify_rate(tilt.Bernoulli(0.25), 0.5, [10, 20, 40], N, seed,
+                                        theta=tilt.saddle_theta(tilt.Bernoulli(0.25), 0.5))),
     ("ruin", dict(MINIMAL["ruin"], ladder=[2.0, 4.0, 8.0]),
      lambda N, seed: ruin.ruin_decay_fit(ruin.RuinModel(2.0, 1.0, tilt.Exponential(1.0)), [2.0, 4.0, 8.0], N, seed)),
     ("credit", dict(MINIMAL["credit"], ladder=[20, 40, 80]),

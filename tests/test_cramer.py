@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rareflow import cramer, mc, tilt
+from rareflow import cramer, mc, oracles, tilt
 from rareflow.cramer import EmpiricalMeanProblem
 from rareflow.errors import DomainError
 from rareflow.tilt import Bernoulli, Exponential, Normal, Poisson
@@ -130,13 +130,15 @@ class TestEnumerationUnbiasedness:
 
 class TestVerifyRate:
     def test_bernoulli_rate(self):
-        fit = cramer.verify_rate(Bernoulli(0.25), 0.5, [25, 50, 100, 200], 40_000, seed=2)
+        fit = cramer.verify_rate(Bernoulli(0.25), 0.5, [25, 50, 100, 200], 40_000, seed=2,
+                                 theta=tilt.saddle_theta(Bernoulli(0.25), 0.5))
         target = -tilt.legendre(Bernoulli(0.25), 0.5).rate
         assert target == pytest.approx(-0.14384103622589042, abs=1e-12)
         assert fit.slope == pytest.approx(target, rel=0.15)
 
     def test_normal_rate(self):
-        fit = cramer.verify_rate(Normal(0.0, 1.0), 1.0, [10, 20, 40, 80], 40_000, seed=4)
+        fit = cramer.verify_rate(Normal(0.0, 1.0), 1.0, [10, 20, 40, 80], 40_000, seed=4,
+                                 theta=tilt.saddle_theta(Normal(0.0, 1.0), 1.0))
         assert fit.slope == pytest.approx(-0.5, rel=0.10)
 
     def test_flat_at_the_mean(self):
@@ -148,7 +150,8 @@ class TestChebyshevCheck:
     def test_a_draw_at_the_threshold_is_admitted(self, draws_at_bound):
         # n*x = 3 is a lattice site: a sum of exactly 3 has a log-weight
         # equal to its bound, to the bit
-        res = cramer.is_tail(EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.3), N=20_000, seed=2)
+        problem = EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.3)
+        res = cramer.is_tail(problem, tilt.saddle_theta(problem.family, problem.x), N=20_000, seed=2)
         assert draws_at_bound == [True, True]
         assert abs(res.mean - binomial_tail_sum(10, 0.25, 3)) < 4.0 * res.std_error
 
@@ -156,7 +159,7 @@ class TestChebyshevCheck:
         # n*x = 3 + 1e-10 rounds down to the lattice site 3, which the bound
         # must then admit
         problem = EmpiricalMeanProblem(Bernoulli(0.25), 10, 0.3 + 1e-11)
-        res = cramer.is_tail(problem, N=20_000, seed=2)
+        res = cramer.is_tail(problem, tilt.saddle_theta(problem.family, problem.x), N=20_000, seed=2)
         exact = binomial_tail_sum(10, 0.25, 3)
         assert abs(res.mean - exact) < 4.0 * res.std_error
 
@@ -170,8 +173,12 @@ class TestOptimalityCertificate:
 
     def test_suboptimal_tilt_has_larger_gap(self):
         theta_opt = tilt.saddle_theta(Bernoulli(0.25), 0.5)
-        m2_o, p_o = cramer.bernoulli_optimality_ladders(0.25, 0.5, [25, 50, 100, 200])
-        m2_s, p_s = cramer.bernoulli_optimality_ladders(0.25, 0.5, [25, 50, 100, 200], theta=0.5 * theta_opt)
+        ladder = [25, 50, 100, 200]
+        m2_o, p_o = cramer.bernoulli_optimality_ladders(0.25, 0.5, ladder)
+        m2_s = mc.fit_decay([(float(n), math.log(cramer.bernoulli_is_second_moment(n, 0.25, 0.5, 0.5 * theta_opt)))
+                             for n in ladder])
+        p_s = mc.fit_decay([(float(n), math.log(oracles.binomial_tail(n, 0.25, int(cramer.lattice_threshold(n, 0.5)))))
+                            for n in ladder])
         gap_opt = abs(mc.optimality_gap(m2_o, p_o))
         gap_sub = abs(mc.optimality_gap(m2_s, p_s))
         assert gap_sub > 4.0 * gap_opt

@@ -362,49 +362,42 @@ class TestMcOutperformance:
         assert fit.slope == pytest.approx(-0.02, rel=0.20)
 
     def test_suboptimal_policy_decays_faster(self):
+        # policy_index 2 holds the position for the target x + 1/2, far past
+        # the x + 1/50 of the nearly optimal policy
         model = bs_model(0.2)
         tuned = longterm.mc_outperformance(model, 0.08, [25.0, 50.0, 100.0], 400_000, seed=6,
                                            policy_index=50, euler_step=0.5)
-        halved = longterm.mc_outperformance(model, 0.08, [25.0, 50.0, 100.0], 400_000, seed=6,
-                                            policy_index=50, euler_step=0.5, constant_policy=0.2)
-        assert halved.slope < tuned.slope - 0.01
+        coarse = longterm.mc_outperformance(model, 0.08, [25.0, 50.0, 100.0], 400_000, seed=6,
+                                            policy_index=2, euler_step=0.5)
+        assert coarse.slope < tuned.slope - 0.01
 
-    @pytest.mark.parametrize("constant_policy", [None, 0.6])
-    def test_bs_rungs_match_closed_form(self, constant_policy):
+    def test_bs_rungs_match_closed_form(self):
         # with constant coefficients X_T ~ N(c0 T, q^2 T) under alpha = q,
         # c0 = -q^2/2 + 0.2 q; the feedback policy at target t holds the
         # Black-Scholes position q = sqrt(2 t)
         x, n_paths, policy_index = 0.18, 400_000, 50
-        q = math.sqrt(2.0 * (x + 1.0 / policy_index)) if constant_policy is None else constant_policy
+        q = math.sqrt(2.0 * (x + 1.0 / policy_index))
         c0 = -0.5 * q * q + 0.2 * q
         fit = longterm.mc_outperformance(bs_model(0.2), x, [25.0, 50.0, 100.0], n_paths, seed=31,
-                                         policy_index=policy_index, euler_step=0.5,
-                                         constant_policy=constant_policy)
+                                         policy_index=policy_index, euler_step=0.5)
         assert [h for h, _ in fit.points] == [25.0, 50.0, 100.0]
         for horizon, log_prob in fit.points:
             exact = 0.5 * math.erfc((x - c0) * math.sqrt(horizon) / q / math.sqrt(2.0))
             se = math.sqrt(exact * (1.0 - exact) / n_paths)
             assert abs(math.exp(log_prob) - exact) <= 4.0 * se, horizon
 
-    @pytest.mark.parametrize("constant_policy", [None, 0.3])
-    def test_factor_model_matches_two_normal_euler_loop(self, constant_policy):
+    def test_factor_model_matches_two_normal_euler_loop(self):
         # b != 0: the growth drift and vol depend on the factor, so the
         # conditional law is checked against a plain Euler loop that draws
         # both the W and the B normal at every step
         model = LqModel.from_market(MarketSpec(a0=0.0, b0=0.0, a=0.2, b=0.3, sigma=1.0), 1.0)
         x, ladder, n_paths, step, policy_index = 0.15, [5.0, 10.0, 20.0], 100_000, 0.25, 10
         fit = longterm.mc_outperformance(model, x, ladder, n_paths, seed=11,
-                                         policy_index=policy_index, euler_step=step,
-                                         constant_policy=constant_policy)
-        if constant_policy is None:
-            _, theta = longterm.dual_to_value(longterm.solve_dual(model), x + 1.0 / policy_index)
+                                         policy_index=policy_index, euler_step=step)
+        _, theta = longterm.dual_to_value(longterm.solve_dual(model), x + 1.0 / policy_index)
 
-            def policy(ys):
-                return longterm.feedback_policy(model, theta, ys)
-        else:
-
-            def policy(ys):
-                return np.full(ys.shape, constant_policy)
+        def policy(ys):
+            return longterm.feedback_policy(model, theta, ys)
 
         assert [h for h, _ in fit.points] == ladder
         for rung, (horizon, log_prob) in enumerate(fit.points):

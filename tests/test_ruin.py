@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rareflow import cli, mc, ruin, tilt
-from rareflow.errors import MaxStepsExceeded, NetProfitViolated
+from rareflow.errors import MaxStepsExceeded, NetProfitViolated, NoRoot
 from rareflow.ruin import Investment, RuinModel
 from rareflow.tilt import Exponential
 
@@ -222,6 +222,16 @@ class TestInvestment:
         model = exponential_model(invest=Investment(1.0, 1.0))
         frac = ruin.optimal_fraction(model)
         assert frac == pytest.approx(1.0 / 0.640388, rel=1e-5)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-170, 1e-300])
+    def test_vanishing_volatility_takes_the_offset_limit(self, sigma):
+        # below about sigma = 1e-161, 2 sigma^2 lam underflows to 0: the
+        # offset is then 0 at b = 0 and inf at b != 0, as at sigma = 1e-160
+        flat = exponential_model(invest=Investment(0.0, sigma))
+        assert ruin.invest_exponent(flat).value == ruin.adjustment_coefficient(flat).value
+        assert ruin.optimal_fraction(flat) == 0.0
+        with pytest.raises(NoRoot):
+            ruin.invest_exponent(exponential_model(invest=Investment(1.0, sigma)))
 
     def test_fraction_decreases_with_volatility(self):
         lo = ruin.optimal_fraction(exponential_model(invest=Investment(1.0, 1.0)))

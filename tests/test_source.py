@@ -57,6 +57,54 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
+DEPLOYMENT_OPTIONS = {"threads"}
+
+
+def _options(module, tree):
+    # (callee name, parameter, call-site position or None, where) for each
+    # parameter with a default; a method's call sites skip self, and a
+    # class's __init__ is called by the class name
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = isinstance(owner, ast.ClassDef) and "staticmethod" not in set().union(
+                *map(_names, node.decorator_list))
+            name = owner.name if method and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            for index in range(len(positional) - len(node.args.defaults), len(positional)):
+                yield name, positional[index].arg, index - method, f"{module}.{name}"
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None, f"{module}.{name}"
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _sets(call, parameter, position):
+    # a *args or **kwargs call sets every parameter
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (None, parameter) for kw in call.keywords)
+            or (position is not None and position < len(call.args)))
+
+
+def test_every_keyword_option_is_set():
+    # an option earns its place by a caller that sets it, in the package or
+    # in the acceptance suite; a default that every run takes is the code,
+    # and a second path that only unit tests reach is dead weight
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    acceptance = ast.parse((PACKAGE.parent.parent / "tests" / "test_acceptance.py").read_text())
+    calls = [node for tree in [*trees.values(), acceptance] for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    options = [option for module, tree in trees.items() for option in _options(module, tree)]
+    unset = [f"{where}({parameter})" for name, parameter, position, where in options
+             if parameter not in DEPLOYMENT_OPTIONS
+             and not any(_callee(call) == name and _sets(call, parameter, position) for call in calls)]
+    assert len(options) > 20
+    assert unset == []
+
+
 def _imported_modules(node):
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
@@ -68,6 +116,25 @@ def _imported_modules(node):
 def _imports_of(tree, module):
     return [node for node in ast.walk(tree)
             if any(name == module or name.startswith(module + ".") for name in _imported_modules(node))]
+
+
+def _unused_imports(path):
+    # a line marked noqa, like the package's re-exports, is exempt
+    text = path.read_text()
+    tree = ast.parse(text, filename=str(path))
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.parent.name}/{path.name}:{node.lineno} {alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__" and "# noqa" not in lines[node.lineno - 1]
+            for alias in node.names if (alias.asname or alias.name.split(".")[0]) not in used]
+
+
+def test_no_unused_imports():
+    # a removal must take the imports only it needed along with it
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parent.parent / "tests").glob("*.py"))
+    assert len(paths) > 20
+    assert [found for path in paths for found in _unused_imports(path)] == []
 
 
 def _package_imports(module):

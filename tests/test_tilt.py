@@ -207,11 +207,15 @@ class TestSaddleTheta:
         # 1/(1-t) - 2/(1+2t), with poles at t = 1 and t = -1/2; its saddle for
         # x sits within 1e-4 of one of them, where cgf' moves by more than
         # 1e-10 from one float to the next.  The step is no longer a family,
-        # and the package's root finder solves its saddle equation
+        # and the package's root finder solves its saddle equation; it probes
+        # upward only, so a saddle below 0 is the mirrored equation's root
         def f(t):
             return 1.0 / (1.0 - t) - 2.0 / (1.0 + 2.0 * t) - x
 
-        root = tilt._bracketed_root(f, 0.0, -0.5, 1.0, toward_hi=f(0.0) < 0.0)
+        if x > 0:
+            root = tilt._bracketed_root(f, 0.0, 1.0)
+        else:
+            root = -tilt._bracketed_root(lambda u: -f(-u), 0.0, 0.5)
         # f = 0 is a quadratic in t; its root in (-1/2, 1), with 1 - t and 1 + 2t
         # written without cancellation near each pole
         s = math.sqrt(9.0 * x * x + 16.0)
@@ -326,10 +330,10 @@ class TestBrent:
             def f(t):
                 return 1.0 / (hi - t) - 1.0 / hi - target
 
-            ours = tilt._bracketed_root(f, 0.0, -math.inf, hi)
+            ours = tilt._bracketed_root(f, 0.0, hi)
             with monkeypatch.context() as patch:
                 patch.setattr(tilt, "_brent", _scipy_brent)
-                expected = tilt._bracketed_root(f, 0.0, -math.inf, hi)
+                expected = tilt._bracketed_root(f, 0.0, hi)
             assert expected is not None
             assert _bits(ours) == _bits(expected), (hi, target)
 
@@ -339,25 +343,25 @@ class TestBrent:
 
         assert _scipy_brent(f, -1.0, 2.0) is None
         assert tilt._brent(f, -1.0, 2.0, f(-1.0), f(2.0)) is None
-        assert tilt._bracketed_root(f, 0.0, -1.0, 1.0) is None
+        assert tilt._bracketed_root(f, 0.0, 1.0) is None
 
     def test_nan_at_a_probe_point_returns_none(self, monkeypatch):
         # the first probe toward 1 is 0.5, where f is nan
         def f(t):
             return math.nan if abs(t - 0.5) < 0.01 else t - 0.5
 
-        assert tilt._bracketed_root(f, 0.0, -math.inf, 1.0) is None
+        assert tilt._bracketed_root(f, 0.0, 1.0) is None
         monkeypatch.setattr(tilt, "_brent", _scipy_brent)
-        assert tilt._bracketed_root(f, 0.0, -math.inf, 1.0) is None
+        assert tilt._bracketed_root(f, 0.0, 1.0) is None
 
     def test_nan_at_an_iterate_returns_none(self, monkeypatch):
         # the bracket [0, 0.5] is clean; the secant step lands in the nan window
         def f(t):
             return math.nan if abs(t - 0.3) < 1e-3 else t - 0.3
 
-        assert tilt._bracketed_root(f, 0.0, -math.inf, 1.0) is None
+        assert tilt._bracketed_root(f, 0.0, 1.0) is None
         monkeypatch.setattr(tilt, "_brent", _scipy_brent)
-        assert tilt._bracketed_root(f, 0.0, -math.inf, 1.0) is None
+        assert tilt._bracketed_root(f, 0.0, 1.0) is None
 
     def test_no_convergence_in_100_iterations_returns_none(self):
         # bisection would need about 660 halvings to reach the jump
