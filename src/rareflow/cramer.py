@@ -80,6 +80,8 @@ def is_tail(
     threshold = _sum_threshold(problem)
     try:
         log_norm = n * family.cgf(theta)
+        if not math.isfinite(log_norm):  # a Normal c.g.f. overflows to inf without raising
+            raise OverflowError
         tilted = family.tilted(theta)
     except (OverflowError, ValueError):  # e^theta overflows, or a tilted Bernoulli p rounds to 1
         raise DomainError(f"theta={theta} tilts {family!r} beyond the float range") from None

@@ -11,11 +11,23 @@ the one its row alone would give.  Every ladder of runs goes through
 barrier step-count ladder: its rungs share paths, so each chain of them is
 one pass of ``bridge.price_knockout_ladder`` with a k-row sampler.  Every
 importance sampler with a per-draw bound checks it through ``check_bound``.
+
+Threads: the engine keeps one pool of worker threads per requested thread
+count for the life of the process (a forked child starts with none).  A
+parallel run gives each of up to ``threads`` workers one task that pulls
+batch indices from a shared counter until none are left, so no schedule
+changes a bit of the result.  A failing batch stops the handing out of new
+indices; the batches already handed out finish, and the error of the
+lowest failing batch index is raised, as a serial run would raise it.  A
+sampler that calls the engine from inside a worker runs that call serially.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,6 +44,34 @@ BATCH_SIZE = 1 << 14
 LOG_ZERO = -math.inf
 
 Sampler = Callable[[np.random.SeedSequence, int], np.ndarray]
+
+# thread count -> the engine's pool of that many workers, made on first use
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+_worker = threading.local()  # .active is set in every engine worker thread
+
+
+def _forget_pools() -> None:
+    """Give a forked child no pools: the parent's workers do not survive a fork."""
+    global _pools, _pools_lock
+    _pools, _pools_lock = {}, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The engine's pool of ``threads`` workers, kept for the life of the process."""
+    with _pools_lock:
+        pool = _pools.get(threads)
+        if pool is None:
+            pool = _pools[threads] = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix="rareflow-mc", initializer=_mark_worker)
+        return pool
 
 
 @dataclass(frozen=True)
@@ -147,8 +187,9 @@ def run_replications(
     random numbers).  A 1-D sampler gives one ``EstimatorResult``; a
     ``(k, size)`` one a tuple of k, each bit-identical to a run of a sampler
     returning that row alone.  The result is bit-identical for fixed
-    ``(sampler, n, seed)`` whatever ``threads`` is.  A batch holding a NaN or
-    inf sample raises ``NonFiniteInput`` naming the batch index.
+    ``(sampler, n, seed)`` whatever ``threads`` is, and so is the error of a
+    run that fails: that of its lowest failing batch.  A batch holding a NaN
+    or inf sample raises ``NonFiniteInput`` naming the batch index.
     """
     if n < 2:
         raise ValueError("need at least 2 replications")
@@ -177,11 +218,30 @@ def run_replications(
             per_row.append(stats)
         return values.ndim, per_row
 
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_batch = list(pool.map(one_batch, batches))
+    per_batch = [None] * len(batches)
+    errors = {}  # batch index -> the exception its batch raised
+    indices = itertools.count()
+
+    def work():
+        # take no new index once a batch has failed; every lower index was
+        # handed out before it, so the lowest failing batch is always seen
+        while not errors:
+            i = next(indices)
+            if i >= len(batches):
+                return
+            try:
+                per_batch[i] = one_batch(batches[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    if threads > 1 and len(batches) > 1 and not getattr(_worker, "active", False):
+        pool = _pool(threads)
+        for task in [pool.submit(work) for _ in range(min(threads, len(batches)))]:
+            task.result()
     else:
-        per_batch = [one_batch(b) for b in batches]
+        work()
+    if errors:
+        raise errors[min(errors)]
 
     layout = {(ndim, len(per_row)) for ndim, per_row in per_batch}
     if len(layout) > 1:

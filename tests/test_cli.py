@@ -193,6 +193,8 @@ class TestBadInput:
         # numpy draws no Poisson mean this large
         ("cramer", {"family": "poisson", "lam": 1.0, "x": 2.0, "theta": 700.0}, DomainError),
         ("cramer", {"family": "poisson", "lam": 1e18, "x": 2e18}, DomainError),
+        # the Normal c.g.f. overflows to inf without raising
+        ("cramer", {"family": "normal", "n": 10, "x": 1.0, "theta": 1e160}, DomainError),
     ])
     def test_solver_failure_exit_code_without_traceback(self, tmp_path, capsys, sub, doc, error):
         path = write_config(tmp_path, f"{sub}.json", dict(MINIMAL[sub], replications=2_000, **doc))

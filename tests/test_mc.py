@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -126,6 +132,93 @@ class TestRunReplications:
 
         with pytest.raises(NonFiniteInput, match="batch 0"):
             mc.run_replications(sampler, 100, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_lowest_failing_batch_raises_at_every_thread_count(self, threads):
+        # on 2 and 3 threads batch 1 fails late, after batch 3 has failed on another worker
+        def sampler(ss, size):
+            values = np.ones(size)
+            if ss.entropy[1] == 1:
+                time.sleep(0.05)
+            if ss.entropy[1] in (1, 3):
+                values[0] = math.nan
+            return values
+
+        with pytest.raises(NonFiniteInput, match="batch 1"):
+            mc.run_replications(sampler, 5 * mc.BATCH_SIZE, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_sampler_error_raises_at_every_thread_count(self, threads):
+        def sampler(ss, size):
+            if ss.entropy[1] == 2:
+                raise BoundViolated("batch 2")
+            return np.ones(size)
+
+        with pytest.raises(BoundViolated, match="batch 2"):
+            mc.run_replications(sampler, 5 * mc.BATCH_SIZE, seed=0, threads=threads)
+
+    def test_every_batch_runs_once_under_contention(self):
+        # more workers than cores and a short switch interval: a batch index
+        # handed out twice, or never, would show in the list of batches run
+        seen = []
+
+        def sampler(ss, size):
+            seen.append(int(ss.entropy[1]))
+            return np.random.default_rng(ss).random(size)
+
+        n = 40 * mc.BATCH_SIZE + 3
+        serial = mc.run_replications(sampler, n, seed=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                seen.clear()
+                assert mc.run_replications(sampler, n, seed=2, threads=8) == serial
+                assert sorted(seen) == list(range(41))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sampler_may_call_the_engine_from_a_worker(self):
+        # an inner parallel run from inside a pool worker runs serially there,
+        # so the pool never waits on itself
+        def nested(ss, size):
+            inner = mc.run_replications(bernoulli_indicator(0.3), 2 * mc.BATCH_SIZE + 5,
+                                        seed=int(ss.entropy[1]), threads=2)
+            return np.random.default_rng(ss).random(size) + inner.mean
+
+        results = {}
+
+        def run():
+            for threads in (1, 2):
+                results[threads] = mc.run_replications(nested, 3 * mc.BATCH_SIZE, seed=5, threads=threads)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results[1] == results[2]
+
+    def test_forked_child_runs_in_parallel(self):
+        # the parent's workers do not survive a fork: the child makes its own pool
+        n = 3 * mc.BATCH_SIZE
+        expected = mc.run_replications(bernoulli_indicator(0.3), n, seed=8, threads=2)
+        with warnings.catch_warnings():  # fork of a process with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                status = 0 if mc.run_replications(bernoulli_indicator(0.3), n, seed=8, threads=2) == expected else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
     def test_log_mean_sentinel_for_zero_hits(self):
         res = mc.run_replications(constant_sampler(0.0), 100, seed=0)

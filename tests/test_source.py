@@ -37,6 +37,23 @@ def test_every_public_function_is_reached():
     assert unreached == []
 
 
+def _calls(names, node, where):
+    # where each call of one of ``names`` is made: module, class and function
+    for child in ast.iter_child_nodes(node):
+        inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+        if isinstance(child, ast.Call) and names & _names(child.func):
+            yield inner
+        yield from _calls(names, child, inner)
+
+
+def test_threads_come_from_the_engine_pool_only():
+    # the engine keeps its worker threads for the life of the process; a pool
+    # made and joined on every call pays for threads it throws away
+    made = [where for path in sorted(PACKAGE.glob("*.py"))
+            for where in _calls({"ThreadPoolExecutor", "Thread"}, ast.parse(path.read_text()), path.stem)]
+    assert made == ["mc._pool"]
+
+
 def _is_dataclass(node):
     return isinstance(node, ast.ClassDef) and any(
         "dataclass" in _names(decorator) for decorator in node.decorator_list)
