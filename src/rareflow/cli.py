@@ -542,7 +542,7 @@ def _run_ghs(config: ExperimentConfig, threads: int) -> Report:
     payoff = isdrift.asian_call_payoff(p["steps"], p["s0"], p["strike"], p["sigma"], p["maturity"])
     start = np.full(p["steps"], p["start_shift"])
     drift = isdrift.ghs_drift(payoff, start, tol=p["tol"], max_iter=p["max_iter"])
-    res_is = isdrift.mu_is_estimator(payoff, drift.mu, config.replications, config.seed, threads=threads)
+    res_is = isdrift.stratified_mu_is_estimator(payoff, drift.mu, config.replications, config.seed, threads=threads)
     res_naive = isdrift.mu_is_estimator(payoff, np.zeros(p["steps"]), config.replications, config.seed + 1, threads=threads)
     cols = ["estimator", "objective", "converged"] + _EST_COLS + [f"mu_{i}" for i in range(p["steps"])]
     rows = [

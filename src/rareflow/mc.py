@@ -12,6 +12,18 @@ barrier step-count ladder: its rungs share paths, so each chain of them is
 one pass of ``bridge.price_knockout_ladder`` with a k-row sampler.  Every
 importance sampler with a per-draw bound checks it through ``check_bound``.
 
+Stratified batches: a run with ``per_stratum`` set splits every batch into
+the equal-probability strata that ``strata`` lays out, and the sampler
+returns the batch's draws stratum by stratum.  Such a batch reaches the merge
+as the usual (count, mean, M2, scale): its mean is the equally weighted mean
+of the S stratum means, and its M2 is the pooled within-stratum sum of
+squares, stratum h's weighted by n^2 / (S^2 n_h (n_h - 1)) (n_h / (n_h - 1)
+when the strata are equal), so the standard error of the merged statistics
+is the stratified one, sum_h s_h^2 / (n_h S^2) per batch, to O(1/batch
+size).  Samplers that set no ``per_stratum`` keep their iid statistics bit
+for bit.  The strata lie inside a batch, so a stratified run is as
+independent of the thread count as any other.
+
 Threads: the engine keeps one pool of worker threads per requested thread
 count for the life of the process (a forked child starts with none).  A
 parallel run gives each of up to ``threads`` workers one task that pulls
@@ -117,26 +129,59 @@ def _merge(stats_a, stats_b):
     return (n, mean, m2, scale)
 
 
-def _batch_stats(values: np.ndarray):
+def strata(size: int, per_stratum: int) -> np.ndarray:
+    """How many draws each stratum of a stratified batch of ``size`` draws holds.
+
+    There are max(1, size // per_stratum) strata, in order; the first
+    size % S hold one draw more than the others.  A batch of one stratum is
+    an iid batch.  The sampler and the engine both take the layout from here.
+    """
+    if per_stratum < 2:
+        raise ValueError("a stratum needs at least 2 draws")
+    count = max(1, size // per_stratum)
+    counts = np.full(count, size // count)
+    counts[: size % count] += 1
+    return counts
+
+
+def _batch_stats(values: np.ndarray, counts: np.ndarray | None = None):
     """(count, mean, M2, scale) of one batch; M2 is NaN when the mean is not finite.
 
-    The mean is tested first, so a batch holding inf never forms ``inf - inf``
-    and the caller rejects it without a numpy RuntimeWarning.  The scale is
-    1 unless M2 < 2**-900, where squared deviations may underflow: M2 is then
+    With stratum ``counts`` of at least two strata, the mean and M2 are the
+    stratified ones of the module docstring.  The mean is tested first, so a
+    batch holding inf never forms ``inf - inf`` and the caller rejects it
+    without a numpy RuntimeWarning.  The scale is 1 unless M2 < 2**-900,
+    where squared deviations may underflow, or M2 overflows: M2 is then
     summed over the deviations over a power of two near the largest.
     """
     n = values.size
+    stratified = counts is not None and counts.size > 1
     with np.errstate(invalid="ignore"):  # a batch holding both +inf and -inf
-        mean = float(np.mean(values))
+        if stratified:
+            starts = np.cumsum(counts) - counts
+            stratum_means = np.add.reduceat(values, starts) / counts
+            mean = float(np.mean(stratum_means))
+            centre = np.repeat(stratum_means, counts)
+            weights = (n / counts.size) ** 2 / (counts * (counts - 1.0))
+        else:
+            centre = mean = float(np.mean(values))
     if not math.isfinite(mean):
         return (n, mean, math.nan, 1.0)
-    m2 = float(np.sum((values - mean) ** 2))
+    deviations = values - centre
+
+    def sum_squares(d):
+        if stratified:
+            return float(np.sum(np.add.reduceat(d * d, starts) * weights))
+        return float(np.sum(d**2))
+
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        m2 = sum_squares(deviations)
     scale = 1.0
-    if m2 < 2.0**-900:
-        peak = float(np.max(np.abs(values - mean)))
-        if peak > 0.0:
+    if m2 < 2.0**-900 or m2 == math.inf:
+        peak = float(np.max(np.abs(deviations)))
+        if 0.0 < peak < math.inf:
             scale = math.ldexp(1.0, math.frexp(peak)[1])
-            m2 = float(np.sum(((values - mean) / scale) ** 2))
+            m2 = sum_squares(deviations / scale)
     return (n, mean, m2, scale)
 
 
@@ -178,6 +223,7 @@ def run_replications(
     n: int,
     seed: int,
     threads: int = 1,
+    per_stratum: int | None = None,
 ) -> EstimatorResult | tuple[EstimatorResult, ...]:
     """Average ``n`` replications of a sampler of one or more estimators.
 
@@ -189,7 +235,10 @@ def run_replications(
     returning that row alone.  The result is bit-identical for fixed
     ``(sampler, n, seed)`` whatever ``threads`` is, and so is the error of a
     run that fails: that of its lowest failing batch.  A batch holding a NaN
-    or inf sample raises ``NonFiniteInput`` naming the batch index.
+    or inf sample raises ``NonFiniteInput`` naming the batch index.  With
+    ``per_stratum`` set, every batch is stratified: its draws come stratum by
+    stratum in the layout ``strata(size, per_stratum)`` gives, and each
+    result carries the stratified mean and standard error.
     """
     if n < 2:
         raise ValueError("need at least 2 replications")
@@ -209,9 +258,10 @@ def run_replications(
         if values.shape != (size,) and not (values.ndim == 2 and values.shape[0] >= 1 and values.shape[1] == size):
             raise ValueError(f"sampler returned shape {values.shape}, wanted ({size},) or (k, {size})")
         rows = values if values.ndim == 2 else (values,)
+        counts = None if per_stratum is None else strata(size, per_stratum)
         per_row = []
         for j, row in enumerate(rows):
-            stats = _batch_stats(row)
+            stats = _batch_stats(row, counts)
             if not (math.isfinite(stats[1]) and math.isfinite(stats[2])):
                 where = f"batch {idx}" if values.ndim == 1 else f"batch {idx}, row {j}"
                 raise NonFiniteInput(f"{where}: non-finite samples (mean {stats[1]}, M2 {stats[2]})")

@@ -20,6 +20,8 @@ import pytest
 
 from rareflow import cli
 
+from oracles import asian_call_conditional_gh
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
@@ -92,3 +94,15 @@ def test_committed_rows_lie_within_five_se_of_their_oracle(name):
     for row in rows:
         mean, se, oracle = (float(row[key]) for key in ("mean", "std_error", "oracle"))
         assert se > 0.0 and abs(mean - oracle) < 5.0 * se, row
+
+
+def test_committed_ghs_rows_lie_within_five_se_of_the_reference():
+    # ghs prints no oracle column; the reference is the test-side quadrature
+    params = cli.parse_config((ROOT / "configs" / "ghs-asian.json").read_text()).params
+    reference = asian_call_conditional_gh(params["steps"], params["s0"], params["strike"], params["sigma"],
+                                          params["maturity"])
+    rows = list(csv.DictReader((GOLDEN / "ghs-asian.csv").read_text().splitlines()))
+    assert [row["estimator"] for row in rows] == ["mu_is", "naive"]
+    for row in rows:
+        mean, se = float(row["mean"]), float(row["std_error"])
+        assert se > 0.0 and abs(mean - reference) < 5.0 * se, row

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from rareflow import isdrift, mc, oracles
 from rareflow.errors import AtMaturity, DomainEscape, MomentConditionViolated
 
-from oracles import drifted_bm_max_crossing, likelihood_mean
+from oracles import asian_call_conditional_gh, drifted_bm_max_crossing, likelihood_mean
 
 
 def asian_payoff():
@@ -180,6 +180,75 @@ class TestMuIsEstimator:
         best = scales[int(np.argmin(second_moments))]
         assert best in (0.8, 1.0, 1.2)
         assert second_moments[scales.index(1.0)] < second_moments[0]
+
+
+def _coverage(results, truth):
+    """Shares of runs whose +-1.96 SE interval lies below and above the truth,
+    and the mean reported SE over the empirical SD of the means."""
+    means = np.array([r.mean for r in results])
+    errors = np.array([r.std_error for r in results])
+    z = (means - truth) / errors
+    return float(np.mean(z > 1.96)), float(np.mean(z < -1.96)), float(errors.mean() / means.std(ddof=1))
+
+
+class TestStratifiedMuIsEstimator:
+    def test_asian_variance_far_below_plain(self):
+        payoff = asian_payoff()
+        mu = isdrift.ghs_drift(payoff, np.full(4, 2.0)).mu
+        plain = isdrift.mu_is_estimator(payoff, mu, 100_000, seed=21)
+        stratified = isdrift.stratified_mu_is_estimator(payoff, mu, 100_000, seed=22)
+        assert abs(stratified.mean - plain.mean) < 4.0 * math.hypot(stratified.std_error, plain.std_error)
+        assert stratified.variance < plain.variance / 25.0
+        assert stratified.variance == pytest.approx(stratified.n * stratified.std_error**2, rel=1e-12)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_thread_count_invariance(self, threads):
+        payoff = asian_payoff()
+        mu = isdrift.ghs_drift(payoff, np.full(4, 2.0)).mu
+        n = 2 * mc.BATCH_SIZE + 37
+        serial = isdrift.stratified_mu_is_estimator(payoff, mu, n, seed=4)
+        assert isdrift.stratified_mu_is_estimator(payoff, mu, n, seed=4, threads=threads) == serial
+
+    @pytest.mark.parametrize("n", [2, 3, mc.BATCH_SIZE + 37])
+    def test_any_replication_count_runs(self, n):
+        payoff = asian_payoff()
+        mu = isdrift.ghs_drift(payoff, np.full(4, 2.0)).mu
+        res = isdrift.stratified_mu_is_estimator(payoff, mu, n, seed=5)
+        assert res.n == n
+        assert all(math.isfinite(value) for value in (res.mean, res.std_error, res.variance))
+
+    @pytest.mark.parametrize("c", [[0.5, -0.25], [-0.7, 0.2, 0.4], [0.0, 0.9]])
+    def test_linear_payoff_zero_variance(self, c):
+        # Z = c + xi u + w with w orthogonal to u = c/|c|: c'Z - |c| xi is |c|^2
+        c = np.array(c)
+        res = isdrift.stratified_mu_is_estimator(isdrift.linear_payoff(c), c, 5_000, seed=3)
+        expected = math.exp(0.5 * float(c @ c))
+        assert res.mean == pytest.approx(expected, rel=1e-12)
+        assert res.variance <= 1e-12 * expected**2
+
+    @pytest.mark.parametrize("mu", [[0.0, 0.0], [math.inf, 0.0], [math.nan, 1.0]])
+    def test_needs_a_finite_direction(self, mu):
+        with pytest.raises(ValueError):
+            isdrift.stratified_mu_is_estimator(isdrift.linear_payoff([0.6, -0.3]), mu, 100, seed=6)
+
+    def test_error_bar_covers_a_linear_payoff(self):
+        # mu not parallel to c leaves variance across and within the strata
+        c, mu = np.array([0.3, -0.2, 0.5]), np.array([0.5, 0.1, 0.2])
+        payoff = isdrift.linear_payoff(c)
+        runs = [isdrift.stratified_mu_is_estimator(payoff, mu, 4_096, seed=seed) for seed in range(2_000)]
+        high, low, se_over_sd = _coverage(runs, math.exp(0.5 * float(c @ c)))
+        assert abs(1.0 - high - low - 0.95) <= 0.03
+        assert high <= 0.04 and low <= 0.04
+        assert abs(se_over_sd - 1.0) <= 0.1
+
+    def test_error_bar_covers_the_asian_call(self):
+        payoff = asian_payoff()
+        mu = isdrift.ghs_drift(payoff, np.full(4, 2.0)).mu
+        runs = [isdrift.stratified_mu_is_estimator(payoff, mu, 4_096, seed=seed) for seed in range(2_000)]
+        high, low, se_over_sd = _coverage(runs, asian_call_conditional_gh(4, 50.0, 70.0, 0.3, 1.0))
+        assert abs(1.0 - high - low - 0.95) <= 0.03
+        assert high <= 0.04 and low <= 0.04
+        assert abs(se_over_sd - 1.0) <= 0.1
 
 
 class TestScaledSecondMoment:

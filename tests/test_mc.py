@@ -269,6 +269,19 @@ class TestRunReplications:
         assert tiny.std_error == pytest.approx(unit.std_error * 1e-250, rel=1e-12)
         assert tiny.relative_error == pytest.approx(unit.relative_error, rel=1e-12)
 
+    def test_huge_samples_keep_their_standard_error(self):
+        # squares of samples near 1e200 overflow to inf: the run must still
+        # report its mean and an error bar that scales with its samples
+        values = np.random.default_rng(13).lognormal(size=3 * mc.BATCH_SIZE + 100)
+
+        def scaled(factor):
+            return lambda ss, size: values[ss.entropy[1] * mc.BATCH_SIZE:][:size] * factor
+
+        unit, huge = (mc.run_replications(scaled(factor), values.size, seed=0) for factor in (1.0, 1e200))
+        assert huge.mean == pytest.approx(unit.mean * 1e200, rel=1e-12)
+        assert huge.std_error == pytest.approx(unit.std_error * 1e200, rel=1e-12)
+        assert huge.relative_error == pytest.approx(unit.relative_error, rel=1e-12)
+
     def test_unbiasedness_harness(self):
         # |mean - oracle| <= 4 SE in at least 95 of 100 independent seeds
         p, n = 0.3, 40_000
@@ -278,6 +291,50 @@ class TestRunReplications:
             if abs(res.mean - p) <= 4.0 * res.std_error:
                 hits += 1
         assert hits >= 95
+
+
+class TestStratifiedBatches:
+    @pytest.mark.parametrize("size", [1, 2, 3, 31, 32, 37, 16_384, 16_384 + 37])
+    def test_strata_cover_the_batch(self, size):
+        counts = mc.strata(size, 16)
+        assert counts.sum() == size
+        assert counts.max() - counts.min() <= 1
+        assert counts.size == max(1, size // 16)
+        if counts.size > 1:
+            assert counts.min() >= 16
+
+    def test_a_stratum_needs_two_draws(self):
+        with pytest.raises(ValueError):
+            mc.strata(100, 1)
+
+    def test_one_batch_reports_the_stratified_variance(self):
+        # the mean is the equally weighted mean of the stratum means; the
+        # squared SE is n/(n-1) times sum_h s_h^2 / (n_h S^2)
+        size = 1_000
+        counts = mc.strata(size, 16)
+        values = np.random.default_rng(5).lognormal(size=size) + np.repeat(np.arange(counts.size), counts)
+        res = mc.run_replications(lambda ss, n: values[:n], size, seed=0, per_stratum=16)
+        groups = np.split(values, np.cumsum(counts)[:-1])
+        strata = len(groups)
+        assert res.mean == pytest.approx(np.mean([g.mean() for g in groups]), rel=1e-12)
+        variance_of_mean = sum(g.var(ddof=1) / (g.size * strata**2) for g in groups)
+        assert res.std_error**2 == pytest.approx(size / (size - 1) * variance_of_mean, rel=1e-12)
+        assert res.std_error < 0.2 * np.std(values) / math.sqrt(size)
+
+    def test_one_stratum_is_an_iid_batch(self):
+        values = np.random.default_rng(6).lognormal(size=20)
+        iid, one = (mc.run_replications(lambda ss, n: values[:n], 20, seed=0, per_stratum=k) for k in (None, 16))
+        assert iid == one
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_thread_count_invariance(self, threads):
+        def sampler(ss, size):
+            counts = mc.strata(size, 8)
+            return np.random.default_rng(ss).random(size) + np.repeat(np.arange(counts.size), counts)
+
+        n = 2 * mc.BATCH_SIZE + 37
+        serial = mc.run_replications(sampler, n, seed=4, per_stratum=8)
+        assert mc.run_replications(sampler, n, seed=4, threads=threads, per_stratum=8) == serial
 
 
 HIT = np.array([True, True, False])

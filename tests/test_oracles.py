@@ -5,7 +5,7 @@ import pytest
 
 from rareflow import oracles
 
-from oracles import credit_tail_beta_order, up_out_call_reflection_quad
+from oracles import asian_call_conditional_gh, credit_tail_beta_order, up_out_call_reflection_quad
 
 
 def binomial_tail_mpmath(n, p, k_min):
@@ -122,3 +122,20 @@ class TestUpInBondProbability:
         assert oracles.up_in_bond_probability(50.0, 150.0, 0.2, 0.25) == pytest.approx(
             float(mpmath.ncdf(-(mpmath.log(3) + 0.005) / 0.1) + mpmath.ncdf(-(mpmath.log(3) - 0.005) / 0.1) / 3),
             rel=1e-12)
+
+
+class TestAsianCallReference:
+    @pytest.mark.parametrize("strike, value", [(70.0, 0.27650025762398), (100.0, 2.1256108027e-3)])
+    def test_known_values(self, strike, value):
+        assert asian_call_conditional_gh(4, 50.0, strike, 0.3, 1.0) == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("strike", [70.0, 100.0])
+    def test_rule_has_converged(self, strike):
+        coarse, fine = (asian_call_conditional_gh(4, 50.0, strike, 0.3, 1.0, nodes=k) for k in (64, 96))
+        assert coarse == pytest.approx(fine, rel=1e-12)
+
+    def test_one_step_is_the_black_scholes_call(self):
+        vol = 0.3
+        d1 = (math.log(50.0 / 45.0) + 0.5 * vol * vol) / vol
+        call = 50.0 * mpmath.ncdf(d1) - 45.0 * mpmath.ncdf(d1 - vol)
+        assert asian_call_conditional_gh(1, 50.0, 45.0, vol, 1.0) == pytest.approx(float(call), rel=1e-13)
