@@ -79,6 +79,11 @@ def _at_least(low, name):
     return lambda v: None if v >= low else f"{name} must be at least {low}, got {v}"
 
 
+def _drawable(name):
+    # numpy draws a binomial count as an int64
+    return lambda v: None if 1 <= v <= 2**63 - 1 else f"{name} must lie in [1, 2**63 - 1], got {v}"
+
+
 def _probability(name):
     return lambda v: None if 0.0 < v < 1.0 else f"{name} must lie in (0,1), got {v}"
 
@@ -99,7 +104,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "lam": FieldSpec(float, default=None),
         "mean": FieldSpec(float, default=0.0),
         "var": FieldSpec(float, default=1.0),
-        "n": FieldSpec(int, required=True, check=_positive("n")),
+        "n": FieldSpec(int, required=True, check=_drawable("n")),
         "x": FieldSpec(float, required=True),
         "theta": FieldSpec(float, default=None),
     },
@@ -149,7 +154,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "max_iter": FieldSpec(int, default=500, check=_positive("max_iter")),
     },
     "credit": {
-        "n": FieldSpec(int, required=True, check=_positive("n")),
+        "n": FieldSpec(int, required=True, check=_drawable("n")),
         "p": FieldSpec(float, required=True, check=_probability("p")),
         "rho": FieldSpec(float, required=True,
                          check=lambda v: None if 0.0 <= v < 1.0 else f"rho must lie in [0,1), got {v}"),
@@ -408,18 +413,20 @@ def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
     for n, res in zip(sizes, fit.results):
         row = [n, p["x"], theta] + _estimator_row(res)
         if config.oracle:
-            row.append(_cramer_oracle(fam_name, p, family, n))
+            row.append(_cramer_oracle(fam_name, p, n))
         rows.append(row)
     cols = ["n", "x", "theta"] + _EST_COLS + (["oracle"] if config.oracle else [])
     return Report(meta=_ladder_meta(sizes, fit), columns=cols, rows=rows)
 
 
-def _cramer_oracle(fam_name, p, family, n):
+def _cramer_oracle(fam_name, p, n):
     if fam_name == "bernoulli":
         return oracles.binomial_tail(n, p["p"], int(cramer.lattice_threshold(n, p["x"])))
-    if fam_name == "normal":
-        return oracles.normal_mean_tail(p["mean"], p["var"], n, p["x"])
-    return None
+    if fam_name == "poisson":
+        return oracles.poisson_tail(n * p["lam"], int(cramer.lattice_threshold(n, p["x"])))
+    if fam_name == "exponential":
+        return oracles.exponential_mean_tail(p["lam"], n, p["x"])
+    return oracles.normal_mean_tail(p["mean"], p["var"], n, p["x"])
 
 
 def _run_ruin(config: ExperimentConfig, threads: int) -> Report:
@@ -447,7 +454,7 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
     )
     theta_l = ruin.adjustment_coefficient(model).value
     sol = ruin.invest_exponent(model)
-    alpha = ruin.optimal_fraction(model)
+    alpha = ruin.optimal_fraction(model, sol.value)
     cols = ["x", "theta_l", "theta_star", "alpha_star"] + _EST_COLS
     meta = {"theta_star": sol.value, "alpha_star": alpha}
     if config.ladder:

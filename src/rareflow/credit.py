@@ -180,8 +180,9 @@ def two_step_is(
     conditional Chebyshev bound), checked per draw by ``mc.check_bound``.
     """
     q = model.q_at(n)
-    if q <= model.p:
-        raise RegimeError(f"threshold q_n={q:.6g} <= p={model.p}: not a rare loss event")
+    if not model.p < q < 1.0:
+        raise RegimeError(f"threshold q_n={q:.6g} outside (p, 1) with p={model.p}: "
+                          "not a rare loss event, or one with an infinite twist")
     if model.rho == 0.0 and isinstance(shift, str):
         mu = 0.0  # the factor is irrelevant; a mean shift would only add noise
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import bdtrc, gammaln
+from scipy.special import bdtrc, gammaincc, gammaln, pdtrc
 
 from .gaussian import norm_cdf, norm_cdf_scaled, norm_pdf, norm_ppf, norm_sf
 
@@ -38,6 +38,24 @@ def binomial_tail(n: int, p: float, k_min: int) -> float:
     if k_min > n:
         return 0.0
     return float(bdtrc(k_min - 1, n, p))
+
+
+def poisson_tail(mean: float, k_min: int) -> float:
+    """P[Poisson(mean) >= k_min], the tail of a sum of n i.i.d. Poisson(lam) at mean n*lam.
+
+    ``pdtrc`` is the regularised lower incomplete gamma function P(k_min, mean),
+    accurate deep in the tail.
+    """
+    if k_min <= 0:
+        return 1.0
+    return float(pdtrc(k_min - 1, mean))
+
+
+def exponential_mean_tail(lam: float, n: int, x: float) -> float:
+    """P[S_n/n >= x] for i.i.d. Exponential(lam): S_n is Gamma(n, lam), whose tail is Q(n, lam n x)."""
+    if x <= 0.0:
+        return 1.0
+    return float(gammaincc(n, lam * (n * x)))
 
 
 def normal_mean_tail(m: float, var: float, n: int, x: float) -> float:

@@ -93,8 +93,7 @@ def _solve_exponent(model: RuinModel, offset: float) -> ExponentSolution:
 
 def adjustment_coefficient(model: RuinModel) -> ExponentSolution:
     """The Lundberg exponent theta_L: gamma_Y(theta) = premium*theta/lam."""
-    sol = _solve_exponent(model, 0.0)
-    return sol
+    return _solve_exponent(model, 0.0)
 
 
 def invest_exponent(model: RuinModel) -> ExponentSolution:
@@ -113,13 +112,15 @@ def invest_exponent(model: RuinModel) -> ExponentSolution:
     return _solve_exponent(model, offset)
 
 
-def optimal_fraction(model: RuinModel) -> float:
-    """The asymptotically optimal constant stock position b/(sigma^2 theta*)."""
+def optimal_fraction(model: RuinModel, theta_star: float) -> float:
+    """The asymptotically optimal constant stock position b/(sigma^2 theta*).
+
+    ``theta_star`` is the root ``invest_exponent(model)`` solves for.
+    """
     if model.invest is None:
         raise ValueError("model has no investment parameters")
     if model.invest.b == 0.0:
         return 0.0
-    theta_star = invest_exponent(model).value
     return model.invest.b / (model.invest.sigma**2 * theta_star)
 
 

@@ -18,10 +18,6 @@ import numpy as np
 from .errors import DomainError, NotAttained
 
 BOUNDARY_PAD = 1e-9   # gap, times max(1, |endpoint|), where the probe to a finite endpoint starts halving it
-# Brent's stopping rule: a negligible absolute tolerance leaves the relative one of 4 eps
-BRENT_XTOL = 1e-300
-BRENT_RTOL = 4.0 * 2.0**-52
-BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -301,78 +297,42 @@ def expansion_grid(hi: float):
             yield hi - pad
 
 
-def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float | None:
-    """Brent's root of ``f`` on [xa, xb], given fa = f(xa) and fb = f(xb).
+def _refine(f, a: float, b: float, fa: float, fb: float) -> float | None:
+    """The float in [a, b], a < b, where ``f`` changes sign, given fa = f(a) and fb = f(b).
 
-    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``; Brent,
-    *Algorithms for Minimization Without Derivatives*, 1973, ch. 4) called
-    with ``xtol=1e-300`` and its default ``rtol`` and ``maxiter``: the same
-    float operations in the same order, so the same root to the bit.
-    A division by zero, which C turns into inf or nan, takes the bisection
-    step as the failed comparison does there.  Returns None on a same-sign
-    bracket, a nan value of f, or no convergence in 100 iterations, the
-    cases where brentq raises.
+    Illinois regula falsi (Dowell & Jarratt, *BIT* 11, 1971); the midpoint
+    stands in where the secant point rounds outside the open bracket or three
+    steps did not halve it.  Ends at an exact zero, or at adjacent floats with
+    the one of smaller |f|; None on a nan value or a same-sign bracket.
     """
-    xpre, xcur, fpre, fcur = xa, xb, fa, fb
-    xblk = fblk = spre = scur = 0.0
-    if math.isnan(fpre) or math.isnan(fcur):
+    if math.isnan(fa) or math.isnan(fb) or fa != 0.0 != fb and (fa < 0.0) == (fb < 0.0):
         return None
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        return None
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.nan
-            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
-            if 2 * abs(stry) < bound:
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
+    ga, gb, moved, widths = fa, fb, 0, (math.inf,) * 3  # secant values, last end moved, last three widths
+    while fa != 0.0 and fb != 0.0:
+        mid = a + 0.5 * (b - a)
+        if not a < mid < b:  # a and b are adjacent floats
+            return a if abs(fa) <= abs(fb) else b
+        x = b - (b - a) * (gb / (gb - ga))
+        if not a < x < b or b - a > 0.5 * widths[0]:
+            x = mid
+        widths = widths[1:] + (b - a,)
+        fx = float(f(x))
+        if math.isnan(fx):
             return None
-    return None
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, ga, gb, moved = x, fx, fx, gb * (0.5 if moved == 1 else 1.0), 1
+        else:
+            b, fb, gb, ga, moved = x, fx, fx, ga * (0.5 if moved == -1 else 1.0), -1
+    return a if fa == 0.0 else b
 
 
 def _bracketed_root(f, start: float, hi: float) -> float | None:
     """Root of ``f`` at the first sign change on the probe from ``start`` up toward ``hi``.
 
-    The probe runs from ``start`` through ``expansion_grid(hi)``; the last
-    point on start's side and the first one past it bracket the root, which
-    ``_brent`` refines to a few ulp.  Returns None when f keeps its sign up
-    to the last probe point, when it returns nan at a probe point or Brent
-    iterate, or when Brent's method does not converge.
+    The probe runs from ``start`` through ``expansion_grid(hi)``; its last
+    point on start's side and the first one past it bracket the root, and
+    ``_refine`` finds it there.  Returns None when f keeps its sign up to the
+    last probe point, or is nan at a probe point or refinement step.
     """
     a, fa = float(start), float(f(start))
     if fa == 0.0:
@@ -380,7 +340,7 @@ def _bracketed_root(f, start: float, hi: float) -> float | None:
     for b in expansion_grid(hi):
         fb = float(f(b))
         if fb == 0.0 or (fb > 0.0) != (fa > 0.0):
-            return _brent(f, a, b, fa, fb)
+            return _refine(f, a, b, fa, fb)
         a, fa = b, fb
     return None
 

@@ -131,7 +131,7 @@ def test_criterion_5_investment_exponent():
         assert sol.value == pytest.approx(0.640388, abs=1e-6)
         theta_l = ruin.adjustment_coefficient(model).value
         assert sol.value > theta_l
-        alpha = ruin.optimal_fraction(model)
+        alpha = ruin.optimal_fraction(model, sol.value)
         reserves = [2.0, 4.0, 6.0, 8.0]
         results = [
             ruin.simulate_wealth_ruin(model, x, alpha, horizon=200.0, N=30_000, seed=500 + i)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from rareflow import cli, cramer, credit, mc, ruin, tilt
 from rareflow.cli import ExperimentConfig, parse_config, run_experiment
-from rareflow.errors import BoundViolated, DomainError, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError
+from rareflow.errors import (BoundViolated, DomainError, NoRoot, NotAttained, OutOfDomain, OutOfDualDomain, ParseError,
+                             RegimeError)
 
 
 def write_config(tmp_path, name, doc):
@@ -151,6 +152,11 @@ class TestBadInput:
         # exp(-rate * maturity) overflows: the pricer's discount raised OverflowError
         ([], {"subcommand": "barrier", "rate": -710.0}),
         ([], {"subcommand": "barrier", "rate": -1e300, "maturity": 1e10}),
+        # sizes numpy cannot draw: the binomial count, or n * x, overflowed
+        ([], {"subcommand": "cramer", "n": 2**63}),
+        ([], {"subcommand": "cramer", "family": "normal", "n": 10**400}),
+        ([], {"subcommand": "credit", "n": 10**19, "rho": 0.0}),
+        ([], {"subcommand": "credit", "n": 10**19, "shift": 0.0}),
     ])
     def test_exit_code_2_without_traceback(self, tmp_path, capsys, flags, doc):
         sub = doc.get("subcommand", "ruin")
@@ -201,6 +207,15 @@ class TestBadInput:
         assert cli.main([sub, "--config", path]) == cli.EXIT_CODES[error]
         err = capsys.readouterr().err
         assert err.startswith(f"rareflow: {error.__name__}:")
+        assert "Traceback" not in err
+
+    def test_threshold_that_rounds_to_1_exits_7(self, tmp_path, capsys):
+        # q_n = 1 - 1e-16 / 10 rounds to 1: log1p(-q_n) raised ValueError
+        doc = {"n": 10, "p": 0.1, "rho": 0.4, "schedule_a": 1.0, "schedule_c": 1e-16, "replications": 2_000}
+        path = write_config(tmp_path, "credit.json", doc)
+        assert cli.main(["credit", "--config", path]) == cli.EXIT_CODES[RegimeError]
+        err = capsys.readouterr().err
+        assert err.startswith("rareflow: RegimeError:")
         assert "Traceback" not in err
 
     def test_integer_beyond_float_range(self):
@@ -578,6 +593,8 @@ _ORACLE_DOCS = {
         st.fixed_dictionaries({"family": st.just("bernoulli"), "p": st.floats(1e-3, 0.9), "x": st.floats(0.0, 1.0)}),
         st.fixed_dictionaries({"family": st.just("normal"), "mean": st.floats(-2.0, 2.0), "var": st.floats(0.1, 4.0),
                                "x": st.floats(-3.0, 3.0)}),
+        st.fixed_dictionaries({"family": st.sampled_from(["poisson", "exponential"]), "lam": st.floats(0.2, 5.0),
+                               "x": st.floats(0.0, 5.0)}),
     ).flatmap(lambda doc: st.fixed_dictionaries(
         dict({key: st.just(value) for key, value in doc.items()}, n=st.integers(1, 2000)),
         optional={"ladder": st.lists(st.integers(1, 2000), min_size=1, max_size=3, unique=True)})),
@@ -645,7 +662,10 @@ def test_every_oracle_run_ends_in_bounded_oracles_or_a_documented_error(sub_doc,
 # than 0) were passed over.  The seed is the draw's index.  The ruin and
 # cramer draws came the same way from a generator seeded 22, a ruin premium
 # as lam / claim_rate times 1 + loading; cramer draws that exit 3 (a target
-# below the mean) were passed over.
+# below the mean) were passed over.  The poisson and exponential draws came
+# from a generator seeded 30, with n and ladder rungs in [1, 200] and x
+# between the family's mean and twice it, so that few of their tails
+# underflow to 0; their seed is 100 plus the draw's index.
 _FIVE_SE_DOCS = [
     ("fw-bond", {"s0": 176.2, "barrier": 306.3, "sigma": 1.402, "maturity": 2.769, "steps": 30,
                  "use_fw_drift": False, "seed": 1}),
@@ -686,6 +706,12 @@ _FIVE_SE_DOCS = [
     ("cramer", {"family": "normal", "mean": 0.9311, "var": 0.4669, "x": 1.274, "n": 1148, "ladder": [404, 722, 865],
                 "seed": 11}),
     ("cramer", {"family": "bernoulli", "p": 0.4207, "x": 0.6691, "n": 708, "ladder": [1411], "seed": 12}),
+    ("cramer", {"family": "poisson", "lam": 2.26, "x": 2.469, "n": 48, "seed": 101}),
+    ("cramer", {"family": "poisson", "lam": 4.364, "x": 5.789, "n": 157, "ladder": [80], "seed": 102}),
+    ("cramer", {"family": "exponential", "lam": 1.401, "x": 1.174, "n": 119, "seed": 103}),
+    ("cramer", {"family": "exponential", "lam": 2.499, "x": 0.7072, "n": 79, "seed": 104}),
+    ("cramer", {"family": "poisson", "lam": 2.633, "x": 4.958, "n": 149, "ladder": [108, 120], "seed": 105}),
+    ("cramer", {"family": "exponential", "lam": 1.453, "x": 1.336, "n": 57, "seed": 111}),
 ]
 # what makes each estimator unbiased for its closed form: in log space the
 # Euler step and the bridge law are exact, and the bond counts bridge hits

@@ -37,6 +37,27 @@ class TestBinomialTail:
         assert oracles.binomial_tail(10, 0.3, 10) == pytest.approx(0.3**10, rel=1e-13)
 
 
+class TestGammaTails:
+    """The Poisson and Gamma sum tails, against mpmath's incomplete gamma function at 50 digits."""
+
+    @pytest.mark.parametrize("mean, k_min", [(20.0, 40), (20.0, 20), (2000.0, 4000), (1e-3, 5), (3.5, 1)])
+    def test_poisson_against_mpmath(self, mean, k_min):
+        with mpmath.workdps(50):
+            exact = float(mpmath.gammainc(k_min, 0, mean, regularized=True))
+        assert oracles.poisson_tail(mean, k_min) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam, n, x", [(1.0, 10, 2.0), (1.0, 40, 2.0), (2.5, 2000, 1.0), (0.3, 1, 50.0)])
+    def test_exponential_against_mpmath(self, lam, n, x):
+        with mpmath.workdps(50):
+            exact = float(mpmath.gammainc(n, lam * (n * x), mpmath.inf, regularized=True))
+        assert oracles.exponential_mean_tail(lam, n, x) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_edges(self):
+        assert oracles.poisson_tail(2.0, 0) == oracles.poisson_tail(2.0, -3) == 1.0
+        assert oracles.exponential_mean_tail(1.0, 5, 0.0) == oracles.exponential_mean_tail(1.0, 5, -1.0) == 1.0
+        assert oracles.exponential_mean_tail(1.3, 1, 2.0) == pytest.approx(math.exp(-2.6), rel=1e-15)
+
+
 class TestCreditTailQuadrature:
     @pytest.mark.parametrize("rho", [1e-12, 1e-9, 1e-6])
     def test_small_loading_tends_to_the_independent_tail(self, rho):

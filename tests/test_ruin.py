@@ -218,9 +218,10 @@ class TestInvestment:
         assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
 
     def test_optimal_fraction(self):
-        assert ruin.optimal_fraction(exponential_model(invest=Investment(0.0, 1.0))) == 0.0
+        flat = exponential_model(invest=Investment(0.0, 1.0))
+        assert ruin.optimal_fraction(flat, ruin.invest_exponent(flat).value) == 0.0
         model = exponential_model(invest=Investment(1.0, 1.0))
-        frac = ruin.optimal_fraction(model)
+        frac = ruin.optimal_fraction(model, ruin.invest_exponent(model).value)
         assert frac == pytest.approx(1.0 / 0.640388, rel=1e-5)
 
     @pytest.mark.parametrize("sigma", [1e-160, 1e-170, 1e-300])
@@ -228,15 +229,18 @@ class TestInvestment:
         # below about sigma = 1e-161, 2 sigma^2 lam underflows to 0: the
         # offset is then 0 at b = 0 and inf at b != 0, as at sigma = 1e-160
         flat = exponential_model(invest=Investment(0.0, sigma))
-        assert ruin.invest_exponent(flat).value == ruin.adjustment_coefficient(flat).value
-        assert ruin.optimal_fraction(flat) == 0.0
+        theta_star = ruin.invest_exponent(flat).value
+        assert theta_star == ruin.adjustment_coefficient(flat).value
+        assert ruin.optimal_fraction(flat, theta_star) == 0.0
         with pytest.raises(NoRoot):
             ruin.invest_exponent(exponential_model(invest=Investment(1.0, sigma)))
 
     def test_fraction_decreases_with_volatility(self):
-        lo = ruin.optimal_fraction(exponential_model(invest=Investment(1.0, 1.0)))
-        hi = ruin.optimal_fraction(exponential_model(invest=Investment(1.0, 2.0)))
-        assert hi < lo
+        fractions = []
+        for sigma in (1.0, 2.0):
+            model = exponential_model(invest=Investment(1.0, sigma))
+            fractions.append(ruin.optimal_fraction(model, ruin.invest_exponent(model).value))
+        assert fractions[1] < fractions[0]
 
 
 class TestWealthSimulation:
@@ -244,7 +248,7 @@ class TestWealthSimulation:
         model = exponential_model(invest=Investment(1.0, 1.0))
         theta_star = ruin.invest_exponent(model).value
         est = ruin.simulate_wealth_ruin(
-            model, 50.0 / theta_star, alpha=ruin.optimal_fraction(model),
+            model, 50.0 / theta_star, alpha=ruin.optimal_fraction(model, theta_star),
             horizon=50.0, N=10_000, seed=8,
         )
         assert est.mean < 1e-3
@@ -285,7 +289,7 @@ class TestWealthSimulation:
         model = exponential_model(invest=Investment(1.0, 1.0))
         theta_l = ruin.adjustment_coefficient(model).value
         theta_star = ruin.invest_exponent(model).value
-        alpha = ruin.optimal_fraction(model)
+        alpha = ruin.optimal_fraction(model, theta_star)
         results = []
         reserves = [2.0, 4.0, 6.0, 8.0]
         for i, x in enumerate(reserves):

@@ -168,7 +168,7 @@ def test_no_scipy_stats_import():
 
 def test_no_scipy_optimize_or_integrate_import():
     # scipy.integrate, with the scipy.optimize it loads, costs a cold start
-    # about 0.3 s: the root finder is tilt._brent, the barrier call oracle is
+    # about 0.3 s: the root finder is tilt._refine, the barrier call oracle is
     # a closed form, and the credit oracle a graded Gauss-Legendre rule
     assert _package_imports("scipy.optimize") == []
     assert _package_imports("scipy.integrate") == []

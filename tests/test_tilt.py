@@ -3,7 +3,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from rareflow import credit, longterm, ruin, tilt
 from rareflow.errors import DomainError, NotAttained
@@ -278,19 +277,23 @@ class TestBernoulliHelpers:
         assert tilt.bernoulli_twist(p, q) == pytest.approx(self.exact_terms(p, q)[0], rel=1e-15)
 
 
-def _scipy_brent(f, a, b, fa=None, fb=None):
-    """scipy's brentq with the stopping rule of tilt._brent; None where it raises.
-
-    It takes tilt._brent's arguments, so it can stand in for it in the probe.
-    """
-    try:
-        return brentq(f, a, b, xtol=1e-300)
-    except (ValueError, RuntimeError):
-        return None
+def _changes_sign_at(f, root):
+    """f is 0 at root, or has the opposite nonzero sign at one of its neighbouring floats."""
+    value = f(root)
+    return value == 0.0 or any(
+        neighbour != 0.0 and (neighbour < 0.0) != (value < 0.0)
+        for neighbour in (f(math.nextafter(root, -math.inf)), f(math.nextafter(root, math.inf))))
 
 
-def _bits(root):
-    return None if root is None else root.hex()
+class _Counted:
+    """A function that counts its evaluations."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
 
 
 ROOT_FAMILIES = {
@@ -304,24 +307,29 @@ ROOT_FAMILIES = {
 
 
 class TestBrent:
-    """tilt._brent returns scipy's brentq root to the bit, and None where brentq raises."""
+    """tilt._refine returns the float where f changes sign, and None on a same-sign or nan bracket."""
 
     @pytest.mark.parametrize("name", sorted(ROOT_FAMILIES))
-    def test_matches_scipy_brentq_to_the_bit(self, name):
+    def test_root_is_where_f_changes_sign(self, name):
         rng = np.random.default_rng(sorted(ROOT_FAMILIES).index(name))
-        outcomes = set()
+        roots = 0
         for _ in range(1000):
             f = ROOT_FAMILIES[name](rng.uniform(-2.0, 2.0))
             a = rng.uniform(-5.0, 5.0)
             b = a + rng.exponential(3.0)
-            expected = _bits(_scipy_brent(f, a, b))
-            assert _bits(tilt._brent(f, a, b, f(a), f(b))) == expected, (name, a, b)
-            outcomes.add(expected is None)
-        assert False in outcomes
+            fa, fb = f(a), f(b)
+            root = tilt._refine(f, a, b, fa, fb)
+            if fa != 0.0 and fb != 0.0 and (fa < 0.0) == (fb < 0.0):
+                assert root is None, (name, a, b)
+            else:
+                assert a <= root <= b and _changes_sign_at(f, root), (name, a, b, root)
+                roots += 1
+        assert roots > 0
 
-    def test_walk_to_a_pole_matches_scipy_to_the_bit(self, monkeypatch):
+    def test_walk_to_a_pole_meets_the_closed_form(self):
         # f blows up at the finite endpoint, so deep targets put the root within
-        # BOUNDARY_PAD of it, where the probe keeps halving the pad
+        # BOUNDARY_PAD of it, where the probe keeps halving the pad; f's own
+        # rounding sets where its sign changes, a few ulp from the exact root
         rng = np.random.default_rng(11)
         for _ in range(300):
             hi = rng.uniform(0.1, 10.0)
@@ -330,55 +338,54 @@ class TestBrent:
             def f(t):
                 return 1.0 / (hi - t) - 1.0 / hi - target
 
-            ours = tilt._bracketed_root(f, 0.0, hi)
-            with monkeypatch.context() as patch:
-                patch.setattr(tilt, "_brent", _scipy_brent)
-                expected = tilt._bracketed_root(f, 0.0, hi)
-            assert expected is not None
-            assert _bits(ours) == _bits(expected), (hi, target)
+            root = tilt._bracketed_root(f, 0.0, hi)
+            assert _changes_sign_at(f, root), (hi, target)
+            assert root == pytest.approx(hi - 1.0 / (1.0 / hi + target), rel=1e-14, abs=0.0), (hi, target)
 
     def test_same_sign_bracket_returns_none(self):
         def f(t):
             return t * t + 1.0
 
-        assert _scipy_brent(f, -1.0, 2.0) is None
-        assert tilt._brent(f, -1.0, 2.0, f(-1.0), f(2.0)) is None
+        assert tilt._refine(f, -1.0, 2.0, f(-1.0), f(2.0)) is None
         assert tilt._bracketed_root(f, 0.0, 1.0) is None
 
-    def test_nan_at_a_probe_point_returns_none(self, monkeypatch):
+    def test_nan_at_a_probe_point_returns_none(self):
         # the first probe toward 1 is 0.5, where f is nan
         def f(t):
             return math.nan if abs(t - 0.5) < 0.01 else t - 0.5
 
         assert tilt._bracketed_root(f, 0.0, 1.0) is None
-        monkeypatch.setattr(tilt, "_brent", _scipy_brent)
-        assert tilt._bracketed_root(f, 0.0, 1.0) is None
 
-    def test_nan_at_an_iterate_returns_none(self, monkeypatch):
+    def test_nan_at_an_iterate_returns_none(self):
         # the bracket [0, 0.5] is clean; the secant step lands in the nan window
         def f(t):
             return math.nan if abs(t - 0.3) < 1e-3 else t - 0.3
 
         assert tilt._bracketed_root(f, 0.0, 1.0) is None
-        monkeypatch.setattr(tilt, "_brent", _scipy_brent)
-        assert tilt._bracketed_root(f, 0.0, 1.0) is None
 
-    def test_no_convergence_in_100_iterations_returns_none(self):
-        # bisection would need about 660 halvings to reach the jump
-        def f(t):
-            return 1.0 if t > 1e-200 else -1.0
+    def test_step_at_1e_200_is_found(self):
+        # plain bisection would need about 660 halvings to reach the jump
+        f = _Counted(lambda t: 1.0 if t > 1e-200 else -1.0)
+        assert tilt._refine(f, -1.0, 1.0, -1.0, 1.0) == 1e-200
+        assert f.calls <= 108
 
-        assert _scipy_brent(f, -1.0, 1.0) is None
-        assert tilt._brent(f, -1.0, 1.0, f(-1.0), f(1.0)) is None
+    def test_package_roots_are_sign_changes(self, monkeypatch):
+        refine, refined = tilt._refine, []
 
-    def test_package_roots_match_scipy_to_the_bit(self, monkeypatch):
-        ours = _package_roots()
-        monkeypatch.setattr(tilt, "_brent", _scipy_brent)
-        assert _package_roots() == ours
+        def recorded(f, *bracket):
+            counted = _Counted(f)
+            refined.append((f, refine(counted, *bracket), counted.calls))
+            return refined[-1][1]
+
+        monkeypatch.setattr(tilt, "_refine", recorded)
+        roots = _package_roots()
+        assert sorted(roots.values()) == sorted(root for _, root, _ in refined)
+        for f, root, calls in refined:
+            assert _changes_sign_at(f, root) and calls <= 40, (root, calls)
 
 
 def _package_roots():
-    """Every root the package solves for, on a spread of inputs, as float.hex."""
+    """Every root the package solves for, on a spread of inputs."""
     roots = {}
     for claims in (Exponential(1.0), Exponential(2.5), Poisson(0.7), Normal(1.0, 0.5)):
         model = RuinModel(2.0, 1.0, claims, Investment(1.0, 1.5))
@@ -390,4 +397,4 @@ def _package_roots():
         dual = longterm.solve_dual(longterm.LqModel.from_market(longterm.MarketSpec(0.0, 0.0, 0.2, b, 1.0), 1.0))
         for x in (0.05, 0.3, 3.0, 1e8, 1e17):
             roots[f"theta(x) {b} {x}"] = longterm.dual_to_value(dual, x)[1]
-    return {key: value.hex() for key, value in roots.items()}
+    return roots
