@@ -1,10 +1,16 @@
-"""Single-factor Gaussian-copula portfolio loss tails and two-step IS.
+"""Single-factor Gaussian-copula portfolio loss tails by conditional Monte Carlo.
 
 Each of n obligors defaults when rho*Z + sqrt(1-rho^2)*eps_k crosses the
 threshold matching marginal default probability p.  Conditionally on the
-factor Z the loss is Binomial(n, p(Z)); large-loss probabilities are
-estimated by twisting the conditional default probability to the threshold
-and shifting the factor mean, each step with its closed-form optimizer.
+factor Z the loss is exactly Binomial(n, p(Z)), so the large-loss
+probability P[L_n >= k_n] is the factor integral of the binomial tail
+I_{p(Z)}(k_n, n - k_n + 1), the regularised incomplete beta function
+(conditional Monte Carlo: Asmussen & Glynn, *Stochastic Simulation*, 2007,
+ch. V).  The factor is drawn by importance sampling with the mean shift
+mu_n of Glasserman & Li (*Management Science* 51, 2005), which maximises the
+log of the Chernoff bound less mu^2/2, and stratified along that shift.
+Every draw's log tail is checked against that Chernoff bound.  At rho = 0
+the tail does not depend on the factor, and the estimate is exact.
 """
 
 from __future__ import annotations
@@ -14,11 +20,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betainc
 
 from . import cramer, mc, tilt
 from .errors import NoRoot, RegimeError
 from .gaussian import norm_cdf, norm_pdf, norm_ppf
 from .mc import DecayFit, EstimatorResult
+
+# draws per stratum of the factor in two_step_is
+PER_STRATUM = 2
+# the smallest normal float; a conditional tail below it has lost its relative precision
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,15 @@ def factor_threshold(model: PortfolioModel, n: int) -> float:
 def outer_exponent(model: PortfolioModel, n: int, z) -> np.ndarray:
     """F_n(z) = -n * rate(q_n, p(z)) for p(z) < q_n and 0 beyond z_n.
 
-    Nonpositive, nondecreasing, concave in z; the exact log of the Chebyshev
-    bound on the conditional loss tail.
+    Nonpositive, nondecreasing, concave in z; the log of the Chernoff bound
+    on the conditional loss tail P[Bin(n, p(z)) >= n q_n].
     """
     q = model.q_at(n)
     pz = conditional_default_prob(model, np.asarray(z, dtype=float))
-    out = np.where(pz < q, -float(n) * tilt.bernoulli_entropy(np.minimum(pz, q - 1e-16), q), 0.0)
+    # below the smallest normal float q / p(z) could overflow; F_n is
+    # nondecreasing, so the bound there is the one at that float
+    x = np.clip(pz, _TINY, q)
+    out = np.where(pz < q, -float(n) * tilt.bernoulli_entropy(x, q), 0.0)
     return float(out) if np.ndim(z) == 0 else out
 
 
@@ -169,49 +184,43 @@ def two_step_is(
     shift="mu_n",
     threads: int = 1,
 ) -> EstimatorResult:
-    """Two-step importance-sampling estimate of P[L_n >= k_n].
+    """Conditional Monte Carlo estimate of P[L_n >= k_n] over a shifted, stratified factor.
 
     The threshold k_n = ceil(n q_n - 1e-9) is ``cramer.lattice_threshold``.
-    Per replication: draw the factor Z ~ N(mu, 1); twist the conditional
-    default probability to q_n; draw the loss Binomial under the twist;
-    weight by both likelihood ratios.  Unbiased for any mu, including
-    mu = 0 (conditional twist only) and the rho = 0 independent case.  Each
-    hit's conditional log-weight is at most -theta*k_n + n*cgf(theta) (the
-    conditional Chebyshev bound), checked per draw by ``mc.check_bound``.
+    Per replication: xi is the stratified standard normal of
+    ``mc.stratified_normal`` (``PER_STRATUM`` draws per stratum), the factor
+    is z = mu + xi, and the value is the exact conditional tail
+    P[Bin(n, p(z)) >= k_n] = betainc(k_n, n - k_n + 1, p(z)) times the
+    likelihood ratio exp(-mu xi - mu^2/2).  Unbiased for any mu, including
+    mu = 0.  At rho = 0 the tail does not depend on the factor and a named
+    shift is 0, so every value is the binomial tail itself: the estimate is
+    exact, with zero variance.  Each draw's log tail is checked against the
+    Chernoff bound ``outer_exponent(model, n, z)`` by ``mc.check_bound``;
+    a tail below the smallest normal float has lost its relative precision
+    and is not checked.  The ``std_error`` is the stratified one.
     """
     q = model.q_at(n)
     if not model.p < q < 1.0:
         raise RegimeError(f"threshold q_n={q:.6g} outside (p, 1) with p={model.p}: "
                           "not a rare loss event, or one with an infinite twist")
+    k = cramer.lattice_threshold(n, q)
+    if k < 1:
+        raise RegimeError(f"n q_n = {n * q:.3g} puts the loss threshold at 0: the loss event is sure")
     if model.rho == 0.0 and isinstance(shift, str):
         mu = 0.0  # the factor is irrelevant; a mean shift would only add noise
     else:
         mu = _resolve_shift(model, n, shift)
-    loss_threshold = cramer.lattice_threshold(n, q)
-    log_one_minus_q = math.log1p(-q)
 
     def sampler(ss, size):
-        rng = np.random.default_rng(ss)
-        z = mu + rng.standard_normal(size)
-        pz = np.asarray(conditional_default_prob(model, z), dtype=float)
-        rare = pz < q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # twisted default probability is exactly q on rare lanes; the
-            # normalizer collapses to 1 - p(z) + p(z) e^theta = (1-p(z))/(1-q);
-            # the twist rounds below 0 when p(z) is within a few ulps of q,
-            # and the exact bound check needs theta >= 0
-            theta = np.where(rare, np.maximum(tilt.bernoulli_twist(pz, q), 0.0), 0.0)
-            log_mgf = np.where(rare, float(n) * (np.log1p(-pz) - log_one_minus_q), 0.0)
-            p_twist = np.where(rare, q, pz)
-            losses = rng.binomial(n, p_twist, size)
-            log_conditional = -theta * losses + log_mgf
-            hit = losses >= loss_threshold
-            mc.check_bound(log_conditional, -theta * loss_threshold + log_mgf, hit)
-            log_factor = -mu * z + 0.5 * mu * mu
-            values = np.where(hit, np.exp(log_factor + log_conditional), 0.0)
-        return values
+        xi = mc.stratified_normal(np.random.default_rng(ss), size, PER_STRATUM)
+        z = mu + xi
+        pz = conditional_default_prob(model, z)
+        tail = betainc(k, n - k + 1.0, pz)
+        hit = tail >= _TINY
+        mc.check_bound(np.log(tail, out=np.full(size, -np.inf), where=hit), outer_exponent(model, n, z), hit)
+        return tail * np.exp(-mu * xi - 0.5 * mu * mu)
 
-    return mc.run_replications(sampler, N, seed, threads=threads)
+    return mc.run_replications(sampler, N, seed, threads=threads, per_stratum=PER_STRATUM)
 
 
 def measure_loss_decay(

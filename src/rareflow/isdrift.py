@@ -27,7 +27,6 @@ import numpy as np
 from . import mc
 from .bridge import kill_exponent_single, survival_factor
 from .errors import AtMaturity, DomainEscape, MomentConditionViolated
-from .gaussian import norm_ppf
 from .mc import DecayFit, EstimatorResult
 
 
@@ -153,14 +152,12 @@ PER_STRATUM = 16
 def stratified_mu_is_estimator(payoff: PathPayoff, mu, N: int, seed: int, threads: int = 1) -> EstimatorResult:
     """Average of G(Z) exp(-mu'Z + mu'mu/2), Z ~ N(mu, I), stratified along u = mu/|mu|.
 
-    Z = mu + xi u + w.  xi = Phi^-1((h + U)/S), with U uniform on (0, 1),
-    fills stratum h of the S strata that ``mc.strata`` lays out in each
-    batch; the upper half of the strata take xi from the mirrored lower
-    quantile, so xi is always finite.  w is dim - 1 standard normals times
-    an orthonormal basis of the complement of u: the other rows of the
-    Householder reflection that maps e_1 to +-u.  The weight is
-    exp(-|mu| xi - |mu|^2/2), and a replication draws dim random numbers, as
-    the plain estimator does.
+    Z = mu + xi u + w.  xi is the stratified standard normal of
+    ``mc.stratified_normal`` over each batch's strata, drawn before w.  w is
+    dim - 1 standard normals times an orthonormal basis of the complement of
+    u: the other rows of the Householder reflection that maps e_1 to +-u.
+    The weight is exp(-|mu| xi - |mu|^2/2), and a replication draws dim
+    random numbers, as the plain estimator does.
 
     Unbiased for E[G(Z)] for every nonzero mu of finite norm; mu = 0 has no
     direction, so the naive run is ``mu_is_estimator``.  Its ``std_error``
@@ -183,14 +180,7 @@ def stratified_mu_is_estimator(payoff: PathPayoff, mu, N: int, seed: int, thread
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
-        counts = mc.strata(size, PER_STRATUM)
-        strata = counts.size
-        h = np.repeat(np.arange(strata), counts)
-        mirror = np.minimum(h, strata - 1 - h)
-        # U = (k + 1/2) 2^-52 with k uniform below 2^52: exact, and in (0, 1)
-        u = (np.floor(rng.random(size) * 2.0**52) + 0.5) * 2.0**-52
-        xi = norm_ppf((mirror + u) / strata)
-        np.negative(xi, out=xi, where=h > mirror)
+        xi = mc.stratified_normal(rng, size, PER_STRATUM)
         z = rng.standard_normal((size, payoff.dim - 1)) @ basis
         z += xi[:, None] * direction
         z += mu

@@ -14,7 +14,8 @@ importance sampler with a per-draw bound checks it through ``check_bound``.
 
 Stratified batches: a run with ``per_stratum`` set splits every batch into
 the equal-probability strata that ``strata`` lays out, and the sampler
-returns the batch's draws stratum by stratum.  Such a batch reaches the merge
+returns the batch's draws stratum by stratum; ``stratified_normal`` draws a
+standard normal in that layout.  Such a batch reaches the merge
 as the usual (count, mean, M2, scale): its mean is the equally weighted mean
 of the S stratum means, and its M2 is the pooled within-stratum sum of
 squares, stratum h's weighted by n^2 / (S^2 n_h (n_h - 1)) (n_h / (n_h - 1)
@@ -48,6 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundViolated, InsufficientData, MismatchedLadders, NonFiniteInput
+from .gaussian import norm_ppf
 
 BATCH_SIZE = 1 << 14
 
@@ -142,6 +144,26 @@ def strata(size: int, per_stratum: int) -> np.ndarray:
     counts = np.full(count, size // count)
     counts[: size % count] += 1
     return counts
+
+
+def stratified_normal(rng: np.random.Generator, size: int, per_stratum: int) -> np.ndarray:
+    """One standard normal per draw of a stratified batch, stratum by stratum.
+
+    xi = Phi^-1((h + U)/S), with U uniform on (0, 1), fills stratum h of the
+    S strata that ``strata(size, per_stratum)`` lays out.  The upper half of
+    the strata take xi from the mirrored lower quantile, so xi is always
+    finite and the layout is symmetric about 0.  Draws ``size`` uniforms
+    from ``rng`` and nothing else.
+    """
+    counts = strata(size, per_stratum)
+    count = counts.size
+    h = np.repeat(np.arange(count), counts)
+    mirror = np.minimum(h, count - 1 - h)
+    # U = (k + 1/2) 2^-52 with k uniform below 2^52: exact, and in (0, 1)
+    u = (np.floor(rng.random(size) * 2.0**52) + 0.5) * 2.0**-52
+    xi = norm_ppf((mirror + u) / count)
+    np.negative(xi, out=xi, where=h > mirror)
+    return xi
 
 
 def _batch_stats(values: np.ndarray, counts: np.ndarray | None = None):

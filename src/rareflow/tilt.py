@@ -10,6 +10,7 @@ samples (including exact draws of i.i.d. sums).  The root finder
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotAttained
 
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float
 BOUNDARY_PAD = 1e-9   # gap, times max(1, |endpoint|), where the probe to a finite endpoint starts halving it
 
 
@@ -183,8 +185,11 @@ class Poisson(TiltableFamily):
             return LegendreResult(x, math.nan, math.inf, attained=False)
         if x == 0.0:
             return LegendreResult(x, math.nan, self.lam, attained=False)
-        theta = math.log(x / self.lam)
-        rate = x * math.log(x / self.lam) + self.lam - x
+        ratio = x / self.lam
+        # the log of the quotient is the accurate one near the mean, but it
+        # rounds to 0 or overflows at the ends of the float range
+        theta = math.log(ratio) if _NORMAL_MIN <= ratio < math.inf else math.log(x) - math.log(self.lam)
+        rate = x * theta + self.lam - x
         return LegendreResult(x, theta, max(rate, 0.0), attained=True)
 
 
@@ -269,7 +274,10 @@ class Exponential(TiltableFamily):
         if x <= 0.0:
             return LegendreResult(x, math.nan, math.inf, attained=False)
         theta = self.lam - 1.0 / x
-        rate = self.lam * x - 1.0 - math.log(self.lam * x)
+        product = self.lam * x
+        # as for the Poisson quotient: lam * x may round to 0 or overflow
+        log_product = math.log(product) if _NORMAL_MIN <= product < math.inf else math.log(self.lam) + math.log(x)
+        rate = product - 1.0 - log_product
         return LegendreResult(x, theta, max(rate, 0.0), attained=True)
 
 

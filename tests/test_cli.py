@@ -629,6 +629,9 @@ def _oracle_doc(sub, doc):
 # a discount of e^468 puts every sample near 1.8e203, where squared deviations overflow
 @example(sub_doc=("barrier", {"s0": 100.0, "strike": 90.0, "barrier": 130.0, "sigma": 0.25, "maturity": 0.5,
                               "steps": 8, "payoff": "bond", "rate": -936.0}), seed=3)
+# x / lam and lam * x round to 0, where the log of the Legendre rate has no value
+@example(sub_doc=("cramer", {"family": "poisson", "lam": 2.0, "x": 5e-324, "n": 1}), seed=0)
+@example(sub_doc=("cramer", {"family": "exponential", "lam": 0.2, "x": 5e-324, "n": 1}), seed=0)
 def test_every_oracle_run_ends_in_bounded_oracles_or_a_documented_error(sub_doc, seed):
     sub, doc = sub_doc
     doc = _oracle_doc(sub, doc)

@@ -5,12 +5,12 @@ import pytest
 
 from rareflow import credit, mc, tilt
 from rareflow.credit import LossSchedule, PortfolioModel
-from rareflow.errors import RegimeError
+from rareflow.errors import BoundViolated, RegimeError
 from rareflow.oracles import credit_tail_quadrature
 from rareflow.tilt import Bernoulli
 
-from oracles import (binomial_tail_sum, credit_tail_gh, credit_tail_windowed_quad, normal_quantile, phi_bar,
-                     plain_loss_tail)
+from oracles import (binomial_tail_sum, credit_tail_beta_order, credit_tail_gh, credit_tail_windowed_quad,
+                     normal_quantile, phi_bar, plain_loss_tail)
 
 RHO_HALF = math.sqrt(0.5)
 
@@ -112,7 +112,7 @@ class TestFactorThreshold:
 
 
 class TestConditionalTwist:
-    # two_step_is twists p(z) to q with tilt.bernoulli_twist on rare lanes
+    # the paper's second step twists p(z) to q with tilt.bernoulli_twist
     def test_matches_bernoulli_saddle(self):
         model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
         theta = tilt.bernoulli_twist(credit.conditional_default_prob(model, 0.0), 0.5)
@@ -198,31 +198,55 @@ class TestFactorShift:
         assert ratios[-1] > 0.9
 
 
-class TestConditionalBoundCheck:
-    def test_a_draw_at_the_threshold_is_admitted(self, draws_at_bound):
-        # k_n = n q = 10 is an integer: a loss of exactly 10 has a
-        # log-weight equal to its bound, to the bit
-        model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
-        res = credit.two_step_is(model, 20, 20_000, seed=3)
-        assert draws_at_bound == [True, True]
-        assert abs(res.mean - binomial_tail_sum(20, 0.25, 10)) < 4.0 * res.std_error
+# the committed credit configs: (model, portfolio sizes, seed)
+COMMITTED_MODELS = [
+    (PortfolioModel(p=0.1, rho=0.4, threshold=0.5), (20,), 3),
+    (PortfolioModel(p=0.001, rho=0.3, threshold=0.05), (1000,), 802),
+    (schedule_model(p=0.4), (100, 1000, 10_000), 801),
+]
 
-    def test_p_of_z_an_ulp_below_q_is_admitted(self, monkeypatch):
-        # ln(q (1 - p) / (p (1 - q))) rounds to -2.2e-16 at q = 0.148 and
-        # p = q less one ulp; the twist is taken as 0, the exact sign
-        q = 0.148
-        assert tilt.bernoulli_twist(np.nextafter(q, 0.0), q) < 0.0
-        monkeypatch.setattr(credit, "conditional_default_prob", lambda model, z: np.full(np.shape(z), np.nextafter(q, 0.0)))
-        res = credit.two_step_is(PortfolioModel(p=0.05, rho=0.2, threshold=q), 20, 1_000, seed=3, shift=0.0)
-        assert abs(res.mean - binomial_tail_sum(20, q, 3)) < 4.0 * res.std_error
+
+class TestConditionalBoundCheck:
+    # each draw's log conditional tail lies below the Chernoff bound F_n(z)
+    def test_every_draw_of_the_committed_models_is_within_the_bound(self, monkeypatch):
+        slack = []
+        check = mc.check_bound
+
+        def spy(log_weight, log_bound, hit):
+            below = hit & (log_bound < 0.0)  # on the lanes past z_n the bound is 0
+            slack.append(float(np.min(log_bound[below] - log_weight[below])))
+            check(log_weight, log_bound, hit)
+
+        monkeypatch.setattr(mc, "check_bound", spy)
+        for model, sizes, seed in COMMITTED_MODELS:
+            for n in sizes:
+                credit.two_step_is(model, n, 100_000, seed=seed)
+        assert len(slack) == 5 * 7
+        # the binomial tail is a polynomial factor below its Chernoff bound
+        assert min(slack) > 0.4
+
+    def test_a_lowered_bound_raises(self, monkeypatch):
+        model, (n,), seed = COMMITTED_MODELS[0]
+        bound = credit.outer_exponent
+        monkeypatch.setattr(credit, "outer_exponent", lambda model, n, z: bound(model, n, z) - 1.0)
+        with pytest.raises(BoundViolated):
+            credit.two_step_is(model, n, 1_000, seed=seed)
 
 
 class TestTwoStepIs:
     def test_independent_case_matches_binomial(self):
+        # at rho = 0 every draw is the binomial tail itself
         model = PortfolioModel(p=0.25, rho=0.0, threshold=0.5)
         est = credit.two_step_is(model, 20, 100_000, seed=3)
         exact = binomial_tail_sum(20, 0.25, 10)
-        assert abs(est.mean - exact) < 4.0 * est.std_error
+        assert est.mean == pytest.approx(exact, rel=1e-12)
+        assert est.std_error == 0.0
+
+    def test_a_sure_loss_event_is_a_regime_error(self):
+        # n q_n below 1e-9 puts k_n at 0: {L >= 0} is no rare event
+        model = PortfolioModel(p=1e-12, rho=0.99, threshold=1e-10)
+        with pytest.raises(RegimeError, match="sure"):
+            credit.two_step_is(model, 1, 1_000, seed=0)
 
     def test_quadrature_oracle_case(self):
         model = PortfolioModel(p=0.1, rho=0.4, threshold=0.5)
@@ -261,6 +285,19 @@ class TestTwoStepIs:
         # the in-sampler assertion is the contract; a run exercises it
         model = schedule_model(p=0.05)
         credit.two_step_is(model, 500, 50_000, seed=6)
+
+
+class TestErrorBar:
+    # 2,000 one-batch runs against the order-statistic reference, which
+    # shares no binomial tail with the estimator and holds 1e-14 relative
+    # here, far below the SE of about 1e-4 relative at 1,024 draws
+    @pytest.mark.parametrize("model, n, seed", [(model, sizes[0], seed) for model, sizes, seed in COMMITTED_MODELS[:2]],
+                             ids=["credit", "credit-deep"])
+    def test_95_percent_interval_covers_the_reference(self, model, n, seed):
+        reference = credit_tail_beta_order(n, model.p, model.rho, model.q_at(n))
+        runs = [credit.two_step_is(model, n, 1_024, seed=seed + i) for i in range(2_000)]
+        z = np.array([(run.mean - reference) / run.std_error for run in runs])
+        assert abs(np.mean(np.abs(z) <= 1.96) - 0.95) <= 0.015
 
 
 class TestMeasureLossDecay:

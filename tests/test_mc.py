@@ -9,6 +9,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rareflow import mc
 from rareflow.errors import BoundViolated, InsufficientData, MismatchedLadders, NonFiniteInput
@@ -325,6 +326,33 @@ class TestStratifiedBatches:
         values = np.random.default_rng(6).lognormal(size=20)
         iid, one = (mc.run_replications(lambda ss, n: values[:n], 20, seed=0, per_stratum=k) for k in (None, 16))
         assert iid == one
+
+    @pytest.mark.parametrize("size, per_stratum", [(2, 2), (3, 2), (37, 2), (16_384 + 37, 2), (1_001, 16)])
+    def test_stratified_normal_fills_each_quantile_band(self, size, per_stratum):
+        rng = np.random.default_rng(7)
+        xi = mc.stratified_normal(rng, size, per_stratum)
+        counts = mc.strata(size, per_stratum)
+        strata = counts.size
+        h = np.repeat(np.arange(strata), counts)
+        mirror = np.minimum(h, strata - 1 - h)
+        assert xi.shape == (size,) and np.all(np.isfinite(xi))
+        # stratum h holds the normals between its quantiles h/S and (h+1)/S;
+        # the upper half is the lower half mirrored through 0
+        folded = np.where(h > mirror, -xi, xi)
+        assert np.all(ndtri(mirror / strata) <= folded) and np.all(folded <= ndtri((mirror + 1) / strata))
+        # the helper drew its size uniforms and nothing else
+        rng_again = np.random.default_rng(7)
+        rng_again.random(size)
+        assert rng.random() == rng_again.random()
+
+    def test_stratified_normal_layout_is_symmetric(self):
+        class FixedUniforms:
+            def random(self, size):
+                return np.full(size, 0.3)
+
+        xi = mc.stratified_normal(FixedUniforms(), 64, 2)
+        assert np.all(xi[:16] < 0.0)
+        assert np.array_equal(xi, -xi[::-1])
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_thread_count_invariance(self, threads):
