@@ -19,8 +19,8 @@ its steps (``survival_factor``).  The knock-out pricer averages the payoff
 times that product, the conditional expectation of the killed payoff given
 the grid path: it is unbiased, its variance is no larger than a coin flip's,
 and it draws no kill stream.  The factor is ``-expm1(e)``, exact near a
-certain crossing and fast over the whole range of e.  The wealth sampler
-``ruin.simulate_wealth_ruin`` weights its creeps through 0 the same way.
+certain crossing and fast over the whole range of e.  The ruin sampler
+``ruin.simulate_ruin_is`` weights its creeps through 0 the same way.
 
 ``price_knockout_ladder`` is the knock-out pricer.  It prices a chain of
 grids (each step count divides the next larger one) in one pass that draws

@@ -120,8 +120,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "claim_rate": FieldSpec(float, required=True, check=_positive("claim_rate")),
         "b": FieldSpec(float, required=True),
         "sigma": FieldSpec(float, required=True, check=_positive("sigma")),
-        "x": FieldSpec(float, default=None, check=_at_least(0, "x")),
-        "horizon": FieldSpec(float, default=None, check=_positive("horizon")),
+        "x": FieldSpec(float, default=0.0, check=_at_least(0, "x")),
     },
     "barrier": {
         "s0": FieldSpec(float, required=True, check=_positive("s0")),
@@ -394,6 +393,15 @@ def _ladder_meta(rungs: list, fit: mc.DecayFit) -> dict:
     return {"mc_slope": fit.slope, "zero_hit_rungs": mc.zero_hit_rungs(rungs, fit.results)}
 
 
+def _ladder_report(config: ExperimentConfig, rungs: list, fit: mc.DecayFit, columns: list, head, oracle,
+                   meta: dict) -> Report:
+    """A row per rung: its ``head`` cells, its estimate and, asked for, its ``oracle`` value."""
+    rows = [head(rung) + _estimator_row(res) + ([oracle(rung)] if config.oracle else [])
+            for rung, res in zip(rungs, fit.results)]
+    cols = columns + _EST_COLS + (["oracle"] if config.oracle else [])
+    return Report(meta={**meta, **_ladder_meta(rungs, fit)}, columns=cols, rows=rows)
+
+
 def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
     p = config.params
     fam_name = p["family"]
@@ -409,14 +417,8 @@ def _run_cramer(config: ExperimentConfig, threads: int) -> Report:
     theta = p["theta"] if p["theta"] is not None else tilt.saddle_theta(family, p["x"])
     sizes = _rungs(config)
     fit = cramer.verify_rate(family, p["x"], sizes, config.replications, config.seed, theta=theta, threads=threads)
-    rows = []
-    for n, res in zip(sizes, fit.results):
-        row = [n, p["x"], theta] + _estimator_row(res)
-        if config.oracle:
-            row.append(_cramer_oracle(fam_name, p, n))
-        rows.append(row)
-    cols = ["n", "x", "theta"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    return Report(meta=_ladder_meta(sizes, fit), columns=cols, rows=rows)
+    return _ladder_report(config, sizes, fit, ["n", "x", "theta"], lambda n: [n, p["x"], theta],
+                          lambda n: _cramer_oracle(fam_name, p, n), {})
 
 
 def _cramer_oracle(fam_name, p, n):
@@ -435,15 +437,10 @@ def _run_ruin(config: ExperimentConfig, threads: int) -> Report:
     sol = ruin.adjustment_coefficient(model)
     reserves = _rungs(config)
     fit = ruin.ruin_decay_fit(model, reserves, config.replications, config.seed, threads=threads)
-    rows = []
-    for x, res in zip(reserves, fit.results):
-        row = [x, sol.value, math.exp(-sol.value * x)] + _estimator_row(res)
-        if config.oracle:
-            row.append(oracles.ruin_probability_exponential(p["premium"], p["lam"], p["claim_rate"], x))
-        rows.append(row)
-    cols = ["x", "theta_l", "lundberg_bound"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    meta = {"theta_l": sol.value, "residual": sol.residual, **_ladder_meta(reserves, fit)}
-    return Report(meta=meta, columns=cols, rows=rows)
+    return _ladder_report(config, reserves, fit, ["x", "theta_l", "lundberg_bound"],
+                          lambda x: [x, sol.value, math.exp(-sol.value * x)],
+                          lambda x: oracles.ruin_probability_exponential(p["premium"], p["lam"], p["claim_rate"], x),
+                          {"theta_l": sol.value, "residual": sol.residual})
 
 
 def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
@@ -455,18 +452,13 @@ def _run_ruin_invest(config: ExperimentConfig, threads: int) -> Report:
     theta_l = ruin.adjustment_coefficient(model).value
     sol = ruin.invest_exponent(model)
     alpha = ruin.optimal_fraction(model, sol.value)
-    cols = ["x", "theta_l", "theta_star", "alpha_star"] + _EST_COLS
-    meta = {"theta_star": sol.value, "alpha_star": alpha}
-    if config.ladder:
-        horizon = p["horizon"] if p["horizon"] is not None else 200.0 / p["lam"]
-        reserves = _rungs(config)
-        fit = mc.fit_ladder(reserves, mc.run_ladder(lambda x, seed: ruin.simulate_wealth_ruin(
-            model, x, alpha, horizon, config.replications, seed, threads=threads), reserves, config.seed))
-        rows = [[x, theta_l, sol.value, alpha] + _estimator_row(res) for x, res in zip(reserves, fit.results)]
-        meta.update(_ladder_meta(reserves, fit))
-    else:
-        rows = [[p["x"] if p["x"] is not None else 0.0, theta_l, sol.value, alpha, None, None, None, None, None]]
-    return Report(meta=meta, columns=cols, rows=rows)
+    reserves = _rungs(config)
+    fit = ruin.ruin_decay_fit(model, reserves, config.replications, config.seed, threads=threads)
+    return _ladder_report(config, reserves, fit, ["x", "theta_l", "theta_star", "alpha_star"],
+                          lambda x: [x, theta_l, sol.value, alpha],
+                          lambda x: oracles.ruin_probability_invest(p["premium"], p["lam"], p["claim_rate"], p["b"],
+                                                                    p["sigma"], x),
+                          {"theta_star": sol.value, "alpha_star": alpha})
 
 
 def _run_barrier(config: ExperimentConfig, threads: int) -> Report:
@@ -565,14 +557,15 @@ def _run_credit(config: ExperimentConfig, threads: int) -> Report:
     model = credit.PortfolioModel(p=p["p"], rho=p["rho"], threshold=threshold)
     sizes = _rungs(config)
     fit = credit.measure_loss_decay(model, sizes, config.replications, config.seed, shift=p["shift"], threads=threads)
-    rows = []
-    for n, res in zip(sizes, fit.results):
-        row = [n, model.q_at(n)] + _estimator_row(res)
-        if config.oracle:
-            row.append(oracles.credit_tail_quadrature(n, p["p"], p["rho"], model.q_at(n)))
-        rows.append(row)
-    cols = ["n", "q_n"] + _EST_COLS + (["oracle"] if config.oracle else [])
-    return Report(meta=_ladder_meta(sizes, fit), columns=cols, rows=rows)
+    return _ladder_report(config, sizes, fit, ["n", "q_n"], lambda n: [n, model.q_at(n)],
+                          lambda n: _credit_oracle(n, p["p"], p["rho"], model.q_at(n)), {})
+
+
+def _credit_oracle(n, p, rho, q):
+    value = oracles.credit_tail_quadrature(n, p, rho, q)
+    if math.isnan(value):
+        warnings.warn(f"credit has no oracle at n = {n}: scipy's bdtrc returns nan for the binomial tail at this size")
+    return value
 
 
 def _run_longterm(config: ExperimentConfig, threads: int) -> Report:

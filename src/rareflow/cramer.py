@@ -46,9 +46,13 @@ def lattice_threshold(n: int, x: float) -> float:
 
     For integer-valued sums the event {S_n >= n*x} is {S_n >= ceil(n*x)};
     the small backoff keeps intended-integer products like 10*0.3 = 2.999...96
-    from being rounded up a lattice site too far.
+    from being rounded up a lattice site too far.  A product n*x beyond the
+    float range raises ``DomainError``.
     """
-    return float(math.ceil(n * x - 1e-9))
+    target = n * x
+    if not math.isfinite(target):
+        raise DomainError(f"the sum threshold n*x = {target} lies beyond the float range")
+    return float(math.ceil(target - 1e-9))
 
 
 def _sum_threshold(problem: EmpiricalMeanProblem) -> float:

@@ -131,21 +131,23 @@ def lq_dual(model: LqModel, theta: float) -> tuple[float, float, float]:
     with T = theta/(1 - theta).  The A-quadratic has two roots; the branch
     continuous in theta with A(0) = 0 is A = k - sqrt(k^2 - 2 C2), the one
     that keeps the theta-adjusted factor drift mean-reverting.  Raises
-    OutOfDomain outside [0, 1) or when the discriminant goes negative.
+    OutOfDomain outside [0, 1) or when the discriminant goes negative or
+    overflows.
     """
     _check_theta(theta)
     t_factor = theta / (1.0 - theta)
-    c2 = 0.5 * t_factor * model.beta2**2
-    disc = model.k**2 - 2.0 * c2
-    if disc < 0.0:
-        raise OutOfDomain(f"discriminant {disc:.6g} < 0 at theta={theta}")
+    # squares as products, which overflow to inf rather than raise
+    c2 = 0.5 * t_factor * (model.beta2 * model.beta2)
+    disc = model.k * model.k - 2.0 * c2
+    if not 0.0 <= disc < math.inf:
+        raise OutOfDomain(f"discriminant {disc:.6g} at theta={theta} lies outside [0, inf)")
     coeff_a = model.k - math.sqrt(disc)
     denom = model.k - coeff_a  # = sqrt(disc) > 0 on the ergodic branch
     rhs = theta * model.beta3 + t_factor * model.beta2 * model.beta4
     if denom == 0.0:
         raise OutOfDomain(f"degenerate linear solve at theta={theta}")
     coeff_b = rhs / denom
-    lam = 0.5 * coeff_a + 0.5 * coeff_b**2 + 0.5 * t_factor * model.beta4**2
+    lam = 0.5 * coeff_a + 0.5 * (coeff_b * coeff_b) + 0.5 * t_factor * (model.beta4 * model.beta4)
     return coeff_a, coeff_b, lam
 
 
@@ -159,12 +161,12 @@ def lam_prime(model: LqModel, theta: float) -> float:
     """
     coeff_a, coeff_b, _ = lq_dual(model, theta)
     root = model.k - coeff_a
-    t_prime = 1.0 / (1.0 - theta) ** 2
-    c2_prime = 0.5 * t_prime * model.beta2**2
+    t_prime = 1.0 / ((1.0 - theta) * (1.0 - theta))
+    c2_prime = 0.5 * t_prime * (model.beta2 * model.beta2)
     rhs_prime = model.beta3 + t_prime * model.beta2 * model.beta4
     a_prime = c2_prime / root
     b_prime = (rhs_prime + coeff_b * c2_prime / root) / root
-    return 0.5 * a_prime + coeff_b * b_prime + 0.5 * t_prime * model.beta4**2
+    return 0.5 * a_prime + coeff_b * b_prime + 0.5 * t_prime * (model.beta4 * model.beta4)
 
 
 def theta_bar(model: LqModel) -> tuple[float, bool]:
@@ -178,7 +180,7 @@ def theta_bar(model: LqModel) -> tuple[float, bool]:
     unless beta4 = 0.
     """
     if model.beta2 != 0.0:
-        return model.k**2 / (model.k**2 + model.beta2**2), True
+        return model.k * model.k / (model.k * model.k + model.beta2 * model.beta2), True
     return 1.0, model.beta4 != 0.0
 
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy.special import bdtrc, gammaincc, gammaln, pdtrc
 
+from .errors import DomainError
 from .gaussian import norm_cdf, norm_cdf_scaled, norm_pdf, norm_ppf, norm_sf
 
 # the credit oracle's factor rule: panels of the window, graded edges on each
@@ -75,6 +76,44 @@ def ruin_probability_exponential(premium: float, lam: float, claim_rate: float, 
     return lam / (premium * claim_rate) * math.exp(-theta_l * x)
 
 
+def ruin_probability_invest(premium: float, lam: float, claim_rate: float, b: float, sigma: float,
+                            x: float) -> float:
+    """Ruin probability of the insurer who holds the optimal stock position, for exponential claims.
+
+    theta* is the positive root of p t^2 + (lam + beta - p nu) t - beta nu = 0
+    with beta = b^2/(2 sigma^2), and the position is alpha* = b/(sigma^2 theta*).
+    The wealth is then compound Poisson plus a Brownian motion with drift
+    c = p + alpha* b and diffusion coefficient D = alpha*^2 sigma^2 / 2, whose
+    ruin probability is A e^(-r1 x) + (1 - A) e^(-r2 x) (Dufresne & Gerber,
+    Insurance: Math. Econ. 10, 1991): r1 < nu < r2 are the roots of
+    D r^2 - (c + D nu) r + (c nu - lam) = 0, and A = (1 - k2)/(k1 - k2) with
+    k_i = nu/(nu - r_i).  Where D is 0 (no position, or its square
+    underflows) this is the classical closed form, except at x = 0, where a
+    diffusion started at the barrier touches it at once.
+    """
+    ratio = b / sigma
+    beta = 0.5 * ratio * ratio
+    lin = lam + beta - premium * claim_rate
+    root = math.sqrt(lin * lin + 4.0 * premium * beta * claim_rate)
+    # each root of the quadratic in the form that does not cancel
+    theta = (root - lin) / (2.0 * premium) if lin < 0.0 else 2.0 * beta * claim_rate / (lin + root)
+    alpha = ratio / sigma / theta if b != 0.0 else 0.0
+    if x == 0.0 and alpha != 0.0:
+        return 1.0
+    c = premium + alpha * b
+    d = 0.5 * (alpha * sigma) * (alpha * sigma)
+    if d == 0.0:
+        return ruin_probability_exponential(premium, lam, claim_rate, x)
+    spread = math.hypot(c - d * claim_rate, 2.0 * math.sqrt(d * lam))
+    r1 = 2.0 * (c * claim_rate - lam) / (c + d * claim_rate + spread)
+    r2 = (c + d * claim_rate + spread) / (2.0 * d)
+    if claim_rate in (r1, r2):
+        raise DomainError(f"an exponent rounds to the claim rate {claim_rate}, where the claim m.g.f. is infinite")
+    k1, k2 = claim_rate / (claim_rate - r1), claim_rate / (claim_rate - r2)
+    weight = (1.0 - k2) / (k1 - k2)
+    return weight * math.exp(-r1 * x) + (1.0 - weight) * math.exp(-r2 * x)
+
+
 def _reflected_cdf(z: float, d: float, gap: float, log_factor: float) -> float:
     """exp(log_factor) Phi(z), where log_factor - z^2/2 = -d^2/2 - gap.
 
@@ -109,6 +148,12 @@ def _killed_mass(m: float, lo: float, b: float, s: float) -> float:
     return float(direct - reflected)
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a/b) for a, b > 0; a difference of logs where the quotient rounds to 0 or overflows."""
+    ratio = a / b
+    return math.log(ratio) if np.finfo(float).tiny <= ratio < math.inf else math.log(a) - math.log(b)
+
+
 def up_out_call_price(s0: float, strike: float, barrier: float, rate: float,
                       sigma: float, maturity: float) -> float:
     """Closed-form price of a continuously monitored up-and-out call.
@@ -126,8 +171,8 @@ def up_out_call_price(s0: float, strike: float, barrier: float, rate: float,
         raise ValueError(f"strike must be positive, got {strike}")
     if s0 >= barrier or strike >= barrier:
         return 0.0
-    b = math.log(barrier / s0)
-    lo = math.log(strike / s0)
+    b = _log_ratio(barrier, s0)
+    lo = _log_ratio(strike, s0)
     s = sigma * math.sqrt(maturity)
     drift = rate * maturity
     half_var = 0.5 * sigma * sigma * maturity
@@ -142,7 +187,7 @@ def up_in_bond_probability(s0: float, barrier: float, sigma: float, maturity: fl
     The log price drifts at nu = -sigma^2/2, so the reflection factor
     exp(2 nu a / sigma^2) is exp(-a) = s0 / barrier.
     """
-    a = math.log(barrier / s0)
+    a = _log_ratio(barrier, s0)
     if a <= 0.0:
         return 1.0
     nu = -0.5 * sigma * sigma

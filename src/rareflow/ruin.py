@@ -1,14 +1,15 @@
 """Compound-Poisson ruin probabilities and the investment extension.
 
 The reserve earns premiums at rate p, pays i.i.d. claims at Poisson(lam)
-arrivals, and is ruined when it goes negative.  Ruin can only happen at claim
-times, so everything reduces to the embedded walk S_k = sum(Y_i - p*xi_i).
-The adjustment coefficient theta_L is the positive zero of that walk's
-c.g.f.; sampling the walk under the theta_L-tilt turns ruin into a certain
-event and yields an unbiased, asymptotically optimal estimator
-``exp(-theta_L * S_sigma)``.  With a stock position the wealth can also
-creep through 0 between claims; ``simulate_wealth_ruin`` weights each path by
-its bridge survival instead of killing it by a coin flip.
+arrivals, and is ruined when it goes negative.  The adjustment coefficient
+theta_L is the positive zero of the c.g.f. of the embedded walk
+S_k = sum(Y_i - p*xi_i); with a constant stock position the improved
+exponent theta* plays its part.  One sampler, ``simulate_ruin_is``, serves
+both: it tilts the loss process by that exponent, under which ruin is
+certain, and averages Siegmund's weight ``exp(-theta * L_tau)``, unbiased
+for the infinite-horizon ruin probability and at most ``exp(-theta * x)``.
+With a stock position the wealth can also creep through 0 between claims;
+each path then carries its bridge survival instead of a coin flip.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ class ExponentSolution:
     residual: float
 
 
-def _gamma_shifted(model: RuinModel, theta: float) -> float:
-    """gamma_Y(theta) = E[exp(theta*Y)] - 1."""
-    return math.expm1(model.claims.cgf(theta))
-
-
 def _solve_exponent(model: RuinModel, offset: float) -> ExponentSolution:
     """Positive root of gamma_Y(theta) = premium*theta/lam + offset.
 
@@ -82,8 +78,8 @@ def _solve_exponent(model: RuinModel, offset: float) -> ExponentSolution:
             f"safety loading {model.safety_loading:.6g} must be positive"
         )
 
-    def h(theta):
-        return _gamma_shifted(model, theta) - model.premium * theta / model.lam - offset
+    def h(theta):  # gamma_Y(theta) = E[exp(theta*Y)] - 1 against the line
+        return math.expm1(model.claims.cgf(theta)) - model.premium * theta / model.lam - offset
 
     theta = tilt._bracketed_root(h, 1e-12, model.claims.cgf_domain[1])
     if theta is None:
@@ -121,7 +117,7 @@ def optimal_fraction(model: RuinModel, theta_star: float) -> float:
         raise ValueError("model has no investment parameters")
     if model.invest.b == 0.0:
         return 0.0
-    return model.invest.b / (model.invest.sigma**2 * theta_star)
+    return model.invest.b / (model.invest.sigma * model.invest.sigma * theta_star)
 
 
 def simulate_ruin_is(
@@ -129,37 +125,75 @@ def simulate_ruin_is(
 ) -> EstimatorResult:
     """Importance-sampling estimate of the infinite-horizon ruin probability.
 
-    Runs the embedded walk under the theta_L-tilted law (claims tilted by
-    theta_L, interarrivals by -premium*theta_L to rate lam + premium*theta_L),
-    stops at the first passage above x, and averages exp(-theta_L * S_sigma).
-    The tilted walk has positive drift so the passage time is a.s. finite.  The stopped walk
-    sits above x, so every log-sample is at most -theta_L * x (the Lundberg
-    bound), checked per batch by ``mc.check_bound``.
+    Siegmund's algorithm (Asmussen & Glynn, *Stochastic Simulation*, 2007,
+    ch. VI): tilt the loss L_t = x - V_t by the zero theta of its exponent,
+    theta_L with no stock position (no investment, or b = 0) and theta* at
+    alpha* = ``optimal_fraction``.  Ruin is then certain, and a path's sample
+    exp(-theta L_tau) is at most exp(-theta x).  Tilted claims arrive at rate
+    lam M_Y(theta) = lam + premium theta + b^2/(2 sigma^2); between them the
+    wealth is a Brownian motion with drift premium (the stock's tilted drift
+    b - alpha* sigma^2 theta* is 0) and volatility alpha* sigma.  A path
+    carries its chance S of no creep through 0 so far; a round whose bridge
+    survives with chance s adds S (1 - s) exp(-theta x) and sets S <- S s,
+    and a claim that ruins adds S exp(-theta L).  ``mc.check_bound`` checks
+    each term against exp(-theta x).  Before any draw, Wald's identity gives
+    a path's expected rounds, x lam M_Y(theta) / kappa'(theta); above
+    ``MAX_PATH_STEPS`` the run raises ``MaxStepsExceeded``.
     """
     if x < 0.0:
         raise ValueError("initial reserve must be nonnegative")
-    theta_l = adjustment_coefficient(model).value
-    tilted_claims = model.claims.tilted(theta_l)
-    tilted_rate = model.lam + model.premium * theta_l
-    log_bound = -theta_l * x
+    b, sigma = (model.invest.b, model.invest.sigma) if model.invest else (0.0, 1.0)
+    if b == 0.0:
+        theta, vol = adjustment_coefficient(model).value, 0.0
+    else:
+        theta = invest_exponent(model).value
+        vol = abs(optimal_fraction(model, theta)) * sigma
+    sharpe = b / sigma
+    tilted_claims = model.claims.tilted(theta)
+    tilted_rate = model.lam + model.premium * theta + 0.5 * sharpe * sharpe
+    step_mean = tilted_claims.mean - model.premium / tilted_rate  # a round's expected loss
+    rounds = x / step_mean if step_mean > 0.0 else math.inf
+    if rounds > MAX_PATH_STEPS:
+        raise MaxStepsExceeded(f"a path takes {rounds:.3g} rounds on average; check the model")
+    log_bound = -theta * x
 
     def sampler(ss, size):
         rng = np.random.default_rng(ss)
-        log_out = np.empty(size)
+        log_out = np.empty(size)  # -theta * L at each path's claim ruin
+        alive = np.ones(size)  # each path's chance S of no creep so far
+        crept = np.zeros(size)  # the sum of each path's creep terms
         active = np.arange(size)
-        walks = np.zeros(size)  # positions of the active paths, in their order
+        walks = np.zeros(size)  # losses of the active paths, in their order
         steps = 0
         while active.size:
             steps += 1
             if steps > MAX_PATH_STEPS:
                 raise MaxStepsExceeded("tilted walk did not cross; check the model")
             n = active.size
-            walks += tilted_claims.sample(rng, n) - model.premium * rng.exponential(1.0 / tilted_rate, n)
+            claims = tilted_claims.sample(rng, n)
+            waits = rng.exponential(1.0 / tilted_rate, n)
+            if vol > 0.0:
+                before = walks - model.premium * waits - vol * np.sqrt(waits) * rng.standard_normal(n)
+                # losses below x play the gaps below an upper level; vol^2 wait
+                # may underflow, where the limit is a touch iff a gap is 0
+                with np.errstate(all="ignore"):
+                    survive = bridge.survival_factor(
+                        bridge.kill_exponent_single(x - walks, np.maximum(x - before, 0.0), vol, waits))
+                    chance = alive[active]
+                    log_creep = np.log(chance * (1.0 - survive)) + log_bound
+                mc.check_bound(log_creep, log_bound, True)
+                crept[active] += np.exp(log_creep)
+                alive[active] = chance * survive
+                walks = before + claims
+            else:
+                walks += claims - model.premium * waits
             crossed = walks > x
-            log_out[active[crossed]] = -theta_l * walks[crossed]
+            log_out[active[crossed]] = -theta * walks[crossed]
             active, walks = active[~crossed], walks[~crossed]
+        with np.errstate(divide="ignore"):  # a path that crept for sure has S = 0
+            log_out += np.log(alive)
         mc.check_bound(log_out, log_bound, True)
-        return np.exp(log_out)
+        return np.exp(log_out) + crept
 
     return mc.run_replications(sampler, N, seed, threads=threads)
 
@@ -170,64 +204,3 @@ def ruin_decay_fit(
     """Fit ln psi_hat(x) against the initial reserve ladder."""
     results = mc.run_ladder(lambda x, s: simulate_ruin_is(model, float(x), N, s, threads=threads), reserves, seed)
     return mc.fit_ladder(reserves, results)
-
-
-def simulate_wealth_ruin(
-    model: RuinModel,
-    x: float,
-    alpha: float,
-    horizon: float,
-    N: int,
-    seed: int,
-    threads: int = 1,
-) -> EstimatorResult:
-    """Finite-horizon ruin probability of the insurer investing ``alpha`` in stock.
-
-    Wealth follows dV = (premium + alpha*b) dt + alpha*sigma dW minus claims
-    at Poisson arrival times, a Brownian motion with drift between claims.
-    Live paths jump from claim to claim: each round draws the wait (cut at
-    the horizon) and the exact Gaussian endpoint, then subtracts the claim.
-    A path carries ``alive``, its chance of not having crept through 0 so
-    far.  Given the endpoints, the bridge law gives the chance s of not
-    touching 0 within the round, so the round adds ``alive * (1 - s)`` to the
-    path's sample and sets ``alive *= s``; a claim that ruins adds ``alive``.
-    This conditional expectation of the ruin indicator is unbiased and draws
-    no kill stream.  There is no grid bias, but ruin after ``horizon`` is
-    missed, so this underestimates the infinite-horizon probability.  At
-    alpha = 0 it is plain Monte Carlo of the classical risk process.
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if x < 0.0:
-        raise ValueError("initial reserve must be nonnegative")
-    b, sigma = (model.invest.b, model.invest.sigma) if model.invest else (0.0, 0.0)
-    drift = model.premium + alpha * b
-    vol = abs(alpha) * sigma
-
-    def sampler(ss, size):
-        rng = np.random.default_rng(ss)
-        ruined = np.zeros(size)
-        active, wealth, clock = np.arange(size), np.full(size, float(x)), np.zeros(size)
-        alive = np.ones(size)
-        while active.size:
-            n = active.size
-            wait = rng.exponential(1.0 / model.lam, n)
-            left = horizon - clock
-            tau = np.minimum(wait, left)
-            end = wealth + drift * tau
-            if vol > 0.0:
-                end += vol * np.sqrt(tau) * rng.standard_normal(n)
-                # distances above the barrier at 0 play the gaps below an upper level
-                with np.errstate(all="ignore"):  # vol^2 tau may underflow: the limit is a touch iff a gap is 0
-                    survive = bridge.survival_factor(bridge.kill_exponent_single(wealth, np.maximum(end, 0.0), vol, tau))
-                ruined[active] += alive * (1.0 - survive)
-                alive *= survive
-            claimed = (alive > 0.0) & (wait < left)
-            end[claimed] -= model.claims.sample(rng, int(claimed.sum()))
-            ruin_by_claim = claimed & (end < 0.0)
-            ruined[active[ruin_by_claim]] += alive[ruin_by_claim]
-            live = claimed & ~ruin_by_claim
-            active, wealth, clock, alive = active[live], end[live], clock[live] + wait[live], alive[live]
-        return ruined
-
-    return mc.run_replications(sampler, N, seed, threads=threads)

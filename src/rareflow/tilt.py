@@ -228,8 +228,9 @@ class Normal(TiltableFamily):
         return rng.normal(n * self.m, math.sqrt(n * self.var), size)
 
     def _legendre_closed(self, x):
-        theta = (x - self.m) / self.var
-        rate = (x - self.m) ** 2 / (2.0 * self.var)
+        gap = x - self.m
+        theta = gap / self.var
+        rate = gap * gap / (2.0 * self.var)  # a square that overflows is inf, not an error
         return LegendreResult(x, theta, rate, attained=True)
 
 

@@ -131,12 +131,8 @@ def test_criterion_5_investment_exponent():
         assert sol.value == pytest.approx(0.640388, abs=1e-6)
         theta_l = ruin.adjustment_coefficient(model).value
         assert sol.value > theta_l
-        alpha = ruin.optimal_fraction(model, sol.value)
         reserves = [2.0, 4.0, 6.0, 8.0]
-        results = [
-            ruin.simulate_wealth_ruin(model, x, alpha, horizon=200.0, N=30_000, seed=500 + i)
-            for i, x in enumerate(reserves)
-        ]
+        results = [ruin.simulate_ruin_is(model, x, 30_000, seed=500 + i) for i, x in enumerate(reserves)]
         points, dropped = mc.decay_points(reserves, results)
         assert dropped == 0
         fit = mc.fit_decay(points)
@@ -313,7 +309,7 @@ def test_criterion_10_reproducibility(tmp_path):
             "cramer": {"family": "bernoulli", "p": 0.25, "n": 10, "x": 0.5},
             "ruin": {"premium": 2.0, "lam": 1.0, "claim_rate": 1.0, "x": 2.0},
             "ruin-invest": {"premium": 2.0, "lam": 1.0, "claim_rate": 1.0, "b": 1.0,
-                            "sigma": 1.0, "ladder": [2.0], "horizon": 20.0},
+                            "sigma": 1.0, "ladder": [2.0]},
             "barrier": {"s0": 100.0, "strike": 90.0, "barrier": 130.0, "sigma": 0.25,
                         "maturity": 1.0, "steps": 8},
             "fw-bond": {"s0": 80.0, "barrier": 100.0, "sigma": 0.4, "maturity": 1.0, "steps": 8},

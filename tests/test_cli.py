@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import nullcontext, redirect_stderr
 
@@ -133,7 +134,7 @@ class TestBadInput:
         ([], {"subcommand": "longterm", "ladder": [-5.0]}),
         ([], {"subcommand": "ruin-invest", "ladder": [-1]}),
         ([], {"subcommand": "ruin-invest", "x": -1.0}),
-        ([], {"subcommand": "ruin-invest", "horizon": 0.0}),
+        ([], {"subcommand": "ruin-invest", "sigma": 0.0}),
         ([], {"subcommand": "credit", "ladder": [2.7]}),
         ([], {"subcommand": "fw-bond", "ladder": [8]}),
         ([], {"subcommand": "ghs", "ladder": [8]}),
@@ -217,6 +218,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("rareflow: RegimeError:")
         assert "Traceback" not in err
+
+    def test_a_reserve_beyond_reach_of_the_walk_exits_10_at_once(self, tmp_path, capsys):
+        # the tilted walk gains about 1 per round, so x = 1e12 would take 1e12 rounds
+        path = write_config(tmp_path, "ruin.json", dict(MINIMAL["ruin"], x=1e12))
+        started = time.monotonic()
+        assert cli.main(["ruin", "--config", path]) == 10
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("rareflow: MaxStepsExceeded:") and "Traceback" not in err
 
     def test_integer_beyond_float_range(self):
         doc = dict(MINIMAL["ruin"], premium=10**400)
@@ -403,10 +413,10 @@ class TestRunExperiment:
         assert lines[1].split(",") == doc["rows"][0]
 
     def test_no_bare_nan_in_output(self, tmp_path):
-        # ruin-invest without a ladder emits placeholder cells, never nan
-        path = write_config(tmp_path, "ri.json", dict(MINIMAL["ruin-invest"]))
-        out = tmp_path / "ri.csv"
-        assert cli.main(["ruin-invest", "--config", path, "--out", str(out)]) == 0
+        # longterm without a ladder emits placeholder cells, never nan
+        path = write_config(tmp_path, "lt.json", dict(MINIMAL["longterm"]))
+        out = tmp_path / "lt.csv"
+        assert cli.main(["longterm", "--config", path, "--out", str(out)]) == 0
         text = out.read_text()
         assert "nan" not in text.lower().replace("na,", "").replace(",na", "")
         for token in data_section(text)[1].split(","):
@@ -434,6 +444,17 @@ class TestRunExperiment:
         for row in rows:
             assert 0.0 < row["oracle"] < 1.0
             assert abs(row["mean"] - row["oracle"]) < 4.0 * row["std_error"]
+
+    def test_credit_oracle_past_the_binomial_routine_is_a_warning(self, tmp_path):
+        # scipy's bdtrc returns nan from about n = 1e10: the cell prints na and the run says why
+        doc = {"n": 10**12, "p": 0.1, "rho": 0.4, "q": 0.5, "replications": 2_000, "seed": 3}
+        out = tmp_path / "credit.json.out.json"
+        with pytest.warns(UserWarning, match="no oracle at n = 1000000000000"):
+            assert cli.main(["credit", "--config", write_config(tmp_path, "credit.json", doc),
+                             "--oracle", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [dict(zip(report["columns"], row))["oracle"] for row in report["rows"]] == ["na"]
+        assert len(report["meta"]["warnings"]) == 1 and "bdtrc" in report["meta"]["warnings"][0]
 
     def test_bond_oracle_in_both_spaces(self, tmp_path):
         oracles = {}
@@ -527,8 +548,7 @@ _LADDER_DOCS = {
         optional={"ladder": st.lists(st.floats(1.0, 20.0), min_size=1, max_size=4, unique=True)}),
     "ruin-invest": st.fixed_dictionaries(
         {"premium": st.floats(1.5, 3.0), "lam": st.floats(0.5, 1.5), "claim_rate": st.floats(1.0, 2.0),
-         "b": st.floats(-1.0, 2.0), "sigma": st.floats(0.5, 2.0), "x": st.floats(0.0, 8.0),
-         "horizon": st.floats(1.0, 20.0)},
+         "b": st.floats(-1.0, 2.0), "sigma": st.floats(0.5, 2.0), "x": st.floats(0.0, 8.0)},
         optional={"ladder": st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4, unique=True)}),
 }
 
@@ -559,10 +579,12 @@ def test_a_ladder_runs_the_monte_carlo_rungs(sub_doc, seed):
     rung_column = "horizon" if sub == "longterm" else "x"
     if ladder:
         assert [row[rung_column] for row in rows] == [cli._fmt(float(v)) for v in ladder]
-    else:
+    elif sub == "longterm":
         assert len(rows) == 1 and rows[0]["n_rep"] == rows[0]["mean"] == "na"
+    else:  # ruin-invest estimates its one reserve
+        assert [(row["x"], row["n_rep"]) for row in rows] == [(cli._fmt(doc["x"]), "200")]
     ladder_keys = {"mc_slope", "zero_hit_rungs"}
-    assert ladder_keys & set(report["meta"]) == (ladder_keys if ladder else set())
+    assert ladder_keys & set(report["meta"]) == (ladder_keys if ladder or sub == "ruin-invest" else set())
     assert [str(w.message) for w in caught] == report["meta"]["warnings"]
     assert all(w.category is UserWarning and "zero-hit" in str(w.message) for w in caught)
 
@@ -604,6 +626,12 @@ _ORACLE_DOCS = {
         {"lam": st.floats(0.5, 1.5), "claim_rate": st.floats(0.5, 2.0), "loading": st.floats(0.1, 3.0),
          "x": st.floats(0.0, 30.0).map(lambda v: round(v, 3))},
         optional={"ladder": st.lists(st.floats(0.0, 30.0).map(lambda v: round(v, 3)), min_size=1, max_size=3,
+                                     unique=True)}),
+    # the ranges of _LADDER_DOCS, with reserves to 3 decimals as for ruin
+    "ruin-invest": st.fixed_dictionaries(
+        {"premium": st.floats(1.5, 3.0), "lam": st.floats(0.5, 1.5), "claim_rate": st.floats(1.0, 2.0),
+         "b": st.floats(-1.0, 2.0), "sigma": st.floats(0.5, 2.0), "x": st.floats(0.0, 8.0).map(lambda v: round(v, 3))},
+        optional={"ladder": st.lists(st.floats(0.0, 8.0).map(lambda v: round(v, 3)), min_size=1, max_size=4,
                                      unique=True)}),
 }
 
@@ -816,7 +844,7 @@ def test_warnings_recorded_in_metadata(tmp_path):
     assert json.loads(out.read_text())["meta"]["warnings"] == []
 
 
-@pytest.mark.parametrize("sub", ["ruin-invest", "ghs", "longterm"])
+@pytest.mark.parametrize("sub", ["ghs", "longterm"])
 def test_an_oracle_asked_of_a_subcommand_without_one_is_a_warning(tmp_path, sub):
     doc = dict(MINIMAL[sub], replications=200)
     path = write_config(tmp_path, "cfg.json", doc)
@@ -844,3 +872,30 @@ def test_module_runs_as_a_script():
     assert done.returncode == 0
     assert data_section(done.stdout)[0] == "x,theta_l,lundberg_bound,n_rep,mean,std_error,rel_error,log_mean,oracle"
     assert run("--bogus").returncode == 2
+
+
+# Every float field of each subcommand's minimal config (and of each cramer
+# family's), set one at a time to each end of the float range, must end in a
+# result or a documented exit code, never in a Python exception.
+_PROBE_CONFIGS = dict(
+    MINIMAL,
+    **{"cramer-poisson": {"family": "poisson", "lam": 1.0, "n": 10, "x": 2.0},
+       "cramer-normal": {"family": "normal", "n": 10, "x": 1.0},
+       "cramer-exponential": {"family": "exponential", "lam": 1.0, "n": 10, "x": 2.0}})
+_PROBE_VALUES = (5e-324, 1e-300, 1e-12, 1e12, 1e300, 1.7e308, -1e300, -5e-324)
+_PROBE_FIELDS = [(name, field) for name in sorted(_PROBE_CONFIGS)
+                 for field, spec in cli.SCHEMAS[name.split("-")[0] if name.startswith("cramer") else name].items()
+                 if float in (spec.type if isinstance(spec.type, tuple) else (spec.type,))]
+
+
+@pytest.mark.parametrize("name, field", _PROBE_FIELDS, ids=[f"{name}-{field}" for name, field in _PROBE_FIELDS])
+def test_every_float_field_at_the_ends_of_the_float_range_ends_in_a_documented_code(tmp_path, name, field):
+    sub = name.split("-")[0] if name.startswith("cramer") else name
+    documented = {0, 10, 11, *cli.EXIT_CODES.values()}
+    out = str(tmp_path / "out.json")
+    for value in _PROBE_VALUES:
+        path = write_config(tmp_path, "cfg.json", dict(_PROBE_CONFIGS[name], replications=2, **{field: value}))
+        with warnings.catch_warnings(record=True), redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            code = cli.main([sub, "--config", path, "--oracle", "--threads", "1", "--out", out])
+        assert code in documented, (field, value, code)

@@ -84,7 +84,7 @@ def test_data_rows_match_the_golden_file(name, threads):
 
 # unbiased estimators whose rows carry an exact oracle; barrier rows carry
 # the Euler bias by design and stay out
-UNBIASED_WITH_ORACLE = ("cramer", "credit", "credit-deep", "credit-ladder", "fw-bond", "ruin")
+UNBIASED_WITH_ORACLE = ("cramer", "credit", "credit-deep", "credit-ladder", "fw-bond", "ruin", "ruin-invest")
 
 
 @pytest.mark.parametrize("name", UNBIASED_WITH_ORACLE)

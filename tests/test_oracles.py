@@ -2,8 +2,9 @@ import math
 
 import mpmath
 import pytest
+from scipy.integrate import quad
 
-from rareflow import oracles
+from rareflow import oracles, ruin, tilt
 
 from oracles import asian_call_conditional_gh, credit_tail_beta_order, up_out_call_reflection_quad
 
@@ -134,6 +135,56 @@ class TestUpOutCallPrice:
     def test_needs_a_positive_strike(self, strike):
         with pytest.raises(ValueError, match="strike"):
             oracles.up_out_call_price(100.0, strike, 150.0, 0.05, 0.5, 1.0)
+
+
+class TestRuinProbabilityInvest:
+    @staticmethod
+    def equation_residual(premium, lam, nu, b, sigma, x, h=1e-3):
+        """D psi'' + c psi' + lam (int_0^x psi(x-y) nu e^(-nu y) dy + e^(-nu x)) - lam psi at x.
+
+        The generator of the wealth at the optimal position; c and D come from
+        ``ruin.invest_exponent``, psi' and psi'' from central differences of the
+        oracle with one Richardson step, and the claim integral from ``quad``.
+        """
+        model = ruin.RuinModel(premium, lam, tilt.Exponential(nu), invest=ruin.Investment(b, sigma))
+        alpha = b / (sigma * sigma * ruin.invest_exponent(model).value)
+        c, d = premium + alpha * b, 0.5 * (alpha * sigma) ** 2
+
+        def psi(z):
+            return oracles.ruin_probability_invest(premium, lam, nu, b, sigma, z)
+
+        def derivatives(step):
+            lo, mid, hi = psi(x - step), psi(x), psi(x + step)
+            return (hi - lo) / (2.0 * step), (hi - 2.0 * mid + lo) / (step * step)
+
+        (d1_h, d2_h), (d1_half, d2_half) = derivatives(h), derivatives(0.5 * h)
+        d1, d2 = (4.0 * d1_half - d1_h) / 3.0, (4.0 * d2_half - d2_h) / 3.0
+        claims = quad(lambda y: psi(x - y) * nu * math.exp(-nu * y), 0.0, x, epsabs=1e-13, epsrel=1e-12)[0]
+        return d * d2 + c * d1 + lam * (claims + math.exp(-nu * x)) - lam * psi(x)
+
+    @pytest.mark.parametrize("x", [0.25, 1.0, 3.0, 8.0])
+    @pytest.mark.parametrize("premium, lam, nu, b, sigma", [
+        (2.0, 1.0, 1.0, 1.0, 1.0),      # configs/ruin-invest.json
+        (1.5, 1.0, 1.0, 0.5, 0.8),
+        (1.1, 0.7, 1.5, -0.3, 1.3),     # a short position
+        (3.0, 2.0, 1.0, 2.0, 0.5),
+        (2.0, 1.0, 1.0, 0.05, 1.0),     # a small position: r2 is large
+    ])
+    def test_solves_the_integro_differential_equation(self, premium, lam, nu, b, sigma, x):
+        assert abs(self.equation_residual(premium, lam, nu, b, sigma, x)) < 1e-7 * lam
+        assert oracles.ruin_probability_invest(premium, lam, nu, b, sigma, 0.0) == 1.0
+
+    @pytest.mark.parametrize("x, value, half_unit", [
+        (2.0, 0.124921, 5e-7), (4.0, 0.034490, 5e-7), (6.0, 0.0095817, 5e-8),
+        (8.0, 0.0026620, 5e-8), (20.0, 1.22e-6, 5e-9), (40.0, 3.35e-12, 5e-15),
+    ])
+    def test_known_values(self, x, value, half_unit):
+        assert abs(oracles.ruin_probability_invest(2.0, 1.0, 1.0, 1.0, 1.0, x) - value) <= half_unit
+
+    def test_no_position_is_the_classical_closed_form(self):
+        for x in (0.0, 2.0, 8.0):
+            assert oracles.ruin_probability_invest(2.0, 1.0, 1.0, 0.0, 1.0, x) == (
+                oracles.ruin_probability_exponential(2.0, 1.0, 1.0, x))
 
 
 class TestUpInBondProbability:

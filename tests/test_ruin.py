@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rareflow import cli, mc, ruin, tilt
+from rareflow import cli, mc, oracles, ruin, tilt
 from rareflow.errors import MaxStepsExceeded, NetProfitViolated, NoRoot
 from rareflow.ruin import Investment, RuinModel
 from rareflow.tilt import Exponential
@@ -139,13 +139,6 @@ class TestSimulateRuinIs:
         est = ruin.simulate_ruin_is(model, 0.0, 100_000, seed=2)
         assert abs(est.mean - 0.5) < 4.0 * est.std_error
 
-    def test_closed_form_validated_by_naive_simulation(self):
-        # anchor the closed-form oracle itself at small reserves
-        model = exponential_model()
-        for i, x in enumerate((0.5, 1.0)):
-            naive = ruin.simulate_wealth_ruin(model, x, 0.0, horizon=200.0, N=40_000, seed=60 + i)
-            assert abs(naive.mean - exact_ruin_probability(model, x)) < 4.0 * naive.std_error
-
     def test_decay_slope(self):
         model = exponential_model()
         fit = ruin.ruin_decay_fit(model, [2.0, 4.0, 8.0, 16.0], 50_000, seed=3)
@@ -164,6 +157,20 @@ class TestSimulateRuinIs:
         monkeypatch.setattr(ruin, "MAX_PATH_STEPS", 5)
         with pytest.raises(MaxStepsExceeded):
             ruin.simulate_ruin_is(exponential_model(), 100.0, 100, seed=5)
+
+    def test_step_guard_counts_each_path_beyond_the_expected_rounds(self, monkeypatch):
+        # a tilted step gains 1 on average, so x = 3 expects 3 rounds: within
+        # the guard of 5, but some of 1,000 paths need more than 5
+        monkeypatch.setattr(ruin, "MAX_PATH_STEPS", 5)
+        with pytest.raises(MaxStepsExceeded, match="did not cross"):
+            ruin.simulate_ruin_is(exponential_model(), 3.0, 1_000, seed=5)
+
+    @pytest.mark.parametrize("invest", [None, Investment(1.0, 1.0)])
+    def test_wald_bound_stops_a_deep_reserve_before_any_draw(self, monkeypatch, invest):
+        # a path at x = 1e12 expects about 1e12 rounds, past the guard of 1e7
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(MaxStepsExceeded, match="rounds on average"):
+            ruin.simulate_ruin_is(exponential_model(invest=invest), 1e12, 100, seed=5)
 
     def test_thread_invariance_of_path_simulation(self):
         # stopped-walk streams are per batch, so threading cannot reorder them
@@ -245,43 +252,48 @@ class TestInvestment:
 
 class TestWealthSimulation:
     def test_deep_safety_regime(self):
+        # about 50 e-folds deep the weights still stay below exp(-theta* x)
         model = exponential_model(invest=Investment(1.0, 1.0))
         theta_star = ruin.invest_exponent(model).value
-        est = ruin.simulate_wealth_ruin(
-            model, 50.0 / theta_star, alpha=ruin.optimal_fraction(model, theta_star),
-            horizon=50.0, N=10_000, seed=8,
-        )
-        assert est.mean < 1e-3
-
-    @pytest.mark.parametrize("x, premium, b, sigma, alpha, horizon", [
-        (1.0, 0.2, 0.5, 1.0, 1.0, 2.0),
-        (1.5, 0.3, -0.5, 0.8, 1.0, 3.0),
-        (2.0, 0.1, 0.2, 2.0, 0.7, 5.0),
-    ])
-    def test_no_claims_match_brownian_first_passage(self, x, premium, b, sigma, alpha, horizon):
-        # lam = 1e-9: no claim arrives, so ruin is the first passage of x + mu t + s W_t below 0
-        model = RuinModel(premium, 1e-9, Exponential(1.0), invest=Investment(b, sigma))
-        mu, s = premium + alpha * b, alpha * sigma
-        root_t = math.sqrt(horizon)
-
-        def phi(z):
-            return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-        exact = (phi((-x - mu * horizon) / (s * root_t))
-                 + math.exp(-2.0 * mu * x / s**2) * phi((-x + mu * horizon) / (s * root_t)))
-        est = ruin.simulate_wealth_ruin(model, x, alpha, horizon, N=200_000, seed=11)
+        x = 50.0 / theta_star
+        est = ruin.simulate_ruin_is(model, x, 10_000, seed=8)
+        exact = oracles.ruin_probability_invest(2.0, 1.0, 1.0, 1.0, 1.0, x)
+        assert est.mean < math.exp(-50.0)
         assert abs(est.mean - exact) < 4.0 * est.std_error
+        assert est.relative_error < 0.02
+
+    @pytest.mark.parametrize("i, x", enumerate([5.0, 10.0, 20.0, 40.0]))
+    def test_tilted_ladder_at_the_optimal_position(self, i, x):
+        model = exponential_model(invest=Investment(1.0, 1.0))
+        est = ruin.simulate_ruin_is(model, x, 100_000, seed=90 + i)
+        exact = oracles.ruin_probability_invest(2.0, 1.0, 1.0, 1.0, 1.0, x)
+        assert abs(est.mean - exact) < 4.0 * est.std_error
+        assert est.relative_error < 0.05
+
+    def test_each_creep_and_claim_term_is_checked_on_its_own(self, monkeypatch):
+        # a check per round for its creep terms, then one for the claim-ruin terms
+        # of the batch, each against exp(-theta* x); never a path's sum
+        calls = []
+        check = mc.check_bound
+        monkeypatch.setattr(mc, "check_bound", lambda log_weight, log_bound, hit:
+                            calls.append(np.size(log_weight)) or check(log_weight, log_bound, hit))
+        model = exponential_model(invest=Investment(1.0, 1.0))
+        ruin.simulate_ruin_is(model, 2.0, 1_000, seed=9)
+        assert len(calls) > 2 and calls[-1] == 1_000
 
     def test_vanishing_position_touches_only_from_the_barrier(self):
-        # (alpha sigma)^2 = 1e-324 underflows to 0.  A Brownian motion started at
-        # the barrier still touches it at once, so every path is ruined; one
-        # started above it is the classical process up to a 1e-162 jitter
-        model = exponential_model(invest=Investment(1.0, 1.0))
+        # b = 1e-163 puts alpha* sigma near 2e-163, whose square underflows to 0.
+        # A Brownian motion started at the barrier still touches it at once, so
+        # every path is ruined; one started above it is the classical process
+        # up to a 1e-163 jitter
+        model = exponential_model(invest=Investment(1e-163, 1.0))
+        alpha = ruin.optimal_fraction(model, ruin.invest_exponent(model).value)
+        assert alpha > 0.0 and (alpha * 1.0) ** 2 == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            at_zero = ruin.simulate_wealth_ruin(model, 0.0, alpha=1e-162, horizon=1.0, N=2_000, seed=3)
-            above = ruin.simulate_wealth_ruin(model, 1.0, alpha=1e-162, horizon=1.0, N=20_000, seed=4)
-        classical = ruin.simulate_wealth_ruin(model, 1.0, alpha=0.0, horizon=1.0, N=20_000, seed=5)
+            at_zero = ruin.simulate_ruin_is(model, 0.0, 2_000, seed=3)
+            above = ruin.simulate_ruin_is(model, 1.0, 20_000, seed=4)
+        classical = ruin.simulate_ruin_is(exponential_model(), 1.0, 20_000, seed=5)
         assert at_zero.mean == 1.0
         assert abs(above.mean - classical.mean) < 4.0 * math.hypot(above.std_error, classical.std_error)
 
@@ -289,13 +301,5 @@ class TestWealthSimulation:
         model = exponential_model(invest=Investment(1.0, 1.0))
         theta_l = ruin.adjustment_coefficient(model).value
         theta_star = ruin.invest_exponent(model).value
-        alpha = ruin.optimal_fraction(model, theta_star)
-        results = []
-        reserves = [2.0, 4.0, 6.0, 8.0]
-        for i, x in enumerate(reserves):
-            est = ruin.simulate_wealth_ruin(model, x, alpha, horizon=200.0, N=20_000, seed=70 + i)
-            results.append(est)
-        points, dropped = mc.decay_points(reserves, results)
-        assert dropped == 0
-        fit = mc.fit_decay(points)
+        fit = ruin.ruin_decay_fit(model, [2.0, 4.0, 6.0, 8.0], 20_000, seed=70)
         assert -1.25 * theta_star <= fit.slope <= -theta_l

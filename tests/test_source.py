@@ -174,8 +174,9 @@ def test_no_scipy_optimize_or_integrate_import():
     assert _package_imports("scipy.integrate") == []
 
 
-# ghs prints no oracle column; its stratified sampler must load no scipy.stats
-COLD_RUNS = ("barrier-bias-order", "fw-bond", "credit", "credit-ladder", "ghs-asian")
+# ghs prints no oracle column; its stratified sampler must load no scipy.stats,
+# and the ruin-invest oracle is plain math
+COLD_RUNS = ("barrier-bias-order", "fw-bond", "credit", "credit-ladder", "ghs-asian", "ruin-invest")
 
 
 def test_cold_import_loads_neither_optimize_nor_integrate():
